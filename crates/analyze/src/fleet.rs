@@ -1,12 +1,12 @@
-//! Dynamic fleet checks: cluster-level invariants and the worker-count
+//! Dynamic fleet checks: cluster-level invariants and the same-seed
 //! determinism contract.
 //!
 //! The fleet layer promises that (a) the cluster front door never loses
 //! a job — every submission is admitted or shed, and every admitted job
 //! completes once the fleet drains; (b) per-node daemons stay inside
 //! their safety envelope under cluster-induced load patterns (batched
-//! epoch admissions, oversubscription); and (c) results are
-//! byte-identical for any worker count. This module replays one seeded
+//! epoch admissions, oversubscription); and (c) a same-seed rerun is
+//! byte-identical. This module replays one seeded
 //! mixed-cluster workload under each built-in routing policy and
 //! asserts all three, reporting violations as data the same way the
 //! static invariants do.
@@ -60,14 +60,13 @@ fn violation(name: &'static str, location: String, message: String) -> Violation
 }
 
 /// The small mixed cluster every check runs against.
-fn cluster(workers: usize, seed: u64) -> FleetConfig {
+fn cluster(seed: u64) -> FleetConfig {
     let nodes = vec![
         NodeConfig::new(NodeKind::XGene2, seed.wrapping_add(1)),
         NodeConfig::new(NodeKind::XGene2, seed.wrapping_add(2)),
         NodeConfig::new(NodeKind::XGene3, seed.wrapping_add(3)),
     ];
     let mut cfg = FleetConfig::new(nodes);
-    cfg.workers = workers;
     cfg.telemetry = true;
     cfg
 }
@@ -143,8 +142,8 @@ fn check_summary(policy: &'static str, s: &FleetSummary, out: &mut Vec<Violation
     }
 }
 
-/// Runs the fleet checks: every policy once, plus a 1-vs-4-worker
-/// determinism pair per policy.
+/// Runs the fleet checks: every policy once, plus a same-seed rerun per
+/// policy.
 pub fn explore(seed: u64) -> FleetReport {
     let t = trace(seed);
     let mut violations = Vec::new();
@@ -158,28 +157,28 @@ pub fn explore(seed: u64) -> FleetReport {
     };
     let mut submitted = 0;
     for &name in &policies {
-        let one = Fleet::builder()
-            .config(cluster(1, seed))
-            .build()
-            .run(&t, fresh(name).as_mut());
-        submitted = one.admission.submitted;
-        check_summary(name, &one, &mut violations);
-        let four = Fleet::builder()
-            .config(cluster(4, seed))
-            .build()
-            .run(&t, fresh(name).as_mut());
-        if one.fingerprint() != four.fingerprint() {
+        let run = || {
+            Fleet::builder()
+                .config(cluster(seed))
+                .build()
+                .run(&t, fresh(name).as_mut())
+        };
+        let first = run();
+        submitted = first.admission.submitted;
+        check_summary(name, &first, &mut violations);
+        let rerun = run();
+        if first.fingerprint() != rerun.fingerprint() {
             violations.push(violation(
                 "fleet-determinism",
                 format!("policy {name}"),
-                "summary fingerprint diverged between 1 and 4 workers".to_string(),
+                "summary fingerprint diverged on a same-seed rerun".to_string(),
             ));
         }
-        if one.journal != four.journal {
+        if first.journal != rerun.journal {
             violations.push(violation(
                 "fleet-determinism",
                 format!("policy {name}"),
-                "telemetry journal diverged between 1 and 4 workers".to_string(),
+                "telemetry journal diverged on a same-seed rerun".to_string(),
             ));
         }
     }
@@ -195,7 +194,7 @@ pub fn explore(seed: u64) -> FleetReport {
 /// The scripted-failure cluster: four nodes, one of each fault kind.
 /// The degrade and stall are fixed; the crash placement is supplied by
 /// the caller (see `check_resilience`'s candidate probe).
-fn failing_cluster(workers: usize, seed: u64, crash: ScriptedFault) -> FleetConfig {
+fn failing_cluster(seed: u64, crash: ScriptedFault) -> FleetConfig {
     let nodes = vec![
         NodeConfig::new(NodeKind::XGene2, seed.wrapping_add(1)),
         NodeConfig::new(NodeKind::XGene2, seed.wrapping_add(2)),
@@ -203,7 +202,6 @@ fn failing_cluster(workers: usize, seed: u64, crash: ScriptedFault) -> FleetConf
         NodeConfig::new(NodeKind::XGene3, seed.wrapping_add(4)),
     ];
     let mut cfg = FleetConfig::new(nodes);
-    cfg.workers = workers;
     cfg.telemetry = true;
     cfg.audit = true;
     cfg.fault_plan = Some(NodeFaultPlan::scripted(vec![
@@ -304,7 +302,7 @@ fn check_fencing_journal(journal: &str, out: &mut Vec<Violation>) {
 /// Scripted degrade/crash/stall run: conservation and exactly-once must
 /// hold at every epoch and at the end, re-dispatch must actually move
 /// work, fenced nodes must get zero new work (proved from the journal),
-/// and the whole thing must stay worker-count deterministic.
+/// and a same-seed rerun must be byte-identical.
 fn check_resilience(seed: u64, out: &mut Vec<Violation>) {
     let t = failing_trace(seed);
     let mut chosen = None;
@@ -315,7 +313,7 @@ fn check_resilience(seed: u64, out: &mut Vec<Violation>) {
             kind: NodeFaultKind::Crash,
         };
         let s = Fleet::builder()
-            .config(failing_cluster(1, seed, crash))
+            .config(failing_cluster(seed, crash))
             .build()
             .run(&t, &mut EnergyAware::new());
         if s.redispatch.drained > 0 && s.redispatch.reassigned > 0 {
@@ -371,15 +369,15 @@ fn check_resilience(seed: u64, out: &mut Vec<Violation>) {
     }
     check_fencing_journal(one.journal.as_deref().unwrap_or(""), out);
 
-    let four = Fleet::builder()
-        .config(failing_cluster(4, seed, crash))
+    let rerun = Fleet::builder()
+        .config(failing_cluster(seed, crash))
         .build()
         .run(&t, &mut EnergyAware::new());
-    if one.fingerprint() != four.fingerprint() || one.journal != four.journal {
+    if one.fingerprint() != rerun.fingerprint() || one.journal != rerun.journal {
         out.push(violation(
             "fleet-determinism",
             "scripted faults".to_string(),
-            "failure run diverged between 1 and 4 workers".to_string(),
+            "failure run diverged on a same-seed rerun".to_string(),
         ));
     }
 }
@@ -388,7 +386,7 @@ fn check_resilience(seed: u64, out: &mut Vec<Violation>) {
 /// count and the summary's shed counters are incremented together on the
 /// single shed path, so they must agree exactly.
 fn check_shed_accounting(seed: u64, out: &mut Vec<Violation>) {
-    let mut cfg = cluster(1, seed);
+    let mut cfg = cluster(seed);
     for n in &mut cfg.nodes {
         n.admit_capacity = 1;
     }

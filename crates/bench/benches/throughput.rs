@@ -1,8 +1,9 @@
-//! Event-throughput benches with a persistent baseline (`BENCH_9.json`).
+//! Event-throughput benches with a persistent baseline: the
+//! highest-numbered `BENCH_<n>.json` at the repo root.
 //!
 //! Custom harness (no criterion): measures end-to-end event throughput —
-//! simulator events/sec under the Optimal daemon, fleet epochs/sec at
-//! 4 nodes × 8 workers, characterization-campaign cells/sec on the
+//! simulator events/sec under the Optimal daemon, fleet epochs/sec on
+//! 4 nodes, characterization-campaign cells/sec on the
 //! X-Gene 2 preset, and daemon replans/sec with the decision cache
 //! on vs off — plus per-component microbenches (calendar-queue ops/sec,
 //! power-LUT evaluations/sec) so a regression localizes to the layer
@@ -12,11 +13,11 @@
 //! Modes:
 //!
 //! * default — measure and print the JSON report to stdout;
-//! * `--write` — also persist the report to `BENCH_9.json` at the repo
-//!   root (the committed baseline the smoke gate compares against);
+//! * `--write` — also persist the report over that baseline (the
+//!   committed file the smoke gate compares against);
 //! * `--smoke` — quick re-measure, compared against the committed
-//!   `BENCH_9.json`; exits non-zero if any throughput metric regressed
-//!   by more than 20%;
+//!   baseline; exits non-zero if any throughput metric regressed by more
+//!   than 20% (a metric the baseline lacks is reported as new);
 //! * `--compare <baseline.json>` — A/B mode: measure, then print a
 //!   per-metric delta table against the given baseline file (no gate).
 
@@ -47,6 +48,27 @@ fn repo_root() -> PathBuf {
         .nth(2)
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("."))
+}
+
+/// The committed baseline: the highest-numbered `BENCH_<n>.json` at the
+/// repo root, or `BENCH_1.json` when there is none yet.
+fn latest_baseline() -> PathBuf {
+    let root = repo_root();
+    let newest = std::fs::read_dir(&root)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|e| {
+            let name = e.file_name();
+            let n = name
+                .to_str()?
+                .strip_prefix("BENCH_")?
+                .strip_suffix(".json")?;
+            n.parse::<u32>().ok()
+        })
+        .max()
+        .unwrap_or(1);
+    root.join(format!("BENCH_{newest}.json"))
 }
 
 fn trace(cores: usize, seed: u64, secs: u64) -> WorkloadTrace {
@@ -88,8 +110,8 @@ fn sim_events_per_sec(preset: &str, reps: usize) -> (f64, u64) {
     (events as f64 / best, events)
 }
 
-/// Fleet epochs/sec on the issue's reference shape: 4 heterogeneous
-/// nodes, 8 workers, 1 s epochs, energy-aware routing.
+/// Fleet epochs/sec on the reference shape: 4 heterogeneous nodes, 1 s
+/// epochs, energy-aware routing.
 fn fleet_epochs_per_sec(reps: usize) -> (f64, u64) {
     let t = trace(32, 7, 120);
     let mut best = f64::MAX;
@@ -100,7 +122,6 @@ fn fleet_epochs_per_sec(reps: usize) -> (f64, u64) {
             .node(NodeConfig::new(NodeKind::XGene2, 102))
             .node(NodeConfig::new(NodeKind::XGene3, 103))
             .node(NodeConfig::new(NodeKind::XGene3, 104))
-            .workers(8)
             .build();
         let t0 = Instant::now();
         let summary = fleet.run(&t, &mut EnergyAware::new());
@@ -340,7 +361,7 @@ fn metric_table(m: &Measured) -> [(&'static str, f64); 8] {
     [
         ("sim_events_per_sec_xgene2", m.sim_eps_xgene2),
         ("sim_events_per_sec_xgene3", m.sim_eps_xgene3),
-        ("fleet_epochs_per_sec_4n8w", m.fleet_eps),
+        ("fleet_epochs_per_sec_4n", m.fleet_eps),
         ("campaign_cells_per_sec_xgene2", m.campaign_cps),
         ("daemon_replans_per_sec_cache_on", m.replans_cache_on),
         ("daemon_replans_per_sec_cache_off", m.replans_cache_off),
@@ -394,7 +415,7 @@ fn smoke(m: &Measured, baseline: &str) -> Result<(), String> {
     let mut failures = Vec::new();
     for (key, now) in metric_table(m) {
         let Some(was) = extract_number(baseline, key) else {
-            failures.push(format!("{key}: missing from baseline"));
+            println!("smoke new: {key} {now:.0}/s (not in the baseline)");
             continue;
         };
         let floor = was * SMOKE_FLOOR;
@@ -428,7 +449,7 @@ fn compare(m: &Measured, baseline: &str, label: &str) {
                 let delta = (now / was - 1.0) * 100.0;
                 println!("  {key}: {was:.0}/s -> {now:.0}/s ({delta:+.1}%)");
             }
-            _ => println!("  {key}: (missing from baseline) -> {now:.0}/s"),
+            _ => println!("  {key}: new -> {now:.0}/s"),
         }
     }
 }
@@ -452,7 +473,7 @@ fn main() {
                 p
             }
         });
-    let baseline_path = repo_root().join("BENCH_9.json");
+    let baseline_path = latest_baseline();
 
     let m = measure(if smoke_mode || compare_path.is_some() {
         2

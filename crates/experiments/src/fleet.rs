@@ -5,9 +5,9 @@
 //! each built-in routing policy, with every node running the paper's
 //! Optimal daemon, and compares cluster energy/makespan against a
 //! default-governor baseline cluster (Baseline nodes, round-robin
-//! routing). The energy-aware run executes twice — with 1 and 8 worker
-//! threads — and the experiment checks the two runs are byte-identical,
-//! turning the fleet determinism contract into a release gate.
+//! routing). The energy-aware run executes twice with the same seed and
+//! the experiment checks the two runs are byte-identical, turning the
+//! fleet determinism contract into a release gate.
 
 use crate::report::{Cell, Table};
 use crate::Scale;
@@ -43,9 +43,8 @@ pub fn node_configs(seed: u64, eval: EvalConfig) -> Vec<NodeConfig> {
     .collect()
 }
 
-fn fleet_config(seed: u64, eval: EvalConfig, workers: usize, telemetry: bool) -> FleetConfig {
+fn fleet_config(seed: u64, eval: EvalConfig, telemetry: bool) -> FleetConfig {
     let mut cfg = FleetConfig::new(node_configs(seed, eval));
-    cfg.workers = workers;
     cfg.telemetry = telemetry;
     cfg
 }
@@ -70,9 +69,9 @@ pub struct FleetEvalResults {
     /// Optimal-daemon cluster under each policy: round-robin,
     /// least-queued, energy-aware (this order).
     pub runs: Vec<FleetSummary>,
-    /// Fingerprints of the energy-aware run at 1 and 8 workers.
+    /// Fingerprints of the energy-aware run and its same-seed rerun.
     pub determinism: (String, String),
-    /// Whether the 1- and 8-worker journals matched byte for byte.
+    /// Whether the two energy-aware journals matched byte for byte.
     pub journals_match: bool,
 }
 
@@ -82,36 +81,36 @@ impl FleetEvalResults {
         self.runs.iter().find(|s| s.policy == name)
     }
 
-    /// The energy-aware run (8-worker instance; byte-identical to the
-    /// 1-worker one by [`validate`]).
+    /// The energy-aware run (byte-identical to its rerun by
+    /// [`validate`]).
     pub fn energy_aware(&self) -> &FleetSummary {
         &self.runs[2]
     }
 }
 
 /// Runs the full cluster evaluation: baseline cluster, the three
-/// policies over Optimal-daemon nodes, and the worker-count determinism
-/// pair.
+/// policies over Optimal-daemon nodes, and the same-seed rerun of the
+/// energy-aware run.
 pub fn evaluate(scale: Scale, seed: u64) -> FleetEvalResults {
     let trace = cluster_trace(scale, seed);
-    let run = |eval: EvalConfig, workers: usize, telemetry: bool, p: &mut dyn RoutingPolicy| {
+    let run = |eval: EvalConfig, telemetry: bool, p: &mut dyn RoutingPolicy| {
         Fleet::builder()
-            .config(fleet_config(seed, eval, workers, telemetry))
+            .config(fleet_config(seed, eval, telemetry))
             .build()
             .run(&trace, p)
     };
 
-    let baseline = run(EvalConfig::Baseline, 4, false, &mut RoundRobin::new());
-    let rr = run(EvalConfig::Optimal, 4, false, &mut RoundRobin::new());
-    let lq = run(EvalConfig::Optimal, 4, false, &mut LeastQueued::new());
-    let ea1 = run(EvalConfig::Optimal, 1, true, &mut EnergyAware::new());
-    let ea8 = run(EvalConfig::Optimal, 8, true, &mut EnergyAware::new());
+    let baseline = run(EvalConfig::Baseline, false, &mut RoundRobin::new());
+    let rr = run(EvalConfig::Optimal, false, &mut RoundRobin::new());
+    let lq = run(EvalConfig::Optimal, false, &mut LeastQueued::new());
+    let ea = run(EvalConfig::Optimal, true, &mut EnergyAware::new());
+    let rerun = run(EvalConfig::Optimal, true, &mut EnergyAware::new());
 
-    let determinism = (ea1.fingerprint(), ea8.fingerprint());
-    let journals_match = ea1.journal == ea8.journal;
+    let determinism = (ea.fingerprint(), rerun.fingerprint());
+    let journals_match = ea.journal == rerun.journal;
     FleetEvalResults {
         baseline,
-        runs: vec![rr, lq, ea8],
+        runs: vec![rr, lq, ea],
         determinism,
         journals_match,
     }
@@ -153,12 +152,12 @@ pub fn validate(results: &FleetEvalResults) -> Result<(), String> {
     }
     if results.determinism.0 != results.determinism.1 {
         return Err(format!(
-            "worker-count determinism broke:\n--- workers=1\n{}\n--- workers=8\n{}",
+            "same-seed rerun diverged:\n--- first\n{}\n--- rerun\n{}",
             results.determinism.0, results.determinism.1
         ));
     }
     if !results.journals_match {
-        return Err("worker-count determinism broke: journals differ".into());
+        return Err("same-seed rerun diverged: journals differ".into());
     }
     Ok(())
 }
@@ -236,13 +235,13 @@ pub fn node_table(results: &FleetEvalResults) -> Table {
     t
 }
 
-/// The determinism gate as a table: FNV-1a digests of the 1- and
-/// 8-worker fingerprints (equal rows = byte-identical runs).
+/// The determinism gate as a table: FNV-1a digests of the energy-aware
+/// run and its same-seed rerun (equal rows = byte-identical runs).
 pub fn determinism_table(results: &FleetEvalResults) -> Table {
     let mut t = Table::new(
         "fleet-determinism",
-        "Worker-count determinism (energy-aware run)",
-        &["workers", "summary digest", "journal"],
+        "Same-seed rerun determinism (energy-aware run)",
+        &["run", "summary digest", "journal"],
     );
     let digest = |s: &str| format!("{:016x}", fnv1a(s.as_bytes()));
     let journal_note = if results.journals_match {
@@ -251,12 +250,12 @@ pub fn determinism_table(results: &FleetEvalResults) -> Table {
         "DIVERGED"
     };
     t.push_row(vec![
-        Cell::from(1usize),
+        Cell::from("first"),
         Cell::from(digest(&results.determinism.0)),
         Cell::from(journal_note),
     ]);
     t.push_row(vec![
-        Cell::from(8usize),
+        Cell::from("rerun"),
         Cell::from(digest(&results.determinism.1)),
         Cell::from(journal_note),
     ]);

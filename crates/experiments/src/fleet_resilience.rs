@@ -15,8 +15,8 @@
 //! 3. **Crash drill** — a scripted crash of one node in four: at least
 //!    90% of submitted jobs must still complete via health-gated
 //!    re-dispatch, with zero lost and zero duplicated jobs.
-//! 4. **Determinism under failure** — the crash drill at 1 and 8
-//!    workers must produce byte-identical summaries and journals.
+//! 4. **Determinism under failure** — the crash drill and its same-seed
+//!    rerun must produce byte-identical summaries and journals.
 
 use crate::fleet::{cluster_trace, node_configs};
 use crate::report::{Cell, Table};
@@ -55,23 +55,21 @@ pub struct FleetResilienceResults {
     pub zero_journals_match: bool,
     /// The degradation sweep: (rate, summary) per point, rate 0 first.
     pub sweep: Vec<(f64, FleetSummary)>,
-    /// The scripted 1-of-4 crash drill (8-worker instance).
+    /// The scripted 1-of-4 crash drill.
     pub drill: FleetSummary,
-    /// Fingerprints of the crash drill at 1 and 8 workers.
+    /// Fingerprints of the crash drill and its same-seed rerun.
     pub determinism: (String, String),
-    /// Whether the 1- and 8-worker drill journals matched exactly.
+    /// Whether the two drill journals matched exactly.
     pub drill_journals_match: bool,
 }
 
 fn config(
     seed: u64,
     eval: EvalConfig,
-    workers: usize,
     telemetry: bool,
     plan: Option<NodeFaultPlan>,
 ) -> FleetConfig {
     let mut cfg = FleetConfig::new(node_configs(seed, eval));
-    cfg.workers = workers;
     cfg.telemetry = telemetry;
     cfg.audit = true;
     cfg.fault_plan = plan;
@@ -91,21 +89,20 @@ fn drill_plan() -> NodeFaultPlan {
 /// Runs the whole artifact.
 pub fn evaluate(scale: Scale, seed: u64, rates: &[f64]) -> FleetResilienceResults {
     let trace = cluster_trace(scale, seed);
-    let run = |eval: EvalConfig, workers: usize, telemetry: bool, plan: Option<NodeFaultPlan>| {
+    let run = |eval: EvalConfig, telemetry: bool, plan: Option<NodeFaultPlan>| {
         Fleet::builder()
-            .config(config(seed, eval, workers, telemetry, plan))
+            .config(config(seed, eval, telemetry, plan))
             .build()
             .run(&trace, &mut EnergyAware::new())
     };
 
     let governor = Fleet::builder()
-        .config(config(seed, EvalConfig::Baseline, 4, false, None))
+        .config(config(seed, EvalConfig::Baseline, false, None))
         .build()
         .run(&trace, &mut RoundRobin::new());
-    let unarmed = run(EvalConfig::Optimal, 8, true, None);
+    let unarmed = run(EvalConfig::Optimal, true, None);
     let armed_zero = run(
         EvalConfig::Optimal,
-        8,
         true,
         Some(NodeFaultPlan::uniform(seed, 0.0)),
     );
@@ -116,7 +113,6 @@ pub fn evaluate(scale: Scale, seed: u64, rates: &[f64]) -> FleetResilienceResult
         let s = if rate > 0.0 {
             run(
                 EvalConfig::Optimal,
-                8,
                 false,
                 Some(NodeFaultPlan::uniform(seed, rate)),
             )
@@ -126,10 +122,10 @@ pub fn evaluate(scale: Scale, seed: u64, rates: &[f64]) -> FleetResilienceResult
         sweep.push((rate, s));
     }
 
-    let drill1 = run(EvalConfig::Optimal, 1, true, Some(drill_plan()));
-    let drill8 = run(EvalConfig::Optimal, 8, true, Some(drill_plan()));
-    let determinism = (drill1.fingerprint(), drill8.fingerprint());
-    let drill_journals_match = drill1.journal == drill8.journal;
+    let drill = run(EvalConfig::Optimal, true, Some(drill_plan()));
+    let rerun = run(EvalConfig::Optimal, true, Some(drill_plan()));
+    let determinism = (drill.fingerprint(), rerun.fingerprint());
+    let drill_journals_match = drill.journal == rerun.journal;
 
     FleetResilienceResults {
         governor,
@@ -137,7 +133,7 @@ pub fn evaluate(scale: Scale, seed: u64, rates: &[f64]) -> FleetResilienceResult
         armed_zero,
         zero_journals_match,
         sweep,
-        drill: drill8,
+        drill,
         determinism,
         drill_journals_match,
     }
@@ -197,12 +193,12 @@ impl FleetResilienceResults {
         }
         if self.determinism.0 != self.determinism.1 {
             return Err(format!(
-                "crash drill diverged across worker counts:\n--- workers=1\n{}\n--- workers=8\n{}",
+                "crash drill rerun diverged:\n--- first\n{}\n--- rerun\n{}",
                 self.determinism.0, self.determinism.1
             ));
         }
         if !self.drill_journals_match {
-            return Err("crash drill journals differ across worker counts".into());
+            return Err("crash drill rerun journals differ".into());
         }
         Ok(())
     }
@@ -296,7 +292,7 @@ pub fn drill_table(results: &FleetResilienceResults) -> Table {
 }
 
 /// The two bit-identity gates as a table: unarmed vs armed-zero, and
-/// the crash drill across worker counts.
+/// the crash drill vs its same-seed rerun.
 pub fn identity_table(results: &FleetResilienceResults) -> Table {
     let mut t = Table::new(
         "fleet-resilience-identity",
@@ -315,7 +311,7 @@ pub fn identity_table(results: &FleetResilienceResults) -> Table {
         }),
     ]);
     t.push_row(vec![
-        Cell::from("crash drill workers 1 vs 8"),
+        Cell::from("crash drill vs same-seed rerun"),
         Cell::from(digest(&results.determinism.0)),
         Cell::from(digest(&results.determinism.1)),
         Cell::from(if results.drill_journals_match {

@@ -1,26 +1,36 @@
 //! The fleet engine: epoch-synchronized execution over N nodes with a
 //! bounded-admission front door and a fault-tolerant routing loop.
 //!
+//! # Execution
+//!
+//! Everything runs on the coordinator thread. Between boundaries the
+//! coordinator steps every live node to the next boundary in `NodeId`
+//! order. An epoch holds only microseconds of node work, less than the
+//! cost of handing nodes to other threads and waiting for them, so
+//! threaded stepping measures slower than this loop (DESIGN.md §10 has
+//! the numbers).
+//!
 //! # Determinism rules
 //!
-//! Results are byte-identical for any worker count because:
+//! Same seed, same trace, same policy ⇒ byte-identical results, because:
 //!
 //! 1. **Routing is sequential.** All routing decisions happen on the
 //!    coordinator at epoch boundaries, in trace order, against node
 //!    views snapshotted in `NodeId` order.
 //! 2. **Node stepping is independent.** Between boundaries each node
 //!    advances its own `System` to the same horizon; nodes share no
-//!    state, and each has its own telemetry hub, so which worker steps
-//!    which node cannot be observed.
+//!    state, and each has its own telemetry hub, so the order in which
+//!    nodes are stepped cannot be observed. This rule is what would make
+//!    parallel stepping safe again if a workload ever needs it.
 //! 3. **Merging is ordered.** Summaries and the fleet journal are
-//!    assembled in `NodeId` order after all workers join; timestamps
-//!    are simulation-time only.
+//!    assembled in `NodeId` order once every node has drained;
+//!    timestamps are simulation-time only.
 //! 4. **Faults are coordinator-side.** The [`NodeFaultPlan`] is sampled
 //!    on the coordinator at boundaries (fixed draw count per node per
 //!    epoch), health observation and re-dispatch run sequentially there
 //!    too, and a node's dead/stalled flags only change at boundaries —
 //!    so the failure schedule, the fencing sequence, and every
-//!    re-dispatch decision are identical for any worker count.
+//!    re-dispatch decision depend on the seed alone.
 //!
 //! # Boundary order
 //!
@@ -49,9 +59,6 @@ pub struct FleetConfig {
     /// Epoch length: arrivals are admitted at epoch boundaries and all
     /// nodes synchronize on the boundary clock.
     pub epoch: SimDuration,
-    /// Worker threads for node stepping (results are identical for any
-    /// value; this only trades wall-clock time).
-    pub workers: usize,
     /// When true, the coordinator and every node get a telemetry hub and
     /// the run exports a merged fleet journal.
     pub telemetry: bool,
@@ -69,13 +76,12 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A fleet over the given nodes with 1 s epochs, one worker,
-    /// telemetry off, and no fault injection.
+    /// A fleet over the given nodes with 1 s epochs, telemetry off, and
+    /// no fault injection.
     pub fn new(nodes: Vec<NodeConfig>) -> Self {
         FleetConfig {
             nodes,
             epoch: SimDuration::from_secs(1),
-            workers: 1,
             telemetry: false,
             fault_plan: None,
             health: HealthConfig::default(),
@@ -184,7 +190,6 @@ impl EpochAudit {
 pub struct Fleet {
     nodes: Vec<Node>,
     epoch: SimDuration,
-    workers: usize,
     telemetry: Telemetry,
     plan: Option<NodeFaultPlan>,
     health_cfg: HealthConfig,
@@ -212,7 +217,6 @@ impl Fleet {
     /// let fleet = Fleet::builder()
     ///     .node(NodeConfig::new(NodeKind::XGene2, 42))
     ///     .node(NodeConfig::new(NodeKind::XGene3, 43))
-    ///     .workers(2)
     ///     .build();
     /// assert_eq!(fleet.len(), 2);
     /// ```
@@ -225,14 +229,6 @@ impl Fleet {
     /// Builds the fleet: every node gets its own chip, driver, seed, and
     /// (when enabled) telemetry hub; drivers observe their first monitor
     /// tick immediately.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use Fleet::builder().nodes(..).epoch(..).workers(..).build()"
-    )]
-    pub fn new(config: &FleetConfig) -> Self {
-        Fleet::from_config(config)
-    }
-
     fn from_config(config: &FleetConfig) -> Self {
         let coordinator = if config.telemetry {
             Telemetry::hub()
@@ -256,7 +252,6 @@ impl Fleet {
         Fleet {
             nodes,
             epoch: config.epoch,
-            workers: config.workers.max(1),
             telemetry: coordinator,
             plan: config.fault_plan.clone(),
             health_cfg: config.health,
@@ -289,10 +284,11 @@ impl Fleet {
     ///
     /// Arrivals are admitted at the first epoch boundary at or after
     /// their trace timestamp, in trace order; between boundaries every
-    /// live node advances independently (in parallel across `workers`
-    /// threads). The run ends once all arrivals are routed, the
-    /// re-dispatch queue is empty, and no failed node still holds
-    /// undrained or parked work; surviving nodes then drain to idle.
+    /// live node advances to the next boundary, stepped in `NodeId`
+    /// order on the calling thread. The run ends once all arrivals are
+    /// routed, the re-dispatch queue is empty, and no failed node still
+    /// holds undrained or parked work; surviving nodes then drain to
+    /// idle.
     pub fn run(mut self, trace: &WorkloadTrace, policy: &mut dyn RoutingPolicy) -> FleetSummary {
         let mut gate = HealthGated::new(policy);
         let mut stats = AdmissionStats::default();
@@ -325,11 +321,11 @@ impl Fleet {
             }
             now += self.epoch;
             epoch_no += 1;
-            Self::par_step(&mut self.nodes, self.workers, now);
+            self.step_nodes(now);
         }
 
         // All work routed or accounted: drain surviving nodes to idle.
-        Self::par_drain(&mut self.nodes, self.workers);
+        self.drain_nodes();
         let policy_name = gate.name();
         let routed_to_fenced = gate.rejections();
         self.finish(policy_name, routed_to_fenced, stats)
@@ -643,13 +639,11 @@ impl Fleet {
         });
     }
 
-    /// Steps every live node to `horizon`, fanning out over a scoped
-    /// worker pool. Nodes are partitioned into contiguous chunks; since
-    /// nodes share no state, the partition (and the worker count) cannot
-    /// affect any result. Dead and stalled nodes miss the step — the
-    /// heartbeat signal the coordinator's health machine consumes.
-    fn par_step(nodes: &mut [Node], workers: usize, horizon: SimTime) {
-        Self::par_each(nodes, workers, |n| {
+    /// Steps every live node to `horizon`, in `NodeId` order. Dead and
+    /// stalled nodes miss the step — the heartbeat signal the
+    /// coordinator's health machine consumes.
+    fn step_nodes(&mut self, horizon: SimTime) {
+        for n in &mut self.nodes {
             if n.dead {
                 n.missed_last = true;
             } else if n.stall_remaining > 0 {
@@ -659,38 +653,18 @@ impl Fleet {
                 n.step_to(horizon);
                 n.missed_last = false;
             }
-        });
+        }
     }
 
-    /// Drains every surviving node to idle, fanning out identically.
-    /// Dead nodes stay frozen; a node still inside a stall window here
-    /// has no live jobs (the run loop waits otherwise) and stays parked.
-    fn par_drain(nodes: &mut [Node], workers: usize) {
-        Self::par_each(nodes, workers, |n| {
+    /// Drains every surviving node to idle. Dead nodes stay frozen; a
+    /// node still inside a stall window here has no live jobs (the run
+    /// loop waits otherwise) and stays parked.
+    fn drain_nodes(&mut self) {
+        for n in &mut self.nodes {
             if !n.dead && n.stall_remaining == 0 {
                 n.drain();
             }
-        });
-    }
-
-    fn par_each(nodes: &mut [Node], workers: usize, f: impl Fn(&mut Node) + Send + Sync) {
-        let workers = workers.clamp(1, nodes.len().max(1));
-        if workers <= 1 {
-            for n in nodes {
-                f(n);
-            }
-            return;
         }
-        let chunk = nodes.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            for part in nodes.chunks_mut(chunk) {
-                s.spawn(|| {
-                    for n in part {
-                        f(n);
-                    }
-                });
-            }
-        });
     }
 
     /// Finalizes node metrics, closes the exactly-once ledger, and
@@ -778,8 +752,8 @@ impl Fleet {
 
 /// Builder for [`Fleet`] — the single blessed construction path.
 ///
-/// Starts from [`FleetConfig::new`]'s defaults (1 s epochs, one
-/// worker, telemetry off, no faults); every knob has a setter, and
+/// Starts from [`FleetConfig::new`]'s defaults (1 s epochs, telemetry
+/// off, no faults); every knob has a setter, and
 /// [`config`](FleetBuilder::config) swaps in a prepared configuration
 /// wholesale.
 #[derive(Debug, Clone)]
@@ -809,11 +783,11 @@ impl FleetBuilder {
         self
     }
 
-    /// Sets the worker-thread count (results are identical for any
-    /// value).
+    /// Does nothing: nodes are stepped on the coordinator thread. Kept
+    /// so existing callers compile; it will be removed.
+    #[deprecated(note = "nodes are stepped on the coordinator thread; drop the call")]
     #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
+    pub fn workers(self, _workers: usize) -> Self {
         self
     }
 

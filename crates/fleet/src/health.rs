@@ -11,9 +11,9 @@
 //! The plan draws from its own [`RngStream`] (label `"node-fault-plan"`)
 //! and always burns exactly three draws per node per boundary, so the
 //! sampled schedule is a pure function of `(seed, epoch, node)` — never
-//! of routing decisions, worker count, or prior fault outcomes. A plan
-//! with all-zero rates and no scripted events is a no-op: the run is
-//! byte-identical to one with no plan at all.
+//! of routing decisions or prior fault outcomes. A plan with all-zero
+//! rates and no scripted events is a no-op: the run is byte-identical
+//! to one with no plan at all.
 //!
 //! # Health machine
 //!

@@ -16,10 +16,9 @@
 //!   whose divided clock (and its deeper Vmin) is cheapest.
 //!
 //! Execution is epoch-synchronized: arrivals are admitted at epoch
-//! boundaries, then every node advances independently to the next
-//! boundary, fanned out across a scoped worker pool. Results are
-//! **byte-identical for any worker count** — see the determinism rules
-//! on [`engine`]. Cluster results aggregate into a [`FleetSummary`]
+//! boundaries, then the coordinator steps every node to the next
+//! boundary in `NodeId` order. Results are **byte-identical for the
+//! same seed** — see the determinism rules on [`engine`]. Cluster results aggregate into a [`FleetSummary`]
 //! (energy, makespan, admission/shedding counters, daemon recovery
 //! stats, per-node metrics) with a [`FleetSummary::fingerprint`] digest
 //! and an optional merged telemetry journal.

@@ -25,7 +25,6 @@ proptest! {
         seed in 0u64..1_000,
         capacity in 1usize..4,
         which in 0u8..3,
-        workers in 1usize..3,
     ) {
         let mut nodes = vec![
             NodeConfig::new(NodeKind::XGene2, seed.wrapping_add(1)),
@@ -34,8 +33,7 @@ proptest! {
         for n in &mut nodes {
             n.admit_capacity = capacity;
         }
-        let mut cfg = FleetConfig::new(nodes);
-        cfg.workers = workers;
+        let cfg = FleetConfig::new(nodes);
         let mut rr = RoundRobin::new();
         let mut lq = LeastQueued::new();
         let mut ea = EnergyAware::new();

@@ -1,6 +1,6 @@
 //! Fleet determinism: same seed ⇒ byte-identical `FleetSummary`
-//! fingerprint and telemetry journal for any worker count, under every
-//! built-in routing policy.
+//! fingerprint and telemetry journal under every built-in routing
+//! policy, pinned to golden digests so a refactor cannot move a bit.
 
 use avfs_fleet::{
     EnergyAware, Fleet, FleetConfig, FleetSummary, LeastQueued, NodeConfig, NodeKind, RoundRobin,
@@ -9,7 +9,7 @@ use avfs_fleet::{
 use avfs_sim::time::SimDuration;
 use avfs_workloads::{GeneratorConfig, WorkloadTrace};
 
-fn small_cluster(workers: usize) -> FleetConfig {
+fn small_cluster() -> FleetConfig {
     let nodes = vec![
         NodeConfig::new(NodeKind::XGene2, 101),
         NodeConfig::new(NodeKind::XGene2, 102),
@@ -17,7 +17,6 @@ fn small_cluster(workers: usize) -> FleetConfig {
         NodeConfig::new(NodeKind::XGene3, 104),
     ];
     let mut cfg = FleetConfig::new(nodes);
-    cfg.workers = workers;
     cfg.telemetry = true;
     cfg
 }
@@ -39,35 +38,62 @@ fn policy(which: &str) -> Box<dyn RoutingPolicy> {
     }
 }
 
-fn run_with(workers: usize, policy: &mut dyn RoutingPolicy) -> FleetSummary {
-    let fleet = Fleet::builder().config(small_cluster(workers)).build();
+fn run_with(policy: &mut dyn RoutingPolicy) -> FleetSummary {
+    let fleet = Fleet::builder().config(small_cluster()).build();
     fleet.run(&small_trace(7), policy)
 }
 
-#[test]
-fn worker_count_does_not_change_results() {
-    for label in ["rr", "lq", "ea"] {
-        let one = run_with(1, policy(label).as_mut());
-        assert!(one.admission.submitted > 0, "{label}: empty trace");
-        assert!(one.completed > 0, "{label}: nothing completed");
-        for workers in [2, 8] {
-            let many = run_with(workers, policy(label).as_mut());
-            assert_eq!(
-                one.fingerprint(),
-                many.fingerprint(),
-                "{label}: summary diverged at workers={workers}"
-            );
-            assert_eq!(
-                one.journal, many.journal,
-                "{label}: journal diverged at workers={workers}"
-            );
-        }
+/// 64-bit FNV-1a over the summary fingerprint, a `0xff` separator, and
+/// the merged journal.
+fn golden_hash(s: &FleetSummary) -> u64 {
+    let journal = s.journal.as_deref().unwrap_or("");
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in s.fingerprint().bytes().chain([0xff]).chain(journal.bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
+    h
+}
+
+/// Absolute results of the small cluster, pinned per policy. The
+/// constants were recorded with the parallel-stepping engine, so they
+/// also prove sequential stepping left every bit in place. A change
+/// that is meant to move results must update them and say why.
+#[test]
+fn golden_results_are_pinned() {
+    for (label, want) in [
+        ("rr", 0xc1b8_63f5_7951_d206u64),
+        ("lq", 0x5668_dd78_570b_01f6),
+        ("ea", 0xe0bf_561b_1b49_15ce),
+    ] {
+        let s = run_with(policy(label).as_mut());
+        assert!(s.admission.submitted > 0, "{label}: empty trace");
+        assert!(s.completed > 0, "{label}: nothing completed");
+        let got = golden_hash(&s);
+        assert_eq!(got, want, "{label}: results moved (digest {got:#018x})");
+    }
+}
+
+/// The builder's per-knob setters and a prepared configuration build
+/// the same fleet.
+#[test]
+fn piecewise_builder_matches_wholesale_config() {
+    let wholesale = run_with(&mut EnergyAware::new());
+    let piecewise = Fleet::builder()
+        .node(NodeConfig::new(NodeKind::XGene2, 101))
+        .node(NodeConfig::new(NodeKind::XGene2, 102))
+        .node(NodeConfig::new(NodeKind::XGene3, 103))
+        .node(NodeConfig::new(NodeKind::XGene3, 104))
+        .telemetry(true)
+        .build()
+        .run(&small_trace(7), &mut EnergyAware::new());
+    assert_eq!(piecewise.fingerprint(), wholesale.fingerprint());
+    assert_eq!(piecewise.journal, wholesale.journal);
 }
 
 #[test]
 fn journal_is_present_and_tagged() {
-    let summary = run_with(2, &mut EnergyAware::new());
+    let summary = run_with(&mut EnergyAware::new());
     let journal = summary.journal.as_deref().unwrap_or("");
     assert!(!journal.is_empty());
     assert!(
@@ -86,8 +112,8 @@ fn journal_is_present_and_tagged() {
 
 #[test]
 fn identical_seeds_identical_runs() {
-    let a = run_with(3, &mut EnergyAware::new());
-    let b = run_with(3, &mut EnergyAware::new());
+    let a = run_with(&mut EnergyAware::new());
+    let b = run_with(&mut EnergyAware::new());
     assert_eq!(a.fingerprint(), b.fingerprint());
     assert_eq!(a.journal, b.journal);
     assert!(a.conserves_jobs());
@@ -98,8 +124,8 @@ fn policies_differ_in_placement() {
     // Sanity that the policies are not all aliases of each other: the
     // energy-aware router must produce a different per-node admission
     // split than round-robin on a heterogeneous cluster.
-    let rr = run_with(1, &mut RoundRobin::new());
-    let ea = run_with(1, &mut EnergyAware::new());
+    let rr = run_with(&mut RoundRobin::new());
+    let ea = run_with(&mut EnergyAware::new());
     let split = |s: &FleetSummary| -> Vec<u64> { s.nodes.iter().map(|n| n.admitted).collect() };
     assert_ne!(split(&rr), split(&ea), "policies placed jobs identically");
 }

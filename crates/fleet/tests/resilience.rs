@@ -1,6 +1,6 @@
 //! Fleet fault tolerance: conservation and exactly-once delivery under
-//! seeded node failures, bit-identical results for any worker count with
-//! failures active, scripted crash/stall recovery paths, the
+//! seeded node failures, bit-identical same-seed reruns with failures
+//! active, scripted crash/stall recovery paths, the
 //! health-gated circuit breaker, and shed accounting (journal vs
 //! summary).
 
@@ -13,7 +13,7 @@ use avfs_sim::time::SimDuration;
 use avfs_workloads::{GeneratorConfig, WorkloadTrace};
 use proptest::prelude::*;
 
-fn cluster(workers: usize) -> FleetConfig {
+fn cluster() -> FleetConfig {
     let nodes = vec![
         NodeConfig::new(NodeKind::XGene2, 101),
         NodeConfig::new(NodeKind::XGene2, 102),
@@ -21,7 +21,6 @@ fn cluster(workers: usize) -> FleetConfig {
         NodeConfig::new(NodeKind::XGene3, 104),
     ];
     let mut cfg = FleetConfig::new(nodes);
-    cfg.workers = workers;
     cfg.telemetry = true;
     cfg
 }
@@ -51,10 +50,9 @@ proptest! {
         seed in 0u64..500,
         rate_mil in 0u64..30,
         which in 0u8..3,
-        workers in 1usize..3,
     ) {
         let rate = rate_mil as f64 / 1_000.0;
-        let mut cfg = cluster(workers);
+        let mut cfg = cluster();
         cfg.telemetry = false;
         cfg.audit = true;
         cfg.fault_plan = Some(NodeFaultPlan::uniform(seed, rate));
@@ -87,12 +85,12 @@ proptest! {
     }
 }
 
-/// With failures active, the run is still byte-identical for any worker
-/// count: same fingerprint, same merged journal.
+/// With failures active, a same-seed rerun is still byte-identical:
+/// same fingerprint, same merged journal, same per-epoch audits.
 #[test]
-fn failures_do_not_break_worker_determinism() {
-    let run = |workers: usize| -> FleetSummary {
-        let mut cfg = cluster(workers);
+fn failures_do_not_break_determinism() {
+    let run = || -> FleetSummary {
+        let mut cfg = cluster();
         cfg.audit = true;
         let mut plan = NodeFaultPlan::uniform(23, 0.01);
         plan.push(crash(4, 1));
@@ -102,24 +100,15 @@ fn failures_do_not_break_worker_determinism() {
             .build()
             .run(&trace(23), &mut EnergyAware::new())
     };
-    let one = run(1);
+    let first = run();
     assert!(
-        one.faults.total() > 0,
+        first.faults.total() > 0,
         "fault schedule fired nothing — test is vacuous"
     );
-    for workers in [2, 8] {
-        let many = run(workers);
-        assert_eq!(
-            one.fingerprint(),
-            many.fingerprint(),
-            "summary diverged at workers={workers}"
-        );
-        assert_eq!(
-            one.journal, many.journal,
-            "journal diverged at workers={workers}"
-        );
-        assert_eq!(one.audits, many.audits);
-    }
+    let rerun = run();
+    assert_eq!(first.fingerprint(), rerun.fingerprint(), "summary diverged");
+    assert_eq!(first.journal, rerun.journal, "journal diverged");
+    assert_eq!(first.audits, rerun.audits);
 }
 
 /// One crashed node out of four: its stranded jobs drain and re-dispatch
@@ -127,7 +116,7 @@ fn failures_do_not_break_worker_determinism() {
 /// exactly-once holds throughout.
 #[test]
 fn crashed_node_jobs_redispatch_to_survivors() {
-    let mut cfg = cluster(2);
+    let mut cfg = cluster();
     cfg.fault_plan = Some(NodeFaultPlan::scripted(vec![crash(5, 1)]));
     let summary = Fleet::builder()
         .config(cfg)
@@ -170,7 +159,7 @@ fn crashed_node_jobs_redispatch_to_survivors() {
 /// nothing is drained off it (stall is a partition, not a crash).
 #[test]
 fn stalled_node_recovers_through_probation() {
-    let mut cfg = cluster(1);
+    let mut cfg = cluster();
     cfg.fault_plan = Some(NodeFaultPlan::scripted(vec![ScriptedFault {
         epoch: 3,
         node: NodeId(2),
@@ -241,7 +230,7 @@ fn health_gate_rejects_fenced_choices_with_typed_error() {
     // Engine-level: crash the pinned node; once fenced, every further
     // pinned choice is rejected (typed, counted) and re-picked, so the
     // fenced node gets zero new work and jobs keep completing elsewhere.
-    let mut cfg = cluster(1);
+    let mut cfg = cluster();
     cfg.fault_plan = Some(NodeFaultPlan::scripted(vec![crash(3, 0)]));
     let summary = Fleet::builder()
         .config(cfg)

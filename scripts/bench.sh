@@ -4,11 +4,13 @@
 #   scripts/bench.sh                  run the criterion suites + the
 #                                     throughput harness, print the report
 #   scripts/bench.sh --write          same, then refresh the committed
-#                                     BENCH_9.json baseline at the repo root
+#                                     baseline at the repo root
 #   scripts/bench.sh --smoke          throughput harness only, quick single
-#                                     repetition, gated against BENCH_9.json:
+#                                     repetition, gated against the baseline:
 #                                     any throughput metric more than 20%
 #                                     below the baseline fails the run
+#
+# The baseline is the highest-numbered BENCH_<n>.json at the repo root.
 #   scripts/bench.sh --alloc-gate     counting-allocator steady-state gate:
 #                                     asserts zero allocations per event
 #   scripts/bench.sh --compare FILE   A/B mode: measure, then print
@@ -18,10 +20,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mode="${1:-}"
+latest="$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -n 1)"
 
 case "$mode" in
   --smoke)
-    echo "==> throughput smoke gate (vs BENCH_9.json, 20% tolerance)"
+    echo "==> throughput smoke gate (vs ${latest:-no baseline}, 20% tolerance)"
     cargo bench -q -p avfs-bench --bench throughput -- --smoke
     ;;
   --alloc-gate)
@@ -38,8 +41,7 @@ case "$mode" in
     cargo bench -q -p avfs-bench --bench characterization
     cargo bench -q -p avfs-bench --bench tradeoffs
     cargo bench -q -p avfs-bench --bench daemon
-    cargo bench -q -p avfs-bench --bench fleet
-    echo "==> throughput harness (writing BENCH_9.json)"
+    echo "==> throughput harness (writing ${latest:-BENCH_1.json})"
     cargo bench -q -p avfs-bench --bench throughput -- --write
     ;;
   "")
@@ -47,7 +49,6 @@ case "$mode" in
     cargo bench -q -p avfs-bench --bench characterization
     cargo bench -q -p avfs-bench --bench tradeoffs
     cargo bench -q -p avfs-bench --bench daemon
-    cargo bench -q -p avfs-bench --bench fleet
     echo "==> throughput harness"
     cargo bench -q -p avfs-bench --bench throughput
     ;;

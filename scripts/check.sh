@@ -44,7 +44,7 @@ cargo run -q -p avfs-analyze -- race --schedules 160
 echo "==> avfs-analyze race (96 schedules, 10% fault rate)"
 cargo run -q -p avfs-analyze -- race --schedules 96 --seed 4195287042 --fault-rate 0.10
 
-echo "==> avfs-analyze fleet (cluster invariants, fencing, exactly-once, worker determinism)"
+echo "==> avfs-analyze fleet (cluster invariants, fencing, exactly-once, same-seed determinism)"
 cargo run -q --release -p avfs-analyze -- fleet
 
 echo "==> cargo test"
@@ -53,7 +53,7 @@ cargo test -q --workspace
 echo "==> resilience smoke soak (seeded fault injection)"
 cargo run -q --release -p avfs-experiments --bin exp -- resilience --smoke > /dev/null
 
-echo "==> fleet smoke (cluster eval acceptance + worker-count determinism gate)"
+echo "==> fleet smoke (cluster eval acceptance + same-seed rerun determinism gate)"
 cargo run -q --release -p avfs-experiments --bin exp -- fleet --smoke > /dev/null
 
 echo "==> fleet-resilience smoke (node failures: rate-0 bit-identity, crash drill, exactly-once)"
@@ -75,7 +75,7 @@ cmp "$trace_dir/a.jsonl" "$trace_dir/b.jsonl"
 echo "==> telemetry observer guard (null-path overhead within noise)"
 cargo test -q --release -p avfs-bench --test observer_guard
 
-echo "==> bench smoke gate (throughput vs BENCH_9.json, 20% tolerance)"
+echo "==> bench smoke gate (throughput vs the highest-numbered BENCH_*.json, 20% tolerance)"
 scripts/bench.sh --smoke
 
 echo "==> allocation gate (zero allocations per event in steady state)"
