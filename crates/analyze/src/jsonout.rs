@@ -1,34 +1,21 @@
 //! Minimal JSON rendering for `--format json`.
 //!
-//! The analyze crate deliberately has no serde dependency (its reports
-//! are flat and hand-renderable), so this module provides the two
-//! primitives every renderer needs: string escaping and array joining.
-//! Renderers build objects with `format!` and these helpers; all key
-//! sets are static, so the output is deterministic by construction.
+//! The analyze crate's reports are flat and hand-renderable, so this
+//! module provides the two primitives every renderer needs: quoted
+//! strings (escaped by the workspace's one escaper,
+//! [`avfs_telemetry::write_json_escaped`]) and array joining. Renderers
+//! build objects with `format!` and these helpers; all key sets are
+//! static, so the output is deterministic by construction.
 
-/// Escapes a string for embedding in a JSON string literal (quotes not
-/// included).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use avfs_telemetry::write_json_escaped;
 
 /// Renders a quoted JSON string.
 pub fn string(s: &str) -> String {
-    format!("\"{}\"", escape(s))
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    write_json_escaped(&mut out, s);
+    out.push('"');
+    out
 }
 
 /// Renders a JSON array of pre-rendered values.
@@ -48,8 +35,8 @@ mod tests {
 
     #[test]
     fn escapes_quotes_backslashes_and_control_chars() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{01}"), "\\u0001");
+        assert_eq!(string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(string("\u{01}"), "\"\\u0001\"");
     }
 
     #[test]

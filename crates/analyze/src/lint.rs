@@ -22,10 +22,6 @@
 //!   iteration order is randomized per process, so any serialization or
 //!   hashing that walks one breaks byte-identical determinism (use the
 //!   `BTree` forms);
-//! * `#[allow(deprecated)]` — library code must migrate to the builder
-//!   construction path, not suppress the deprecation of the legacy
-//!   constructors (the equivalence tests that *prove* the builders
-//!   match the legacy paths live under `tests/`, which is exempt);
 //! * `Vec::new()` / `BinaryHeap::new()` in hot-path modules (the sim
 //!   event queue, the sched step loop, the core daemon and monitor) —
 //!   the steady-state event loop is allocation-free by contract
@@ -278,12 +274,6 @@ pub fn rules() -> Vec<Rule> {
             rationale: "randomized iteration order in a determinism-sensitive path",
             matcher: hash_order_matcher,
             path_filter: Some(is_determinism_sensitive_path),
-        },
-        Rule {
-            name: "allow-deprecated",
-            rationale: "suppressing a deprecation instead of migrating to the builder",
-            matcher: |line| count_occurrences(line, "allow(deprecated"),
-            path_filter: None,
         },
         Rule {
             name: "hot-path-alloc",

@@ -164,32 +164,3 @@ fn btree_collections_never_fire_hash_order() {
     let src = "use std::collections::{BTreeMap, BTreeSet};\nfn f() { let m: BTreeMap<u32, u32> = BTreeMap::new(); }\n";
     assert_eq!(count_for("hash-order", SENSITIVE_PATH, src), 0);
 }
-
-#[test]
-fn allow_deprecated_fires_on_both_attribute_forms() {
-    let src = "\
-#[allow(deprecated)]
-fn legacy_caller() {}
-#![allow(deprecated)]
-#[allow(deprecated, unused)]
-fn f() {}
-";
-    // Outer attr, inner attr, and the combined-list form all count.
-    assert_eq!(count_for("allow-deprecated", NEUTRAL_PATH, src), 3);
-}
-
-#[test]
-fn allow_deprecated_ignores_comments_strings_and_test_blocks() {
-    let src = "\
-fn f() {
-    // #[allow(deprecated)] in prose
-    let s = \"#[allow(deprecated)]\";
-}
-#[cfg(test)]
-mod tests {
-    #[allow(deprecated)]
-    fn legacy_equivalence() {}
-}
-";
-    assert_eq!(count_for("allow-deprecated", NEUTRAL_PATH, src), 0);
-}

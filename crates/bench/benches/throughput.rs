@@ -1,7 +1,7 @@
 //! Event-throughput benches with a persistent baseline: the
 //! highest-numbered `BENCH_<n>.json` at the repo root.
 //!
-//! Custom harness (no criterion): measures end-to-end event throughput —
+//! Custom harness: measures end-to-end event throughput —
 //! simulator events/sec under the Optimal daemon, fleet epochs/sec on
 //! 4 nodes, characterization-campaign cells/sec on the
 //! X-Gene 2 preset, and daemon replans/sec with the decision cache
@@ -233,8 +233,7 @@ fn power_lut_evals_per_sec(reps: usize) -> f64 {
     EVALS as f64 / best
 }
 
-/// A realistic 32-process view for the replan-rate measurement (the
-/// same shape as the criterion `daemon/replan_32_processes` bench).
+/// A realistic 32-process view for the replan-rate measurement.
 fn full_view(chip: &Chip) -> SystemView {
     let processes = (0..32u64)
         .map(|i| ProcessView {

@@ -2,8 +2,7 @@
 //! null telemetry must run its hot path as fast as before the
 //! instrumentation landed.
 //!
-//! Absolute thresholds would be machine-dependent, and the workspace's
-//! `criterion` shim is a wall-clock mean timer, so both checks here are
+//! Absolute thresholds would be machine-dependent, so both checks here are
 //! **self-relative** within one process:
 //!
 //! * the null path is repeatable — two interleaved measurements of the

@@ -13,11 +13,10 @@
 use crate::margin::MarginMap;
 use avfs_chip::vmin::VminModel;
 use avfs_core::policy::{PolicyError, PolicyTable};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How much pessimism the compiler adds on top of raw measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GuardbandPolicy {
     /// Margin added to every measured level, mV. Must cover the deepest
     /// level the confirmation ladder could plausibly certify below the

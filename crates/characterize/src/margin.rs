@@ -8,14 +8,15 @@
 //! field order, so two campaigns run from the same seed export
 //! byte-identical files and any drift in the engine shows up as a diff.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
+
+use avfs_telemetry::write_json_escaped;
 
 /// Format tag written into (and required from) every margin-map header.
 pub const MARGIN_MAP_SCHEMA: &str = "avfs-margin-map/v1";
 
 /// One measured characterization cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MarginCell {
     /// Frequency-class row (0 = Divided, 1 = Reduced, 2 = Max).
     pub freq_row: usize,
@@ -41,7 +42,7 @@ pub struct MarginCell {
 }
 
 /// A complete measured margin map for one chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarginMap {
     /// Name of the characterized chip (its spec name).
     pub chip: String,
@@ -82,13 +83,15 @@ impl MarginMap {
     /// in canonical order. Field order is fixed, so identical maps render
     /// identical bytes.
     pub fn to_jsonl(&self) -> String {
+        let mut chip = String::with_capacity(self.chip.len());
+        write_json_escaped(&mut chip, &self.chip);
         let mut out = String::new();
         out.push_str(&format!(
             "{{\"kind\":\"margin-map\",\"schema\":\"{}\",\"chip\":\"{}\",\
              \"nominal_mv\":{},\"floor_mv\":{},\"pmds\":{},\"seed\":{},\
              \"confirm_passes\":{},\"cells\":{}}}\n",
             MARGIN_MAP_SCHEMA,
-            escape_json(&self.chip),
+            chip,
             self.nominal_mv,
             self.floor_mv,
             self.pmds,
@@ -194,19 +197,6 @@ impl MarginMap {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn unescape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
@@ -218,6 +208,9 @@ fn unescape_json(s: &str) -> String {
         match chars.next() {
             Some('"') => out.push('"'),
             Some('\\') => out.push('\\'),
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some('t') => out.push('\t'),
             Some('u') => {
                 let hex: String = chars.by_ref().take(4).collect();
                 if let Some(decoded) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
@@ -336,8 +329,11 @@ mod tests {
     #[test]
     fn chip_names_with_quotes_survive() {
         let mut map = sample();
-        map.chip = "odd \"name\" \\ here".to_string();
-        let back = MarginMap::from_jsonl(&map.to_jsonl()).expect("escaped");
-        assert_eq!(back.chip, map.chip);
+        map.chip = "odd \"name\" \\ here\nctl\u{01}".to_string();
+        let text = map.to_jsonl();
+        assert!(text.contains("\\n") && text.contains("\\u0001"), "{text}");
+        let back = MarginMap::from_jsonl(&text).expect("escaped");
+        assert_eq!(back, map);
+        assert_eq!(back.to_jsonl(), text);
     }
 }

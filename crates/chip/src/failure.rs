@@ -13,11 +13,10 @@
 use crate::vmin::DroopClass;
 use crate::voltage::Millivolts;
 use avfs_sim::RngStream;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The outcome of one program execution at a given voltage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum RunOutcome {
     /// Completed with the correct output.
@@ -53,7 +52,7 @@ impl fmt::Display for RunOutcome {
 }
 
 /// Probabilistic failure model for sub-Vmin operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureModel {
     /// Width (mV) of the ramp from pfail=0 at the safe Vmin down to
     /// pfail≈1; matches the `unsafe_span_mv` of the Vmin tables.

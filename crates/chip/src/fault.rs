@@ -16,10 +16,9 @@
 
 use crate::voltage::Millivolts;
 use avfs_sim::RngStream;
-use serde::{Deserialize, Serialize};
 
 /// Per-operation fault probabilities, each in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRates {
     /// Probability a mailbox request is refused, dropped, or delayed.
     pub mailbox: f64,
@@ -54,7 +53,7 @@ impl FaultRates {
 }
 
 /// How an injected mailbox fault manifests to the caller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MailboxFault {
     /// The management processor refuses the request; state is unchanged.
     Refuse,
@@ -67,7 +66,7 @@ pub enum MailboxFault {
 }
 
 /// Counters of everything a plan has injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Mailbox requests refused outright.
     pub mailbox_refusals: u64,

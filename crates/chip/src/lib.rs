@@ -50,7 +50,6 @@ pub mod pmu;
 pub mod power;
 pub mod presets;
 pub mod slimpro;
-pub mod sysfs;
 pub mod topology;
 pub mod vmin;
 pub mod voltage;

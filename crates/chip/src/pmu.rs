@@ -12,10 +12,9 @@
 
 use crate::droop::DroopCounts;
 use crate::topology::CoreId;
-use serde::{Deserialize, Serialize};
 
 /// Free-running counters for one core.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreCounters {
     /// Core clock cycles while not gated.
     pub cycles: u64,
@@ -70,7 +69,7 @@ impl CoreCounters {
 }
 
 /// Chip-level PMU state: per-core counters plus the droop sensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipPmu {
     cores: Vec<CoreCounters>,
     droops: DroopCounts,

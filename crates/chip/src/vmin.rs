@@ -17,7 +17,6 @@
 use crate::freq::FreqVminClass;
 use crate::topology::{ChipSpec, PmdId};
 use crate::voltage::Millivolts;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Voltage-droop magnitude class, Table II of the paper.
@@ -25,7 +24,7 @@ use std::fmt;
 /// The class is determined by the fraction of the chip's PMDs that are
 /// utilized; each class corresponds to a droop-magnitude band and a safe
 /// Vmin per frequency class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DroopClass {
     /// [25 mV, 35 mV): up to 1/8 of the PMDs utilized (1–2 PMDs on
     /// X-Gene 3; 1T/2T/4T-clustered in Table II).
@@ -124,7 +123,7 @@ impl fmt::Display for DroopClass {
 /// static-variation and workload corrections; rows are indexed by
 /// [`FreqVminClass`] (`Divided`, `Reduced`, `Max`), columns by
 /// [`DroopClass`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VminTables {
     /// Base safe Vmin per `[freq class][droop class]`, millivolts.
     pub base_mv: [[u32; 4]; 3],
@@ -149,7 +148,7 @@ fn freq_row(class: FreqVminClass) -> usize {
 }
 
 /// A fully specified operating configuration whose safe Vmin is wanted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VminQuery {
     /// The frequency class of the most demanding active PMD.
     pub freq_class: FreqVminClass,
@@ -168,7 +167,7 @@ pub struct VminQuery {
 ///
 /// Uniform shifts preserve the monotonicity invariants of
 /// [`VminModel::new`], so a drifted model is always constructible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VminDrift {
     /// Shift applied to every base-table entry, millivolts (positive =
     /// aging, the chip needs more voltage everywhere).
@@ -190,7 +189,7 @@ impl VminDrift {
 }
 
 /// The safe-Vmin model for one chip instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VminModel {
     spec: ChipSpec,
     tables: VminTables,

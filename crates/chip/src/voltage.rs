@@ -1,14 +1,11 @@
 //! Voltage newtype and the regulated PCP rail.
 
 use crate::error::ChipError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
 /// A supply voltage in millivolts.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Millivolts(u32);
 
 impl Millivolts {
@@ -88,7 +85,7 @@ impl From<u32> for Millivolts {
 /// The PCP-domain voltage rail: one regulated supply shared by all cores,
 /// caches, and memory controllers (the paper's key constraint — voltage is
 /// chip-wide while frequency is per-PMD).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VoltageRail {
     nominal: Millivolts,
     floor: Millivolts,

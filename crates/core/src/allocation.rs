@@ -22,11 +22,10 @@
 use avfs_chip::topology::{ChipSpec, CoreSet, PmdId};
 use avfs_sched::process::Pid;
 use avfs_workloads::classify::IntensityClass;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What a PMD is used for in a layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PmdRole {
     /// No threads assigned.
     Idle,
@@ -37,7 +36,7 @@ pub enum PmdRole {
 }
 
 /// One process the planner must place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanProc {
     /// Process id (ordering key — keep stable across replans).
     pub pid: Pid,
@@ -48,7 +47,7 @@ pub struct PlanProc {
 }
 
 /// A complete placement decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layout {
     /// Core assignment per process.
     pub assignment: BTreeMap<Pid, CoreSet>,

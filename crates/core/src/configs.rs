@@ -12,11 +12,10 @@ use crate::daemon::Daemon;
 use avfs_chip::chip::Chip;
 use avfs_sched::driver::{DefaultPolicy, Driver};
 use avfs_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the paper's four evaluation configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvalConfig {
     /// Default placement + ondemand + nominal voltage.
     Baseline,

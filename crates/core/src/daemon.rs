@@ -31,13 +31,12 @@ use avfs_sched::governor::GovernorMode;
 use avfs_sched::process::{Pid, ProcessState};
 use avfs_telemetry::{CounterRegistry, Telemetry, TraceKind, Value};
 use avfs_workloads::classify::IntensityClass;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Daemon tuning knobs; the constructors on [`Daemon`] pick the paper's
 /// values per chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DaemonConfig {
     /// Steer placement and per-PMD frequency (the Placement part).
     pub control_placement: bool,
@@ -106,7 +105,7 @@ enum Dc {
 /// derived from the daemon's metrics registry (see [`Daemon::stats`]),
 /// not a hand-maintained struct — every field mirrors one
 /// [`DAEMON_COUNTERS`] slot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DaemonStats {
     /// Driver invocations.
     pub invocations: u64,
@@ -290,10 +289,11 @@ impl Daemon {
     /// ```
     /// use avfs_chip::presets;
     /// use avfs_core::daemon::Daemon;
+    /// use avfs_sched::driver::Driver;
     ///
     /// let chip = presets::xgene2().build();
     /// let daemon = Daemon::builder(&chip).build();
-    /// assert_eq!(daemon.name_owned(), "optimal");
+    /// assert_eq!(daemon.name(), "optimal");
     /// ```
     pub fn builder(chip: &Chip) -> DaemonBuilder<'_> {
         DaemonBuilder {
@@ -311,19 +311,6 @@ impl Daemon {
             telemetry: Telemetry::null(),
             table: None,
         }
-    }
-
-    /// Builds a daemon that reports its decisions through `telemetry`.
-    /// The daemon owns its counter registry either way; the observer
-    /// additionally receives counter mirrors and span-style trace events
-    /// for every decision point (replans, recovery transitions, the
-    /// droop guard, the migration watchdog).
-    #[deprecated(
-        since = "0.8.0",
-        note = "use Daemon::builder(chip).config(config).observer(telemetry).build()"
-    )]
-    pub fn with_observer(chip: &Chip, config: DaemonConfig, telemetry: Telemetry) -> Self {
-        Daemon::construct(chip, config, telemetry)
     }
 
     fn construct(chip: &Chip, config: DaemonConfig, telemetry: Telemetry) -> Self {
@@ -524,12 +511,6 @@ impl Daemon {
             );
         }
         h
-    }
-
-    /// The daemon's configuration name as an owned string (used by the
-    /// threaded service handle).
-    pub fn name_owned(&self) -> String {
-        self.name.clone()
     }
 
     /// The configuration in effect.

@@ -13,7 +13,6 @@
 use avfs_chip::freq::FreqVminClass;
 use avfs_chip::vmin::{DroopClass, VminModel, VminQuery};
 use avfs_chip::voltage::Millivolts;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Typed rejection from [`PolicyTable::from_raw`]: the raw cells would
@@ -76,7 +75,7 @@ impl fmt::Display for PolicyError {
 impl std::error::Error for PolicyError {}
 
 /// Characterized safe-Vmin lookup for one chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyTable {
     /// `vmin_mv[freq_class][droop_class][threads_bucket]` — worst-case
     /// safe Vmin in millivolts. Thread buckets: 0 → 1 thread, 1 → 2,

@@ -14,7 +14,6 @@ use avfs_chip::freq::FreqStep;
 use avfs_chip::power::{PmdLoad, PowerInputs};
 use avfs_chip::voltage::Millivolts;
 use avfs_workloads::catalog::Benchmark;
-use serde::{Deserialize, Serialize};
 
 /// Voltage policy for a steady-state evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +25,7 @@ pub enum VoltageMode {
 }
 
 /// One evaluated operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunPoint {
     /// Execution time of the (parallel or replicated) run, seconds.
     pub time_s: f64,

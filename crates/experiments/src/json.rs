@@ -1,13 +1,14 @@
 //! Minimal JSON reader used by [`crate::report::Table::from_json`].
 //!
 //! The experiment tables are the only serialized artifact in the
-//! workspace, and their JSON shape is fixed, so a full serde stack is
-//! unnecessary (and the build environment has no crates registry to
-//! fetch one from). This module parses arbitrary well-formed JSON into
+//! workspace, and their JSON shape is fixed, so a JSON library is
+//! unnecessary. This module parses arbitrary well-formed JSON into
 //! a small value tree; numbers keep their raw text so `i64` cells
 //! round-trip exactly.
 
 use std::fmt;
+
+use avfs_telemetry::write_json_escaped;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,19 +119,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 /// Appends `s` to `out` as a quoted JSON string with escapes.
 pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    write_json_escaped(out, s);
     out.push('"');
 }
 

@@ -38,10 +38,8 @@ pub mod server_eval;
 pub mod tables;
 pub mod telemetry_report;
 
-use serde::{Deserialize, Serialize};
-
 /// Which machine an experiment targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Machine {
     /// 8-core X-Gene 2.
     XGene2,
@@ -86,7 +84,7 @@ impl std::fmt::Display for Machine {
 
 /// Experiment size: full paper-scale campaigns or a fast subset that
 /// exercises the identical code path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Seconds-scale runs for tests and smoke checks.
     Quick,

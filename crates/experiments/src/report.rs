@@ -1,7 +1,6 @@
 //! Result tables: the common output format of every experiment harness.
 
 use crate::json::{self, Json};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 pub use crate::json::JsonError;
@@ -9,7 +8,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 /// One value in a result table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Cell {
     /// Text (benchmark names, configuration labels).
     Text(String),
@@ -140,7 +139,7 @@ impl From<u64> for Cell {
 
 /// A labelled result table corresponding to one paper artifact (or one
 /// panel of it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Identifier, e.g. `"fig03-xgene2"`.
     pub id: String,
@@ -270,7 +269,7 @@ impl Table {
     /// Serializes the table (id, title, headers, typed rows) as
     /// pretty-printed JSON — the machine-readable companion to the CSV.
     ///
-    /// Cells use serde's externally-tagged enum shape (`{"Int": 3}`,
+    /// Cells use an externally-tagged enum shape (`{"Int": 3}`,
     /// `{"Float": {"value": 0.5, "precision": 2}}`), so artifacts
     /// written by earlier revisions parse identically. Non-finite
     /// floats, which JSON cannot represent, serialize as `null` values.

@@ -13,10 +13,9 @@ use avfs_sched::system::{System, SystemConfig};
 use avfs_sim::time::SimDuration;
 use avfs_telemetry::{Telemetry, TraceKind, Value};
 use avfs_workloads::generator::{GeneratorConfig, WorkloadTrace};
-use serde::{Deserialize, Serialize};
 
 /// Results of the four-configuration evaluation on one machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvalResults {
     /// Which machine.
     pub machine: String,

@@ -18,13 +18,12 @@ use avfs_chip::topology::{ChipSpec, CoreSet, PmdId};
 use avfs_chip::voltage::Millivolts;
 use avfs_sim::time::SimTime;
 use avfs_workloads::classify::IntensityClass;
-use serde::{Deserialize, Serialize};
 
 /// Events a driver is invoked on.
 ///
 /// Non-exhaustive: new event kinds may be delivered in future versions,
 /// so out-of-crate drivers must keep a wildcard arm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SysEvent {
     /// A new process entered the system (not yet placed).
@@ -56,7 +55,7 @@ impl SysEvent {
 }
 
 /// What failed, as observed by the control plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultNotice {
     /// A `SetVoltage` request was refused by the SLIMpro; the rail is
     /// unchanged.
@@ -76,7 +75,7 @@ impl FaultNotice {
 }
 
 /// Steering actions a driver can request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Action {
     /// Place (or migrate) a process onto an exact core set. The set's
     /// size must equal the process's thread count.
@@ -93,7 +92,7 @@ pub enum Action {
 /// Kernel-style, sanitized view of one process: everything a real daemon
 /// could learn from `/proc` and the PMU, and nothing more (in particular,
 /// not the benchmark identity).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessView {
     /// Process id.
     pub pid: Pid,
@@ -118,7 +117,7 @@ pub struct ProcessView {
 }
 
 /// Read-only snapshot handed to drivers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemView {
     /// Current simulation time.
     pub now: SimTime,

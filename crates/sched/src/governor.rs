@@ -6,11 +6,10 @@
 //! frequencies directly — modelled as the `Userspace` mode.
 
 use avfs_chip::freq::FreqStep;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which entity controls per-PMD frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GovernorMode {
     /// Kernel `ondemand`: busy PMDs ramp to fmax, idle PMDs drop to the
     /// lowest step. (On CPPC hardware the kernel requests a continuous

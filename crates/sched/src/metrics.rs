@@ -4,10 +4,9 @@
 use crate::process::Pid;
 use avfs_sim::series::TimeSeries;
 use avfs_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Per-process completion record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessRecord {
     /// Which process.
     pub pid: Pid,
@@ -29,7 +28,7 @@ impl ProcessRecord {
 }
 
 /// Metrics of one full system run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunMetrics {
     /// Completion time of the whole workload (last process finish), the
     /// "Time (s)" row of Tables III/IV.

@@ -381,23 +381,6 @@ impl System {
         }
     }
 
-    /// Creates a system whose decision points (and the chip's mailbox
-    /// paths) report through `telemetry`. The observer seam for the
-    /// scheduler layer: `System::new` is exactly
-    /// `with_observer(..., Telemetry::null())` on an uninstrumented chip.
-    #[deprecated(
-        note = "use System::builder(chip, perf).config(config).observer(telemetry).build()"
-    )]
-    pub fn with_observer(
-        mut chip: Chip,
-        perf: PerfModel,
-        config: SystemConfig,
-        telemetry: Telemetry,
-    ) -> Self {
-        chip.set_telemetry(telemetry);
-        Self::new(chip, perf, config)
-    }
-
     /// The telemetry handle this system reports through.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry

@@ -1,14 +1,12 @@
-//! The builder is the blessed construction path; these tests pin it to
-//! the legacy constructors **bit for bit**: same seed in, identical
-//! telemetry journal and [`Report::fingerprint`] out (floats compared
-//! via `to_bits`, so even sub-ulp drift fails).
+//! The builder is the blessed construction path; with no options set it
+//! must build exactly the system `System::new` builds (same seed in,
+//! identical [`Report::fingerprint`] out).
 
 use avfs_chip::presets;
 use avfs_sched::driver::DefaultPolicy;
 use avfs_sched::system::{System, SystemConfig};
-use avfs_sched::{Report, RunMetrics};
+use avfs_sched::Report;
 use avfs_sim::time::SimDuration;
-use avfs_telemetry::Telemetry;
 use avfs_workloads::generator::{GeneratorConfig, WorkloadTrace};
 use avfs_workloads::PerfModel;
 
@@ -17,56 +15,6 @@ fn trace(seed: u64) -> WorkloadTrace {
     cfg.duration = SimDuration::from_secs(180);
     cfg.job_scale = 0.2;
     WorkloadTrace::generate(&cfg)
-}
-
-/// Runs one ondemand workload through `system` and exports the journal.
-fn drive(mut system: System, telemetry: &Telemetry, seed: u64) -> (String, RunMetrics) {
-    let metrics = system.run(&trace(seed), &mut DefaultPolicy::ondemand());
-    (telemetry.export_jsonl().expect("hub journal"), metrics)
-}
-
-fn built(seed: u64) -> (String, RunMetrics) {
-    let telemetry = Telemetry::hub();
-    let config = SystemConfig {
-        seed,
-        ..SystemConfig::default()
-    };
-    let system = System::builder(presets::xgene2().build(), PerfModel::xgene2())
-        .config(config)
-        .observer(telemetry.clone())
-        .build();
-    drive(system, &telemetry, seed)
-}
-
-#[allow(deprecated)]
-fn legacy(seed: u64) -> (String, RunMetrics) {
-    let telemetry = Telemetry::hub();
-    let config = SystemConfig {
-        seed,
-        ..SystemConfig::default()
-    };
-    let system = System::with_observer(
-        presets::xgene2().build(),
-        PerfModel::xgene2(),
-        config,
-        telemetry.clone(),
-    );
-    drive(system, &telemetry, seed)
-}
-
-#[test]
-fn builder_matches_legacy_constructor_bit_for_bit() {
-    for seed in [7, 42, 99] {
-        let (j_new, m_new) = built(seed);
-        let (j_old, m_old) = legacy(seed);
-        assert!(!j_new.is_empty(), "seed {seed}: empty journal");
-        assert_eq!(j_new, j_old, "seed {seed}: journal diverged");
-        assert_eq!(
-            m_new.fingerprint(),
-            m_old.fingerprint(),
-            "seed {seed}: metrics diverged"
-        );
-    }
 }
 
 #[test]

@@ -103,8 +103,12 @@ impl From<String> for Value {
     }
 }
 
-/// Escapes `s` into `out` as the body of a JSON string literal.
-fn write_json_escaped(out: &mut String, s: &str) {
+/// Escapes `s` into `out` as the body of a JSON string literal (quotes
+/// not included): `"`, `\\`, `\n`, `\r` and `\t` get their short forms,
+/// every other control character a `\u00XX` escape. This is the
+/// workspace's one JSON string escaper; every hand-rolled JSON writer
+/// calls it.
+pub fn write_json_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -246,8 +250,7 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// Renders the event as one JSON object (no trailing newline). The
-    /// codec is hand-rolled: the workspace's `serde` is an offline
-    /// marker shim (see `shims/serde`).
+    /// codec is hand-rolled around [`write_json_escaped`].
     pub fn to_json_line(&self) -> String {
         self.to_json_line_tagged(None)
     }

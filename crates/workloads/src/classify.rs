@@ -7,14 +7,13 @@
 //! class continuously and reacts to changes; a small hysteresis band
 //! avoids flapping near the threshold.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The paper's classification threshold: L3 accesses per 1 M cycles.
 pub const L3C_THRESHOLD_PER_MCYCLE: f64 = 3_000.0;
 
 /// Coarse-grain workload class (§IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntensityClass {
     /// The core pipeline (and L1/L2) is the bottleneck; performance scales
     /// with core frequency.
@@ -44,7 +43,7 @@ pub fn classify(l3c_per_mcycle: f64) -> IntensityClass {
 
 /// A classifier with hysteresis: the class only flips when the rate
 /// crosses the threshold by more than `band` in the new direction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HysteresisClassifier {
     threshold: f64,
     band: f64,

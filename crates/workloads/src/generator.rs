@@ -12,10 +12,9 @@
 use crate::catalog::Benchmark;
 use avfs_sim::time::{SimDuration, SimTime};
 use avfs_sim::RngStream;
-use serde::{Deserialize, Serialize};
 
 /// One job issue in a workload trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Arrival {
     /// When the job is issued.
     pub at: SimTime,
@@ -30,7 +29,7 @@ pub struct Arrival {
 }
 
 /// Configuration of the workload generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorConfig {
     /// Window length (the paper uses 1 hour).
     pub duration: SimDuration,
@@ -60,7 +59,7 @@ impl GeneratorConfig {
 }
 
 /// A replayable workload: time-ordered job arrivals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadTrace {
     /// Arrivals in non-decreasing time order.
     pub arrivals: Vec<Arrival>,

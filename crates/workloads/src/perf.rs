@@ -21,10 +21,9 @@
 //!   efficiency factor.
 
 use crate::catalog::BenchProfile;
-use serde::{Deserialize, Serialize};
 
 /// The remaining work of one thread, in model units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreadWork {
     /// Core cycles still to retire, in giga-cycles.
     pub core_gcycles: f64,
@@ -49,7 +48,7 @@ impl ThreadWork {
 }
 
 /// Calibrated performance/contention parameters for one chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfModel {
     /// Aggregate memory pressure (sum of co-runner `mem_fraction`s) the
     /// L3/DRAM path sustains without slowdown.

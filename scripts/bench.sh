@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Benchmark driver around the avfs-bench harness.
 #
-#   scripts/bench.sh                  run the criterion suites + the
-#                                     throughput harness, print the report
+#   scripts/bench.sh                  run the throughput harness, print
+#                                     the report
 #   scripts/bench.sh --write          same, then refresh the committed
 #                                     baseline at the repo root
 #   scripts/bench.sh --smoke          throughput harness only, quick single
@@ -37,18 +37,10 @@ case "$mode" in
     cargo bench -q -p avfs-bench --bench throughput -- --compare "$baseline"
     ;;
   --write)
-    echo "==> criterion suites"
-    cargo bench -q -p avfs-bench --bench characterization
-    cargo bench -q -p avfs-bench --bench tradeoffs
-    cargo bench -q -p avfs-bench --bench daemon
     echo "==> throughput harness (writing ${latest:-BENCH_1.json})"
     cargo bench -q -p avfs-bench --bench throughput -- --write
     ;;
   "")
-    echo "==> criterion suites"
-    cargo bench -q -p avfs-bench --bench characterization
-    cargo bench -q -p avfs-bench --bench tradeoffs
-    cargo bench -q -p avfs-bench --bench daemon
     echo "==> throughput harness"
     cargo bench -q -p avfs-bench --bench throughput
     ;;

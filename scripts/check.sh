@@ -11,8 +11,8 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy"
-# The offline dependency shims under shims/ are checked by build + tests
-# only; clippy gates the real crates. The four warn-level domain lints
+# The offline rand/proptest stand-ins under shims/ are checked by build +
+# tests only; clippy gates the real crates. The four warn-level domain lints
 # (unwrap/expect/float-cmp/truncating-cast) stay advisory here because the
 # avfs-analyze lint ratchet below is their enforcement point.
 cargo clippy -q --all-targets \
