@@ -22,11 +22,10 @@
 //!   iteration order is randomized per process, so any serialization or
 //!   hashing that walks one breaks byte-identical determinism (use the
 //!   `BTree` forms);
-//! * `Vec::new()` / `BinaryHeap::new()` in hot-path modules (the sim
-//!   event queue, the sched step loop, the core daemon and monitor) —
-//!   the steady-state event loop is allocation-free by contract
-//!   (enforced end-to-end by the counting-allocator bench gate), so new
-//!   containers in those modules must come from the
+//! * `Vec::new()` in hot-path modules (the sched step loop, the core
+//!   daemon and monitor) — the steady-state event loop is allocation-free
+//!   by contract (enforced end-to-end by the counting-allocator bench
+//!   gate), so new containers in those modules must come from the
 //!   `PlanScratch`/`LayoutScratch` recycled-buffer pattern.
 //!
 //! Existing occurrences are frozen in `crates/analyze/lint-allowlist.txt`
@@ -203,14 +202,12 @@ fn is_determinism_sensitive_path(path: &str) -> bool {
     .any(|kw| lower.contains(kw))
 }
 
-/// Hot-path modules where steady-state allocation is banned: the sim
-/// event queue, the sched step loop, and the core daemon/monitor. The
-/// counting-allocator bench gate proves the composed loop allocates
-/// nothing; this lint keeps fresh `Vec::new()`/`BinaryHeap::new()`
-/// sites from creeping back in between bench runs.
+/// Hot-path modules where steady-state allocation is banned: the sched
+/// step loop and the core daemon/monitor. The counting-allocator bench
+/// gate proves the composed loop allocates nothing; this lint keeps
+/// fresh `Vec::new()` sites from creeping back in between bench runs.
 fn is_hot_path(path: &str) -> bool {
     [
-        "crates/sim/src/events.rs",
         "crates/sched/src/system.rs",
         "crates/core/src/daemon.rs",
         "crates/core/src/monitor.rs",
@@ -221,7 +218,7 @@ fn is_hot_path(path: &str) -> bool {
 
 /// Flags fresh container construction in hot-path modules.
 fn hot_path_alloc_matcher(line: &str) -> usize {
-    count_occurrences(line, "Vec::new(") + count_occurrences(line, "BinaryHeap::new(")
+    count_occurrences(line, "Vec::new(")
 }
 
 /// The rule set, in report order.
@@ -608,16 +605,14 @@ mod tests {
 
     #[test]
     fn hot_path_alloc_fires_only_in_hot_path_modules() {
-        let src =
-            "fn f() {\n    let v: Vec<u32> = Vec::new();\n    let h = BinaryHeap::new();\n}\n";
+        let src = "fn f() {\n    let v: Vec<u32> = Vec::new();\n}\n";
         for hot in [
-            "crates/sim/src/events.rs",
             "crates/sched/src/system.rs",
             "crates/core/src/daemon.rs",
             "crates/core/src/monitor.rs",
         ] {
             let findings = scan_source(&rules(), hot, src);
-            assert_eq!(findings.len(), 2, "{hot}: {findings:?}");
+            assert_eq!(findings.len(), 1, "{hot}: {findings:?}");
             assert!(findings.iter().all(|f| f.rule == "hot-path-alloc"));
         }
         // Cold modules may build fresh containers freely.
@@ -628,7 +623,7 @@ mod tests {
     fn hot_path_alloc_exempts_test_modules_and_with_capacity() {
         let src = "fn f() { let v = Vec::with_capacity(8); }\n\
                    #[cfg(test)]\nmod tests {\n    fn g() { let q: Vec<u8> = Vec::new(); }\n}\n";
-        assert!(scan_source(&rules(), "crates/sim/src/events.rs", src).is_empty());
+        assert!(scan_source(&rules(), "crates/core/src/monitor.rs", src).is_empty());
     }
 
     #[test]

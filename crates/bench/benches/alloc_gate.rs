@@ -2,8 +2,8 @@
 //!
 //! Installs a counting `#[global_allocator]`, drives a full system
 //! (simulator + Optimal daemon) to steady state — all jobs admitted,
-//! classifications settled, scratch buffers and the calendar queue at
-//! their working capacity — and then asserts that a multi-second window
+//! classifications settled, scratch buffers at their working
+//! capacity — and then asserts that a multi-second window
 //! of event-loop stepping performs **zero heap allocations**: every
 //! slice boundary, monitor tick, replan (decision-cache hit), and
 //! governor pass runs entirely out of recycled buffers.

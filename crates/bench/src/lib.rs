@@ -1,3 +1,3 @@
-//! Shared helpers for the benchmark harnesses live in the bench
-//! files themselves; this library target exists so the crate participates
-//! in `cargo build --workspace`.
+//! The gates live in `benches/alloc_gate.rs` and
+//! `tests/observer_guard.rs`; this library target exists so the crate
+//! participates in `cargo build --workspace`.

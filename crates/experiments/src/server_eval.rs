@@ -241,6 +241,40 @@ mod tests {
         let _ = results;
     }
 
+    /// Pins the Paper-scale, seed-2024 Tables III/IV rows that
+    /// EXPERIMENTS.md and the ROADMAP quote as "measured", so the
+    /// documents cannot drift from the code silently. A change that
+    /// moves results must update this test and those tables together.
+    #[test]
+    fn paper_scale_tables_match_the_documented_rows() {
+        // (config, energy savings %, time penalty %) per machine.
+        let documented = [
+            (
+                Machine::XGene2,
+                [("Placement", 8.6, 1.07), ("Optimal", 30.1, 1.07)],
+            ),
+            (
+                Machine::XGene3,
+                [("Placement", 8.2, 0.01), ("Optimal", 20.6, 0.01)],
+            ),
+        ];
+        for (machine, rows) in documented {
+            let (t, _) = table3_4(machine, Scale::Paper, 2024);
+            for (cfg, savings, penalty) in rows {
+                let got = t.value("Energy Savings (%)", cfg).unwrap();
+                assert!(
+                    (got - savings).abs() <= 0.05,
+                    "{machine} {cfg} savings {got}%"
+                );
+                let got = t.value("Time penalty (%)", cfg).unwrap();
+                assert!(
+                    (got - penalty).abs() <= 0.05,
+                    "{machine} {cfg} penalty {got}%"
+                );
+            }
+        }
+    }
+
     #[test]
     fn same_trace_replays_under_all_configs() {
         let results = evaluate(Machine::XGene2, Scale::Quick, 3);

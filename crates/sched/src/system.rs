@@ -257,7 +257,7 @@ impl RunState {
     }
 
     /// Event-loop iterations executed so far — the event count the
-    /// throughput benches divide wall time by.
+    /// allocation gate and the benchmark measure against.
     pub fn iterations(&self) -> u64 {
         self.iterations
     }

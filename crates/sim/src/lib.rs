@@ -1,7 +1,7 @@
 //! Deterministic discrete-event simulation kernel for the AVFS reproduction.
 //!
-//! This crate provides the time base, event scheduling, random-number
-//! streams, and streaming statistics shared by every other crate in the
+//! This crate provides the time base, random-number streams, time series
+//! and the time-weighted power accumulator shared by every other crate in the
 //! workspace. The whole reproduction is a *simulation* of two ARMv8
 //! micro-servers (see the workspace `DESIGN.md`), so determinism is a hard
 //! requirement: every stochastic model draws from a [`rng::RngStream`]
@@ -12,18 +12,11 @@
 //!
 //! ```
 //! use avfs_sim::time::SimTime;
-//! use avfs_sim::events::EventQueue;
 //! use avfs_sim::rng::RngStream;
 //!
 //! // Virtual time.
 //! let t = SimTime::from_millis(500);
 //! assert_eq!(t.as_micros(), 500_000);
-//!
-//! // An event queue carrying user-defined payloads.
-//! let mut q: EventQueue<&str> = EventQueue::new();
-//! q.schedule(SimTime::from_millis(10), "later");
-//! q.schedule(SimTime::from_millis(5), "sooner");
-//! assert_eq!(q.pop().map(|e| e.payload), Some("sooner"));
 //!
 //! // Deterministic random streams.
 //! let mut rng = RngStream::from_root(42, "droop-model");
@@ -32,14 +25,12 @@
 //! assert_eq!(a, rng2.next_f64());
 //! ```
 
-pub mod events;
 pub mod rng;
 pub mod series;
 pub mod stats;
 pub mod time;
 
-pub use events::{Event, EventQueue};
 pub use rng::RngStream;
 pub use series::TimeSeries;
-pub use stats::{Histogram, OnlineStats, TimeWeighted};
+pub use stats::TimeWeighted;
 pub use time::{SimDuration, SimTime};

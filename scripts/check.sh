@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, clippy, the avfs-analyze checks (domain
 # invariants, source lints, bounded model checking, the policy-domain
-# proof, the measured-margin audit, race exploration), and the test
-# suite.
+# proof, the measured-margin audit, race exploration), the test suite,
+# the experiment smokes, and the two hot-path correctness gates (null
+# observer overhead, zero allocations per event). Speed is measured by
+# the perfbench benchmark (see BENCHMARK.json), not here.
 # Mirrors what CI would run; exits nonzero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -75,10 +77,7 @@ cmp "$trace_dir/a.jsonl" "$trace_dir/b.jsonl"
 echo "==> telemetry observer guard (null-path overhead within noise)"
 cargo test -q --release -p avfs-bench --test observer_guard
 
-echo "==> bench smoke gate (throughput vs the highest-numbered BENCH_*.json, 20% tolerance)"
-scripts/bench.sh --smoke
-
 echo "==> allocation gate (zero allocations per event in steady state)"
-scripts/bench.sh --alloc-gate
+cargo bench -q -p avfs-bench --bench alloc_gate
 
 echo "All checks passed."

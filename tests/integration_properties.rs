@@ -8,9 +8,7 @@ use avfs_chip::vmin::{DroopClass, VminQuery};
 use avfs_core::allocation::{plan_layout, PlanProc};
 use avfs_core::policy::PolicyTable;
 use avfs_sched::process::Pid;
-use avfs_sim::events::EventQueue;
-use avfs_sim::stats::OnlineStats;
-use avfs_sim::time::{cycles_in, duration_of_cycles, SimDuration, SimTime};
+use avfs_sim::time::{cycles_in, duration_of_cycles, SimDuration};
 use avfs_workloads::classify::IntensityClass;
 use avfs_workloads::perf::{PerfModel, ThreadWork};
 use proptest::prelude::*;
@@ -45,35 +43,12 @@ proptest! {
     }
 
     #[test]
-    fn event_queue_pops_sorted(times in proptest::collection::vec(0u64..1_000_000, 1..100)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(t), i);
-        }
-        let mut last = (SimTime::ZERO, 0u64);
-        while let Some(ev) = q.pop() {
-            let key = (ev.time, ev.seq);
-            prop_assert!(key >= last, "events out of order");
-            last = key;
-        }
-    }
-
-    #[test]
     fn cycle_conversions_roundtrip(cycles in 0u64..10_000_000_000, freq in 1u32..4_000) {
         let d = duration_of_cycles(cycles, freq);
         let back = cycles_in(d, freq);
         // Round-up conversion may add at most one cycle's worth.
         prop_assert!(back >= cycles);
         prop_assert!(back <= cycles + freq as u64 / 1000 + 1);
-    }
-
-    #[test]
-    fn online_stats_matches_naive(values in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-        let stats: OnlineStats = values.iter().copied().collect();
-        let mean = values.iter().sum::<f64>() / values.len() as f64;
-        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len() as f64;
-        prop_assert!((stats.mean() - mean).abs() < 1e-6 * mean.abs().max(1.0));
-        prop_assert!((stats.variance() - var).abs() < 1e-5 * var.abs().max(1.0));
     }
 
     #[test]
