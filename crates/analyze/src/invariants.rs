@@ -465,7 +465,7 @@ impl Invariant for TopologyWellFormed {
         }
         for core in spec.all_cores() {
             let pmd = spec.pmd_of(core);
-            if !spec.contains_pmd(pmd) || !spec.cores_of(pmd).contains(&core) {
+            if !spec.contains_pmd(pmd) || !spec.cores_of(pmd).contains(core) {
                 out.push(violation(
                     self.name(),
                     format!("pmd_of({core})"),
@@ -754,7 +754,7 @@ impl Invariant for PolicyCoversModel {
                     workload_sensitivity: 1.0,
                 };
                 let worst_pmds: Vec<PmdId> = (0..utilized as u16).map(PmdId::new).collect();
-                let real_v = model.safe_vmin_on(&q, &worst_pmds);
+                let real_v = model.safe_vmin_on(&q, worst_pmds.iter().copied());
                 if policy_v < real_v {
                     out.push(violation(
                         self.name(),

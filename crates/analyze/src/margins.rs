@@ -140,7 +140,7 @@ fn cell_truth(chip: &Chip, freq_row: usize, utilized: usize, threads: usize) -> 
                 active_threads: threads,
                 workload_sensitivity: 1.0,
             },
-            &by_weakness[..utilized],
+            by_weakness[..utilized].iter().copied(),
         )
         .as_mv()
 }

@@ -218,7 +218,7 @@ pub fn prove_preset_with(name: &str, chip: &Chip, chooser: Chooser<'_>) -> Prese
                         active_threads: threads,
                         workload_sensitivity: 1.0,
                     },
-                    worst_pmds,
+                    worst_pmds.iter().copied(),
                 );
                 for class in [
                     IntensityClass::CpuIntensive,

@@ -1,26 +1,37 @@
-//! Steady-state allocation gate.
+//! Allocation gate for the control loop, in two phases.
 //!
-//! Installs a counting `#[global_allocator]`, drives a full system
-//! (simulator + Optimal daemon) to steady state — all jobs admitted,
-//! classifications settled, scratch buffers at their working
-//! capacity — and then asserts that a multi-second window
-//! of event-loop stepping performs **zero heap allocations**: every
-//! slice boundary, monitor tick, replan (decision-cache hit), and
-//! governor pass runs entirely out of recycled buffers.
+//! Installs a counting `#[global_allocator]` and drives the simulator
+//! with the Optimal daemon through two measured windows.
 //!
-//! The power-trace sampler is set to a cadence beyond the window
-//! because its output series is an unbounded accumulator (amortized
-//! growth is inherent to producing output, not to stepping the loop).
-//! Everything else runs at the default paper cadences.
+//! 1. **Steady state.** X-Gene 2 runs six long jobs that neither finish
+//!    nor change class inside the window. Every slice boundary, monitor
+//!    tick, replan (a decision-cache hit) and governor pass must run out
+//!    of recycled buffers: the window counts **zero** allocations.
+//! 2. **Churn.** X-Gene 3 replays the short-job trace of perfbench's
+//!    churn workload (`paper_default(32, 2024)` at `job_scale` 0.05).
+//!    After a warm-up, at least ten simulated minutes of arrivals,
+//!    exits, class flips and decision-cache misses are measured. Every
+//!    daemon call is counted on its own: it must allocate exactly once
+//!    when it returns actions and never otherwise, because the `Driver`
+//!    API hands the list to `System` by value. Every other allocation
+//!    must be a growth of the run's completion records, which the gate
+//!    derives from their capacity; anything left over fails the gate.
+//!
+//! In both phases the power-trace sampler fires beyond the window: its
+//! series are unbounded run outputs, and amortized growth is inherent
+//! to producing output, not to stepping the loop.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
+use std::iter::Peekable;
+use std::slice;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use avfs_chip::presets;
 use avfs_core::daemon::Daemon;
-use avfs_sched::system::{System, SystemConfig};
+use avfs_sched::driver::{Action, Driver, SysEvent, SystemView};
+use avfs_sched::system::{RunState, System, SystemConfig};
 use avfs_sim::time::{SimDuration, SimTime};
-use avfs_workloads::{Benchmark, PerfModel};
+use avfs_workloads::{Arrival, Benchmark, GeneratorConfig, PerfModel, WorkloadTrace};
 
 /// Number of heap allocations since process start (alloc + realloc +
 /// alloc_zeroed; deallocations are free and uncounted).
@@ -54,7 +65,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+fn allocs() -> u64 {
+    ALLOCS.load(Ordering::Relaxed)
+}
+
 fn main() {
+    steady_state();
+    churn();
+}
+
+/// Phase 1: a warmed six-job window in which nothing arrives, exits or
+/// changes class must allocate nothing at all.
+fn steady_state() {
     // Long-running mixed workload: six jobs spanning both intensity
     // classes, scaled so none finishes inside the measured window.
     let jobs: [(Benchmark, usize); 6] = [
@@ -90,12 +112,12 @@ fn main() {
     system.step_until(&mut st, &mut daemon, SimTime::from_secs(10));
 
     let events_before = st.iterations();
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let allocs_before = allocs();
     system.step_until(&mut st, &mut daemon, SimTime::from_secs(70));
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let allocs = allocs() - allocs_before;
     let events = st.iterations() - events_before;
 
-    println!("alloc gate: {events} events, {allocs} allocations in steady state");
+    println!("alloc gate, steady state: {events} events, {allocs} allocations");
     assert!(
         events > 1_000,
         "window too small to be a meaningful gate ({events} events)"
@@ -104,5 +126,144 @@ fn main() {
         allocs, 0,
         "steady-state event loop allocated {allocs} times over {events} events"
     );
-    println!("alloc gate passed: zero allocations per event in steady state");
+}
+
+/// The daemon, with every call's allocations counted on their own.
+struct Attributed<'d> {
+    daemon: &'d mut Daemon,
+    /// Checks each call's count; off during warm-up.
+    measuring: bool,
+    calls: u64,
+    allocs: u64,
+    arrivals: u64,
+    exits: u64,
+    flips: u64,
+}
+
+impl Driver for Attributed<'_> {
+    fn on_event(&mut self, view: &SystemView, event: &SysEvent) -> Vec<Action> {
+        let before = allocs();
+        let actions = self.daemon.on_event(view, event);
+        let n = allocs() - before;
+        if self.measuring {
+            assert_eq!(
+                n,
+                u64::from(!actions.is_empty()),
+                "a daemon call on {} allocated {n} times for {} actions",
+                event.label(),
+                actions.len()
+            );
+            self.calls += 1;
+            self.allocs += n;
+            match event {
+                SysEvent::ProcessArrived(_) => self.arrivals += 1,
+                SysEvent::ProcessFinished(_) => self.exits += 1,
+                SysEvent::ClassChanged(..) => self.flips += 1,
+                _ => {}
+            }
+        }
+        actions
+    }
+
+    fn name(&self) -> &str {
+        self.daemon.name()
+    }
+}
+
+/// Steps to `end`, injecting every trace arrival due before it, in the
+/// order [`System::run`] uses.
+fn replay_until(
+    system: &mut System,
+    st: &mut RunState,
+    driver: &mut dyn Driver,
+    arrivals: &mut Peekable<slice::Iter<'_, Arrival>>,
+    end: SimTime,
+) {
+    while let Some(a) = arrivals.next_if(|a| a.at < end) {
+        system.step_until(st, driver, a.at.max(system.now()));
+        system.inject_arrival(st, driver, a.bench, a.threads, a.scale);
+    }
+    system.step_until(st, driver, end);
+}
+
+/// Phase 2: real churn traffic, where every allocation must be a
+/// returned action list or a growth of the completion records.
+fn churn() {
+    // A 20-minute window after a 10-minute warm-up.
+    const WARM_UP: SimTime = SimTime::from_secs(600);
+    const END: SimTime = SimTime::from_secs(1_800);
+
+    let trace = WorkloadTrace::generate(&GeneratorConfig {
+        job_scale: 0.05,
+        ..GeneratorConfig::paper_default(32, 2024)
+    });
+    let chip = presets::xgene3().build();
+    let mut daemon = Daemon::optimal(&chip);
+    let config = SystemConfig {
+        sample_interval: SimDuration::from_secs(7_200),
+        ..SystemConfig::default()
+    };
+    let mut system = System::builder(chip, PerfModel::xgene3())
+        .config(config)
+        .build();
+    let mut gate = Attributed {
+        daemon: &mut daemon,
+        measuring: false,
+        calls: 0,
+        allocs: 0,
+        arrivals: 0,
+        exits: 0,
+        flips: 0,
+    };
+    let mut arrivals = trace.arrivals.iter().peekable();
+    let mut st = system.begin_run(&mut gate);
+
+    // Warm-up: fill the decision cache and bring the process table and
+    // every scratch buffer to the traffic's working capacity.
+    replay_until(&mut system, &mut st, &mut gate, &mut arrivals, WARM_UP);
+
+    gate.measuring = true;
+    let (_, misses_before) = gate.daemon.decision_cache_stats();
+    let capacity_before = st.metrics().completed.capacity();
+    let events_before = st.iterations();
+    let allocs_before = allocs();
+    replay_until(&mut system, &mut st, &mut gate, &mut arrivals, END);
+    let allocs = allocs() - allocs_before;
+    let events = st.iterations() - events_before;
+    let capacity_after = st.metrics().completed.capacity();
+    let (_, misses_after) = gate.daemon.decision_cache_stats();
+    let misses = misses_after - misses_before;
+
+    // Completion records grow by doubling, one reallocation each.
+    assert!(
+        capacity_before > 0
+            && capacity_after.is_multiple_of(capacity_before)
+            && (capacity_after / capacity_before).is_power_of_two(),
+        "completion records grew from {capacity_before} to {capacity_after}, not by doubling"
+    );
+    let record_growths = u64::from((capacity_after / capacity_before).trailing_zeros());
+
+    println!(
+        "alloc gate, churn: {events} events over {} s, {} daemon calls \
+         ({} arrivals, {} exits, {} class flips, {misses} cache misses), \
+         {allocs} allocations = {} action lists + {record_growths} completion-record growths; \
+         {:.3} allocations per event",
+        (END - WARM_UP).as_secs_f64(),
+        gate.calls,
+        gate.arrivals,
+        gate.exits,
+        gate.flips,
+        gate.allocs,
+        allocs as f64 / events as f64
+    );
+    assert!(
+        gate.arrivals > 0 && gate.exits > 0 && gate.flips > 0 && misses > 0,
+        "the churn window must contain arrivals, exits, class flips and cache misses"
+    );
+    let unexplained = allocs as i64 - (gate.allocs + record_growths) as i64;
+    assert_eq!(
+        unexplained, 0,
+        "{unexplained} allocations outside returned action lists and completion-record growth"
+    );
+    println!("alloc gate passed: no allocation outside returned action lists and run outputs");
 }

@@ -274,7 +274,7 @@ mod tests {
                     active_threads: cell.threads,
                     workload_sensitivity: 1.0,
                 };
-                let truth = model.safe_vmin_on(&q, worst);
+                let truth = model.safe_vmin_on(&q, worst.iter().copied());
                 let dc = DroopClass::ALL[cell.droop_index];
                 let compiled = table.cell(fc, dc, cell.bucket);
                 assert!(

@@ -273,10 +273,10 @@ impl Chip {
 
     /// The frequency-class of the rail requirement given which PMDs are
     /// currently *utilized* (idle PMDs do not constrain Vmin).
-    pub fn freq_vmin_class(&self, utilized: &[PmdId]) -> FreqVminClass {
+    pub fn freq_vmin_class(&self, utilized: impl IntoIterator<Item = PmdId>) -> FreqVminClass {
         self.behavior.vmin_class_of_steps(
             utilized
-                .iter()
+                .into_iter()
                 .filter_map(|p| self.pmd_steps.get(p.index()).copied()),
         )
     }
@@ -285,14 +285,14 @@ impl Chip {
     /// allocation of `active_cores`, assuming a typical workload
     /// (sensitivity 0).
     pub fn current_safe_vmin(&self, active_cores: CoreSet) -> Millivolts {
-        let utilized = active_cores.utilized_pmds(&self.spec);
+        let utilized = || active_cores.utilized_pmds(&self.spec);
         let q = VminQuery {
-            freq_class: self.freq_vmin_class(&utilized),
-            utilized_pmds: utilized.len(),
+            freq_class: self.freq_vmin_class(utilized()),
+            utilized_pmds: utilized().count(),
             active_threads: active_cores.len(),
             workload_sensitivity: 0.0,
         };
-        let base = self.vmin.safe_vmin_on(&q, &utilized);
+        let base = self.vmin.safe_vmin_on(&q, utilized());
         match &self.fault {
             Some(plan) => plan.effective_vmin(base, self.rail.nominal()),
             None => base,
@@ -481,7 +481,7 @@ impl Chip {
         pmds: &[PmdId],
         rng: &mut RngStream,
     ) -> RunOutcome {
-        let truth = self.vmin.safe_vmin_on(q, pmds);
+        let truth = self.vmin.safe_vmin_on(q, pmds.iter().copied());
         let effective = match &self.fault {
             Some(plan) => plan.effective_vmin(truth, self.rail.nominal()),
             None => truth,
@@ -565,10 +565,10 @@ mod tests {
         // Drop PMD3 to a divided step, but leave it out of the utilized set.
         chip.set_pmd_freq_step(PmdId::new(3), FreqStep::new(2).unwrap())
             .unwrap();
-        let class_active_fast = chip.freq_vmin_class(&[PmdId::new(0)]);
+        let class_active_fast = chip.freq_vmin_class([PmdId::new(0)]);
         assert_eq!(class_active_fast, FreqVminClass::Max);
         // Now only the divided PMD is utilized.
-        let class_divided = chip.freq_vmin_class(&[PmdId::new(3)]);
+        let class_divided = chip.freq_vmin_class([PmdId::new(3)]);
         assert_eq!(class_divided, FreqVminClass::Divided);
     }
 
@@ -735,7 +735,7 @@ mod tests {
             workload_sensitivity: 1.0,
         };
         let pmds = [PmdId::new(0), PmdId::new(1)];
-        let truth = chip.vmin_model().safe_vmin_on(&q, &pmds);
+        let truth = chip.vmin_model().safe_vmin_on(&q, pmds);
         let crash = chip.vmin_model().crash_point(truth);
         let mut rng = avfs_sim::RngStream::from_root(7, "probe-test");
         chip.set_voltage(truth).unwrap();

@@ -139,25 +139,20 @@ impl ChipSpec {
         PmdId(core.index() as u16 / self.cores_per_pmd)
     }
 
-    /// The cores belonging to `pmd`, in index order.
+    /// The cores belonging to `pmd`, as a mask (iterate it with
+    /// [`CoreSet::iter`] for index order).
     ///
     /// # Panics
     ///
     /// Panics if `pmd` is out of range.
-    pub fn cores_of(&self, pmd: PmdId) -> Vec<CoreId> {
-        self.cores_of_iter(pmd).collect()
-    }
-
-    /// Iterates the cores of `pmd` without allocating — the hot-path
-    /// twin of [`Self::cores_of`].
-    pub fn cores_of_iter(&self, pmd: PmdId) -> impl Iterator<Item = CoreId> {
+    pub fn cores_of(&self, pmd: PmdId) -> CoreSet {
         assert!(
             (pmd.index() as u16) < self.pmds(),
             "{pmd} out of range for {} PMDs",
             self.pmds()
         );
         let base = pmd.index() as u16 * self.cores_per_pmd;
-        (base..base + self.cores_per_pmd).map(CoreId)
+        CoreSet(CoreSet::first_n(self.cores_per_pmd).0 << base)
     }
 
     /// Iterates over all core ids.
@@ -267,11 +262,18 @@ impl CoreSet {
         CoreSet(self.0 & !other.0)
     }
 
-    /// Iterates over member cores in ascending index order.
+    /// Iterates over member cores in ascending index order, visiting
+    /// only the set bits.
     pub fn iter(self) -> impl Iterator<Item = CoreId> {
-        (0..64u16)
-            .filter(move |i| self.0 & (1u64 << i) != 0)
-            .map(CoreId)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let core = CoreId(bits.trailing_zeros() as u16);
+            bits &= bits - 1;
+            Some(core)
+        })
     }
 
     /// The lowest-numbered core in the set, if any.
@@ -283,21 +285,15 @@ impl CoreSet {
         }
     }
 
-    /// The set of PMDs that have at least one member core, as a bitmask
-    /// indexed by PMD.
-    pub fn utilized_pmds(self, spec: &ChipSpec) -> Vec<PmdId> {
-        let mut pmds = Vec::new();
-        for pmd in spec.all_pmds() {
-            if spec.cores_of(pmd).iter().any(|&c| self.contains(c)) {
-                pmds.push(pmd);
-            }
-        }
-        pmds
+    /// The PMDs that have at least one member core, in index order.
+    pub fn utilized_pmds(self, spec: &ChipSpec) -> impl Iterator<Item = PmdId> + '_ {
+        spec.all_pmds()
+            .filter(move |&pmd| !spec.cores_of(pmd).intersection(self).is_empty())
     }
 
     /// Number of PMDs with at least one member core.
     pub fn utilized_pmd_count(self, spec: &ChipSpec) -> usize {
-        self.utilized_pmds(spec).len()
+        self.utilized_pmds(spec).count()
     }
 }
 
@@ -364,7 +360,7 @@ mod tests {
         assert_eq!(s.pmd_of(CoreId::new(7)), PmdId::new(3));
         assert_eq!(
             s.cores_of(PmdId::new(2)),
-            vec![CoreId::new(4), CoreId::new(5)]
+            [4u16, 5].into_iter().map(CoreId::new).collect()
         );
     }
 
@@ -423,7 +419,10 @@ mod tests {
         let s = spec_8();
         // Cores 0 and 1 share PMD0; core 4 is on PMD2.
         let cs: CoreSet = [0u16, 1, 4].into_iter().map(CoreId::new).collect();
-        assert_eq!(cs.utilized_pmds(&s), vec![PmdId::new(0), PmdId::new(2)]);
+        assert_eq!(
+            cs.utilized_pmds(&s).collect::<Vec<_>>(),
+            vec![PmdId::new(0), PmdId::new(2)]
+        );
         assert_eq!(cs.utilized_pmd_count(&s), 2);
     }
 

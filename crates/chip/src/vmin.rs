@@ -274,11 +274,11 @@ impl VminModel {
     ///
     /// The chip-wide rail must satisfy the weakest utilized PMD, so the
     /// maximum offset among `pmds` applies.
-    pub fn safe_vmin_on(&self, q: &VminQuery, pmds: &[PmdId]) -> Millivolts {
+    pub fn safe_vmin_on(&self, q: &VminQuery, pmds: impl IntoIterator<Item = PmdId>) -> Millivolts {
         let base = self.safe_vmin(q);
         let worst = pmds
-            .iter()
-            .map(|&p| self.pmd_offset_mv(p))
+            .into_iter()
+            .map(|p| self.pmd_offset_mv(p))
             .max()
             .unwrap_or(0);
         // Static variation is most visible at low thread counts; in
@@ -427,8 +427,8 @@ mod tests {
             active_threads: 1,
             workload_sensitivity: 0.0,
         };
-        let weak = m.safe_vmin_on(&q, &[PmdId::new(4)]); // +8 mV
-        let strong = m.safe_vmin_on(&q, &[PmdId::new(2)]); // -10 mV
+        let weak = m.safe_vmin_on(&q, [PmdId::new(4)]); // +8 mV
+        let strong = m.safe_vmin_on(&q, [PmdId::new(2)]); // -10 mV
         assert!(weak > strong);
         assert_eq!(weak - strong, 18);
     }
@@ -442,8 +442,8 @@ mod tests {
             active_threads: 2,
             workload_sensitivity: 0.0,
         };
-        let both = m.safe_vmin_on(&q, &[PmdId::new(2), PmdId::new(4)]);
-        let weak_only = m.safe_vmin_on(&q, &[PmdId::new(4)]);
+        let both = m.safe_vmin_on(&q, [PmdId::new(2), PmdId::new(4)]);
+        let weak_only = m.safe_vmin_on(&q, [PmdId::new(4)]);
         assert_eq!(both, weak_only);
     }
 

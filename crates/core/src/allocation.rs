@@ -190,12 +190,12 @@ pub fn plan_layout_into(spec: &ChipSpec, procs: &[PlanProc], scratch: &mut Layou
                     continue;
                 }
                 let cores = spec.cores_of(pmd);
-                let used = cores.iter().filter(|&&c| taken.contains(c)).count();
+                let used = cores.intersection(taken).len();
                 let partial = used > 0 && used < cores.len();
                 if preferred_partial != partial {
                     continue;
                 }
-                for &core in &cores {
+                for core in cores.iter() {
                     if chosen.len() == p.threads {
                         break 'outer;
                     }
@@ -236,10 +236,7 @@ pub fn plan_layout_into(spec: &ChipSpec, procs: &[PlanProc], scratch: &mut Layou
                 let pmd = PmdId::new(pmd_idx as u16);
                 let role = roles[pmd_idx];
                 let cores = spec.cores_of(pmd);
-                let used = cores
-                    .iter()
-                    .filter(|&&c| taken.contains(c) || chosen.contains(c))
-                    .count();
+                let used = cores.intersection(taken.union(chosen)).len();
                 let eligible = match sweep {
                     0 => role != PmdRole::Cpu && used == 0,
                     1 => role != PmdRole::Cpu && used < cores.len(),
@@ -249,10 +246,7 @@ pub fn plan_layout_into(spec: &ChipSpec, procs: &[PlanProc], scratch: &mut Layou
                     continue;
                 }
                 // Take one core per PMD per sweep to keep spreading.
-                if let Some(&core) = cores
-                    .iter()
-                    .find(|&&c| !taken.contains(c) && !chosen.contains(c))
-                {
+                if let Some(core) = cores.difference(taken.union(chosen)).first() {
                     chosen.insert(core);
                 }
             }
@@ -306,7 +300,7 @@ fn debug_assert_layout(spec: &ChipSpec, procs: &[PlanProc], layout: &LayoutScrat
             );
         }
         for pmd in spec.all_pmds() {
-            let busy = spec.cores_of(pmd).iter().any(|&c| seen.contains(c));
+            let busy = !spec.cores_of(pmd).intersection(seen).is_empty();
             debug_assert!(
                 busy != (layout.pmd_roles[pmd.index()] == PmdRole::Idle),
                 "{pmd} role {:?} disagrees with its occupancy",
@@ -462,7 +456,7 @@ mod tests {
         // CPU PMD.
         let layout2 = plan_layout(&spec, &[cpu(1, 2), mem(2, 4)]);
         assert!(layout2.unplaced.is_empty());
-        let pmd0_cores: CoreSet = spec.cores_of(PmdId::new(0)).into_iter().collect();
+        let pmd0_cores = spec.cores_of(PmdId::new(0));
         let mem_cores = layout2.assignment[&Pid(2)];
         assert!(mem_cores.intersection(pmd0_cores).is_empty());
     }

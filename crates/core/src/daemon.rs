@@ -28,10 +28,9 @@ use avfs_chip::topology::{ChipSpec, CoreSet, PmdId};
 use avfs_chip::voltage::Millivolts;
 use avfs_sched::driver::{Action, Driver, SysEvent, SystemView};
 use avfs_sched::governor::GovernorMode;
-use avfs_sched::process::{Pid, ProcessState};
+use avfs_sched::process::ProcessState;
 use avfs_telemetry::{CounterRegistry, Telemetry, TraceKind, Value};
 use avfs_workloads::classify::IntensityClass;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Daemon tuning knobs; the constructors on [`Daemon`] pick the paper's
@@ -161,9 +160,9 @@ impl fmt::Display for DaemonStats {
     }
 }
 
-/// Reusable buffers for the replan pipeline, so steady-state control
-/// events allocate nothing for planner inputs, the layout, or the
-/// frequency program.
+/// Reusable buffers for the replan pipeline, so a replan allocates
+/// nothing for planner inputs, the layout, the frequency program, pin
+/// sequencing, or the decoding of a cached plan.
 #[derive(Debug, Clone, Default)]
 struct PlanScratch {
     procs: Vec<PlanProc>,
@@ -172,8 +171,28 @@ struct PlanScratch {
     /// Canonical plan order: rank → view index (see
     /// [`Daemon::canonical_order`]).
     order: Vec<usize>,
-    /// Target assignments in canonical order, fed to pin sequencing.
-    targets: Vec<(Pid, CoreSet)>,
+    /// Ordered pins of the plan, as (canonical rank, target cores).
+    pins: Vec<(usize, CoreSet)>,
+    /// Pin sequencing: cores each view process occupies, by view index.
+    occupied: Vec<CoreSet>,
+    /// Pin sequencing: pins not yet placed, as (canonical rank, cores).
+    pending: Vec<(usize, CoreSet)>,
+}
+
+impl PlanScratch {
+    /// Scratch whose chip-bounded buffers are sized once: a plan
+    /// programs one step per PMD and pins at most one process per core,
+    /// so these never grow. Buffers indexed by live process grow only
+    /// when the process count reaches a new peak.
+    fn for_chip(spec: &ChipSpec) -> Self {
+        let cores = spec.cores as usize;
+        PlanScratch {
+            steps: Vec::with_capacity(spec.pmds() as usize),
+            pins: Vec::with_capacity(cores),
+            pending: Vec::with_capacity(cores),
+            ..PlanScratch::default()
+        }
+    }
 }
 
 /// A memoized *placement* decision: the fingerprint of everything the
@@ -204,7 +223,7 @@ struct CachedPlan {
 /// Entries kept in the decision cache. Control state rarely revisits
 /// more than a handful of distinct configurations between invalidations,
 /// so a small linear-scan cache wins over a map.
-const DECISION_CACHE_CAP: usize = 32;
+pub const DECISION_CACHE_CAP: usize = 32;
 
 impl avfs_sched::Report for DaemonStats {
     /// The `Display` line doubles as the fingerprint: all fields are
@@ -269,6 +288,9 @@ pub struct Daemon {
     droop_guard: bool,
     name: String,
     plan_scratch: PlanScratch,
+    /// The action list under construction; [`Driver::on_event`] returns
+    /// a copy, so the buffer keeps its capacity across events.
+    actions: Vec<Action>,
     cache: Vec<CachedPlan>,
     cache_enabled: bool,
     cache_hits: u64,
@@ -321,8 +343,9 @@ impl Daemon {
             (false, false) => "baseline-daemon",
         };
         let recovery = Recovery::new(config.recovery.clone(), 0x0DAE_0501);
+        let spec = chip.spec();
         Daemon {
-            spec: chip.spec().clone(),
+            spec: spec.clone(),
             behavior: chip.behavior(),
             table: PolicyTable::from_characterization(chip.vmin_model()),
             config,
@@ -333,7 +356,12 @@ impl Daemon {
             recovery,
             droop_guard: false,
             name: name.to_string(),
-            plan_scratch: PlanScratch::default(),
+            plan_scratch: PlanScratch::for_chip(spec),
+            // The most one event can emit: the governor switch, a
+            // transition raise, a settle and a lazy reconcile, a step
+            // per PMD, and per core a replan pin plus a watchdog rescue.
+            // Sized once, the buffer never grows.
+            actions: Vec::with_capacity(4 + spec.pmds() as usize + 2 * spec.cores as usize),
             cache: Vec::new(),
             cache_enabled: true,
             cache_hits: 0,
@@ -569,25 +597,25 @@ impl Daemon {
 
     // ------------------------------------------------------------------
 
-    /// The frequency-class of a step program restricted to utilized PMDs.
-    fn freq_class_of(&self, steps: &[FreqStep], utilized: &[PmdId]) -> FreqVminClass {
+    /// The frequency-class of a step program restricted to the PMDs
+    /// `busy` utilizes.
+    fn freq_class_of(&self, steps: &[FreqStep], busy: CoreSet) -> FreqVminClass {
         self.behavior.vmin_class_of_steps(
-            utilized
-                .iter()
+            busy.utilized_pmds(&self.spec)
                 .filter_map(|p| steps.get(p.index()).copied()),
         )
     }
 
-    /// Computes the full action list for the current view.
+    /// Appends the full action list for the current view to `actions`.
     ///
     /// Only meaningful with placement control; the Safe Vmin
     /// configuration sets its single static voltage at initialization
     /// and never replans.
-    fn replan(&mut self, view: &SystemView) -> Vec<Action> {
-        let mut actions = Vec::new();
+    fn replan(&mut self, view: &SystemView, actions: &mut Vec<Action>) {
         if !self.config.control_placement {
-            return actions;
+            return;
         }
+        let first = actions.len();
 
         // --- Target layout & frequency program (memoized). ---
         // The scratch buffers persist across replans (taken out of self
@@ -600,16 +628,13 @@ impl Daemon {
         } else {
             None
         };
-        let (pins, target_busy) = if let Some(idx) = hit {
+        let target_busy = if let Some(idx) = hit {
             self.cache_hits += 1;
             let entry = &self.cache[idx];
             scratch.steps.clear();
             scratch.steps.extend_from_slice(&entry.steps);
-            let pins: Vec<(Pid, CoreSet)> = entry
-                .pins
-                .iter()
-                .map(|&(rank, cores)| (view.processes[scratch.order[rank]].pid, cores))
-                .collect();
+            scratch.pins.clear();
+            scratch.pins.extend_from_slice(&entry.pins);
             let deferred = entry.deferred;
             let target_busy = entry.target_busy;
             // LRU: move the hit entry to the back; eviction takes the
@@ -619,7 +644,7 @@ impl Daemon {
             // zero), so the replay must touch the counter at the same
             // point for the cached journal to stay byte-identical.
             self.count(Dc::DeferredPins, deferred);
-            (pins, target_busy)
+            target_busy
         } else {
             // The whole fresh pipeline runs in canonical order, so its
             // decisions are a function of the fingerprinted shapes alone
@@ -655,10 +680,11 @@ impl Daemon {
                     PmdRole::Mem => self.config.mem_step,
                     PmdRole::Idle => self.config.idle_step,
                 };
-                let hosts_stranded = self
+                let hosts_stranded = !self
                     .spec
-                    .cores_of_iter(PmdId::new(i as u16))
-                    .any(|c| stranded.contains(c));
+                    .cores_of(PmdId::new(i as u16))
+                    .intersection(stranded)
+                    .is_empty();
                 scratch.steps.push(if hosts_stranded {
                     // Never throttle a core a stranded process runs on.
                     view.pmd_steps
@@ -668,48 +694,36 @@ impl Daemon {
                     planned
                 });
             }
-            // Sequencing consumes targets in canonical order too: the
-            // emitted pin *order* must be shape-determined for the
-            // rank-encoded replay to reproduce it on a permuted view.
-            scratch.targets.clear();
-            for &i in &scratch.order {
-                let pid = view.processes[i].pid;
-                if let Some(cores) = scratch.layout.assignment_of(pid) {
-                    scratch.targets.push((pid, cores));
-                }
-            }
-            let deferred_before = self.registry.get(Dc::DeferredPins as usize);
-            let pins = self.sequence_pins(view, &scratch.targets);
-            let deferred = self.registry.get(Dc::DeferredPins as usize) - deferred_before;
+            let deferred = Self::sequence_pins(view, &mut scratch);
+            self.count(Dc::DeferredPins, deferred);
             let target_busy = scratch.layout.busy_cores().union(stranded);
             if self.cache_enabled {
                 self.cache_misses += 1;
-                // Pins re-encoded by canonical rank; every pinned pid
-                // comes from the view, so the lookup cannot fail.
-                let encoded: Option<Vec<(usize, CoreSet)>> = pins
-                    .iter()
-                    .map(|&(pid, cores)| {
-                        scratch
-                            .order
-                            .iter()
-                            .position(|&i| view.processes[i].pid == pid)
-                            .map(|rank| (rank, cores))
-                    })
-                    .collect();
-                if let Some(encoded) = encoded {
-                    if self.cache.len() >= DECISION_CACHE_CAP {
-                        self.cache.remove(0);
-                    }
-                    self.cache.push(CachedPlan {
+                // A full cache hands its least recently used entry's
+                // buffers to the new plan. A fresh entry reserves room
+                // for the most pins a plan can hold (one per core), so
+                // reusing it never grows a buffer.
+                let mut entry = if self.cache.len() >= DECISION_CACHE_CAP {
+                    self.cache.remove(0)
+                } else {
+                    CachedPlan {
                         key,
-                        pins: encoded,
-                        steps: scratch.steps.clone(),
+                        pins: Vec::with_capacity(self.spec.cores as usize),
+                        steps: Vec::with_capacity(scratch.steps.len()),
                         target_busy,
                         deferred,
-                    });
-                }
+                    }
+                };
+                entry.key = key;
+                entry.pins.clear();
+                entry.pins.extend_from_slice(&scratch.pins);
+                entry.steps.clear();
+                entry.steps.extend_from_slice(&scratch.steps);
+                entry.target_busy = target_busy;
+                entry.deferred = deferred;
+                self.cache.push(entry);
             }
-            (pins, target_busy)
+            target_busy
         };
         let new_steps = &scratch.steps;
 
@@ -720,15 +734,10 @@ impl Daemon {
             // `lazy_voltage_action`), leaving a real unsafe window after
             // widening reconfigurations — the hazard the paper's
             // ordering rule exists to prevent.
-            self.push_reconfig(&mut actions, view, &pins, new_steps);
+            self.push_reconfig(actions, view, &scratch, new_steps);
         } else if self.config.control_voltage {
             let current_busy = view.busy_cores();
-            let current_util = current_busy.utilized_pmds(&self.spec);
-            let target_util = target_busy.utilized_pmds(&self.spec);
-            let union_util: Vec<PmdId> = {
-                let union = current_busy.union(target_busy);
-                union.utilized_pmds(&self.spec)
-            };
+            let union_busy = current_busy.union(target_busy);
 
             let threads_now: usize = view
                 .processes
@@ -741,21 +750,21 @@ impl Daemon {
 
             // Frequency class: worst of the current program on current
             // PMDs and the new program on target PMDs.
-            let fc_now = self.freq_class_of(&view.pmd_steps, &current_util);
-            let fc_target = self.freq_class_of(new_steps, &target_util);
+            let fc_now = self.freq_class_of(&view.pmd_steps, current_busy);
+            let fc_target = self.freq_class_of(new_steps, target_busy);
             let fc_transition = fc_now.max(fc_target);
 
             let pessimize = self.recovery.pessimize_voltage();
             let transition_v = self.chosen_voltage(
                 fc_transition,
-                union_util.len(),
+                union_busy.utilized_pmd_count(&self.spec),
                 margin_threads,
                 self.droop_guard,
                 pessimize,
             );
             let final_v = self.chosen_voltage(
                 fc_target,
-                target_util.len(),
+                target_busy.utilized_pmd_count(&self.spec),
                 threads_target,
                 self.droop_guard,
                 pessimize,
@@ -766,7 +775,7 @@ impl Daemon {
                 self.bump(Dc::VoltageRaises);
             }
 
-            self.push_reconfig(&mut actions, view, &pins, new_steps);
+            self.push_reconfig(actions, view, &scratch, new_steps);
 
             // Settle to the final voltage.
             let settle_from = if self.config.fail_safe_ordering {
@@ -785,12 +794,12 @@ impl Daemon {
                 }
             }
         } else {
-            self.push_reconfig(&mut actions, view, &pins, new_steps);
+            self.push_reconfig(actions, view, &scratch, new_steps);
         }
 
-        if !actions.is_empty() {
+        let n_actions = actions.len() - first;
+        if n_actions > 0 {
             self.bump(Dc::Plans);
-            let n_actions = actions.len();
             let recovery = self.recovery.state().as_str();
             let droop_guard = self.droop_guard;
             self.telemetry.trace(TraceKind::Replan, || {
@@ -802,7 +811,6 @@ impl Daemon {
             });
         }
         self.plan_scratch = scratch;
-        actions
     }
 
     /// The canonical planning order: view indices sorted by process
@@ -898,12 +906,13 @@ impl Daemon {
         (self.cache_hits, self.cache_misses)
     }
 
-    /// Emits pins and frequency-step changes (only the deltas).
+    /// Emits frequency-step changes (only the deltas), then the plan's
+    /// pins from `scratch.pins`, mapped from canonical rank to pid.
     fn push_reconfig(
         &mut self,
         actions: &mut Vec<Action>,
         view: &SystemView,
-        pins: &[(Pid, CoreSet)],
+        scratch: &PlanScratch,
         new_steps: &[FreqStep],
     ) {
         // Frequency raises are applied before placement widens onto those
@@ -916,7 +925,8 @@ impl Daemon {
                 }
             }
         }
-        for &(pid, cores) in pins {
+        for &(rank, cores) in &scratch.pins {
+            let pid = view.processes[scratch.order[rank]].pid;
             actions.push(Action::PinProcess(pid, cores));
             self.bump(Dc::Pins);
         }
@@ -924,63 +934,78 @@ impl Daemon {
 
     /// Ablated-mode voltage reconciliation: set the voltage the *current*
     /// configuration needs, with no awareness of in-flight transitions.
-    fn lazy_voltage_action(&mut self, view: &SystemView) -> Vec<Action> {
+    fn lazy_voltage_action(&mut self, view: &SystemView, actions: &mut Vec<Action>) {
         if !self.config.control_voltage || !self.config.control_placement {
-            return Vec::new();
+            return;
         }
         let busy = view.busy_cores();
-        let util = busy.utilized_pmds(&self.spec);
-        let fc = self.freq_class_of(&view.pmd_steps, &util);
+        let fc = self.freq_class_of(&view.pmd_steps, busy);
         let target = self.chosen_voltage(
             fc,
-            util.len(),
+            busy.utilized_pmd_count(&self.spec),
             busy.len(),
             self.droop_guard,
             self.recovery.pessimize_voltage(),
         );
         if target == view.voltage {
-            return Vec::new();
+            return;
         }
         if target > view.voltage {
             self.bump(Dc::VoltageRaises);
         } else {
             self.bump(Dc::VoltageLowers);
         }
-        vec![Action::SetVoltage(target)]
+        actions.push(Action::SetVoltage(target));
     }
 
-    /// Orders pin actions so each lands on cores free at its turn;
-    /// conflicting pins are deferred to the next event.
-    fn sequence_pins(
-        &mut self,
-        view: &SystemView,
-        target: &[(Pid, CoreSet)],
-    ) -> Vec<(Pid, CoreSet)> {
-        // Current occupancy per process.
-        let mut occupancy: BTreeMap<Pid, CoreSet> = view
-            .processes
-            .iter()
-            .filter(|p| p.state == ProcessState::Running)
-            .map(|p| (p.pid, p.assigned))
-            .collect();
-        let mut pending: Vec<(Pid, CoreSet)> = target
-            .iter()
-            .filter(|(pid, cores)| occupancy.get(pid).copied().unwrap_or(CoreSet::EMPTY) != *cores)
-            .copied()
-            .collect();
-        let mut ordered = Vec::new();
+    /// Orders the layout's pins so each lands on cores free at its turn;
+    /// conflicting pins are deferred to the next event. Targets are
+    /// taken from `scratch.layout` in canonical order and the sequence
+    /// is left in `scratch.pins`; returns the number of deferred pins.
+    fn sequence_pins(view: &SystemView, scratch: &mut PlanScratch) -> u64 {
+        let PlanScratch {
+            layout,
+            order,
+            pins,
+            occupied,
+            pending,
+            ..
+        } = scratch;
+        // Current occupancy per view process.
+        occupied.clear();
+        occupied.extend(view.processes.iter().map(|p| {
+            if p.state == ProcessState::Running {
+                p.assigned
+            } else {
+                CoreSet::EMPTY
+            }
+        }));
+        // Targets in canonical order: the emitted pin *order* must be
+        // shape-determined for the rank-encoded replay to reproduce it
+        // on a permuted view.
+        pending.clear();
+        for (rank, &i) in order.iter().enumerate() {
+            if let Some(cores) = layout.assignment_of(view.processes[i].pid) {
+                if occupied[i] != cores {
+                    pending.push((rank, cores));
+                }
+            }
+        }
+        pins.clear();
         // Greedy passes: apply any pin whose target is free of *other*
         // processes' current cores.
         for _ in 0..pending.len().max(1) {
             let mut progressed = false;
-            pending.retain(|&(pid, cores)| {
-                let others = occupancy
+            pending.retain(|&(rank, cores)| {
+                let i = order[rank];
+                let others = occupied
                     .iter()
-                    .filter(|(&q, _)| q != pid)
+                    .enumerate()
+                    .filter(|&(j, _)| j != i)
                     .fold(CoreSet::EMPTY, |acc, (_, &cs)| acc.union(cs));
                 if cores.intersection(others).is_empty() {
-                    ordered.push((pid, cores));
-                    occupancy.insert(pid, cores);
+                    pins.push((rank, cores));
+                    occupied[i] = cores;
                     progressed = true;
                     false
                 } else {
@@ -991,8 +1016,7 @@ impl Daemon {
                 break;
             }
         }
-        self.count(Dc::DeferredPins, pending.len() as u64);
-        ordered
+        pending.len() as u64
     }
 
     // --- Fault recovery -----------------------------------------------
@@ -1001,13 +1025,11 @@ impl Daemon {
     /// else moves — the aborted batch left the old configuration in
     /// place, and the old configuration is covered by the current rail
     /// voltage thanks to the fail-safe ordering.
-    fn safe_mode_actions(&mut self, view: &SystemView) -> Vec<Action> {
-        let mut actions = Vec::new();
+    fn safe_mode_actions(&mut self, view: &SystemView, actions: &mut Vec<Action>) {
         if self.config.control_voltage && view.voltage < self.table.nominal() {
             actions.push(Action::SetVoltage(self.table.nominal()));
             self.bump(Dc::VoltageRaises);
         }
-        actions
     }
 
     /// Tracks the chip's droop alert. Engaging or releasing the guard
@@ -1052,12 +1074,11 @@ impl Daemon {
     /// Rescues migrations whose stall end sits implausibly far in the
     /// future (a hung migration): re-pinning the same cores restarts the
     /// move with the normal pause.
-    fn watchdog_actions(&mut self, view: &SystemView) -> Vec<Action> {
+    fn watchdog_actions(&mut self, view: &SystemView, actions: &mut Vec<Action>) {
         if !self.config.control_placement {
-            return Vec::new();
+            return;
         }
         let timeout = self.config.recovery.watchdog_timeout;
-        let mut actions = Vec::new();
         for p in &view.processes {
             if let Some(stall) = p.stalled_until {
                 if stall.saturating_since(view.now) > timeout {
@@ -1074,7 +1095,6 @@ impl Daemon {
                 }
             }
         }
-        actions
     }
 
     /// Responds to one fault notice per the recovery machine: bounded
@@ -1084,7 +1104,8 @@ impl Daemon {
         &mut self,
         view: &SystemView,
         notice: avfs_sched::driver::FaultNotice,
-    ) -> Vec<Action> {
+        actions: &mut Vec<Action>,
+    ) {
         self.bump(Dc::MailboxFaults);
         // A fault reshapes everything downstream (retry budget, safe
         // mode, pessimized voltage) — drop all memoized decisions.
@@ -1102,19 +1123,17 @@ impl Daemon {
                     // A replan against the fresh view recomputes exactly
                     // the deltas the aborted batch left outstanding
                     // (including the failed voltage request itself).
-                    self.replan(view)
+                    self.replan(view, actions);
                 } else if self.config.control_voltage {
                     // Static configuration: re-issue the lost request.
-                    vec![Action::SetVoltage(notice.requested())]
-                } else {
-                    Vec::new()
+                    actions.push(Action::SetVoltage(notice.requested()));
                 }
             }
             FaultDecision::EnterSafeMode => {
                 self.bump(Dc::SafeModeEntries);
-                self.safe_mode_actions(view)
+                self.safe_mode_actions(view, actions);
             }
-            FaultDecision::HoldSafe => self.safe_mode_actions(view),
+            FaultDecision::HoldSafe => self.safe_mode_actions(view, actions),
         }
     }
 
@@ -1130,6 +1149,81 @@ impl Daemon {
                     ("cause", Value::from(cause)),
                 ]
             });
+        }
+    }
+
+    /// Handles one driver event, appending its actions to `actions`.
+    fn handle_event(&mut self, view: &SystemView, event: &SysEvent, actions: &mut Vec<Action>) {
+        self.telemetry.advance_to(view.now);
+        self.bump(Dc::Invocations);
+        if !self.initialized {
+            self.initialized = true;
+            let mode = if self.config.control_placement {
+                GovernorMode::Userspace
+            } else {
+                GovernorMode::Ondemand
+            };
+            actions.push(Action::SetGovernor(mode));
+            if self.config.control_voltage && !self.config.control_placement {
+                // The Safe Vmin configuration: one static undervolt to
+                // the table's universal safe value (§VI-B); ondemand
+                // keeps scheduling, the guardband is simply removed.
+                let v = self
+                    .table
+                    .static_safe_voltage(FreqVminClass::Max)
+                    .offset(self.margin_mv() as i32)
+                    .min(self.table.nominal());
+                actions.push(Action::SetVoltage(v));
+                self.bump(Dc::VoltageLowers);
+            }
+        }
+        // Class flips reshape the layout, but need no cache invalidation:
+        // every tracked class is part of the decision key, so a flip
+        // changes the key and stale entries simply stop matching.
+        self.tracker.refresh(view);
+        if let SysEvent::OperationFault(notice) = event {
+            self.on_operation_fault(view, *notice, actions);
+            return;
+        }
+        // Any non-fault event means the previous action batch applied
+        // cleanly (faults are delivered synchronously) — feed the
+        // recovery machine and pick up droop-alert changes.
+        let before = self.recovery.state();
+        let exited_safe_mode = self.recovery.on_clean_event();
+        if before != self.recovery.state() {
+            self.cache.clear();
+        }
+        self.trace_recovery_transition(before, "clean_window");
+        if exited_safe_mode {
+            self.bump(Dc::SafeModeExits);
+        }
+        let droop_changed = self.update_droop_guard(view, actions);
+        match event {
+            SysEvent::ClassChanged(pid, class) => {
+                self.tracker.set(*pid, *class);
+                self.replan(view, actions);
+            }
+            SysEvent::ProcessArrived(_) | SysEvent::ProcessFinished(_) => {
+                self.replan(view, actions);
+            }
+            SysEvent::MonitorTick => {
+                // The monitoring part runs inside the kernel window; the
+                // placement part is only invoked on the three real events
+                // (§VI-A). Except right after initialization (settle the
+                // idle chip), when the droop guard or safe-mode posture
+                // changed (re-aim the voltage program), or when the
+                // watchdog found a hung migration.
+                self.watchdog_actions(view, actions);
+                if !actions.is_empty() || exited_safe_mode || droop_changed {
+                    self.replan(view, actions);
+                }
+                if !self.config.fail_safe_ordering {
+                    self.lazy_voltage_action(view, actions);
+                }
+            }
+            // `OperationFault` returned above; `SysEvent` is
+            // non-exhaustive, so any future event kind is a no-op here.
+            _ => {}
         }
     }
 }
@@ -1195,80 +1289,16 @@ impl DaemonBuilder<'_> {
 }
 
 impl Driver for Daemon {
+    /// Builds the action list in a recycled buffer and returns a copy
+    /// sized to fit: the copy is the call's only allocation, and an
+    /// empty list allocates nothing.
     fn on_event(&mut self, view: &SystemView, event: &SysEvent) -> Vec<Action> {
-        self.telemetry.advance_to(view.now);
-        self.bump(Dc::Invocations);
-        let mut actions = Vec::new();
-        if !self.initialized {
-            self.initialized = true;
-            let mode = if self.config.control_placement {
-                GovernorMode::Userspace
-            } else {
-                GovernorMode::Ondemand
-            };
-            actions.push(Action::SetGovernor(mode));
-            if self.config.control_voltage && !self.config.control_placement {
-                // The Safe Vmin configuration: one static undervolt to
-                // the table's universal safe value (§VI-B); ondemand
-                // keeps scheduling, the guardband is simply removed.
-                let v = self
-                    .table
-                    .static_safe_voltage(FreqVminClass::Max)
-                    .offset(self.margin_mv() as i32)
-                    .min(self.table.nominal());
-                actions.push(Action::SetVoltage(v));
-                self.bump(Dc::VoltageLowers);
-            }
-        }
-        // Class flips reshape the layout, but need no cache invalidation:
-        // every tracked class is part of the decision key, so a flip
-        // changes the key and stale entries simply stop matching.
-        self.tracker.refresh(view);
-        if let SysEvent::OperationFault(notice) = event {
-            actions.extend(self.on_operation_fault(view, *notice));
-            return actions;
-        }
-        // Any non-fault event means the previous action batch applied
-        // cleanly (faults are delivered synchronously) — feed the
-        // recovery machine and pick up droop-alert changes.
-        let before = self.recovery.state();
-        let exited_safe_mode = self.recovery.on_clean_event();
-        if before != self.recovery.state() {
-            self.cache.clear();
-        }
-        self.trace_recovery_transition(before, "clean_window");
-        if exited_safe_mode {
-            self.bump(Dc::SafeModeExits);
-        }
-        let droop_changed = self.update_droop_guard(view, &mut actions);
-        match event {
-            SysEvent::ClassChanged(pid, class) => {
-                self.tracker.set(*pid, *class);
-                actions.extend(self.replan(view));
-            }
-            SysEvent::ProcessArrived(_) | SysEvent::ProcessFinished(_) => {
-                actions.extend(self.replan(view));
-            }
-            SysEvent::MonitorTick => {
-                // The monitoring part runs inside the kernel window; the
-                // placement part is only invoked on the three real events
-                // (§VI-A). Except right after initialization (settle the
-                // idle chip), when the droop guard or safe-mode posture
-                // changed (re-aim the voltage program), or when the
-                // watchdog found a hung migration.
-                actions.extend(self.watchdog_actions(view));
-                if !actions.is_empty() || exited_safe_mode || droop_changed {
-                    actions.extend(self.replan(view));
-                }
-                if !self.config.fail_safe_ordering {
-                    actions.extend(self.lazy_voltage_action(view));
-                }
-            }
-            // `OperationFault` returned above; `SysEvent` is
-            // non-exhaustive, so any future event kind is a no-op here.
-            _ => {}
-        }
-        actions
+        let mut actions = std::mem::take(&mut self.actions);
+        actions.clear();
+        self.handle_event(view, event, &mut actions);
+        let out = actions.to_vec();
+        self.actions = actions;
+        out
     }
 
     fn name(&self) -> &str {
@@ -1282,8 +1312,10 @@ mod tests {
     use avfs_chip::presets;
     use avfs_chip::voltage::Millivolts;
     use avfs_sched::driver::ProcessView;
+    use avfs_sched::process::Pid;
     use avfs_sim::time::SimTime;
     use avfs_workloads::classify::IntensityClass;
+    use std::collections::BTreeMap;
 
     fn xg3_chip() -> Chip {
         presets::xgene3().build()

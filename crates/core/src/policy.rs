@@ -403,10 +403,8 @@ mod tests {
                 active_threads: threads,
                 workload_sensitivity: 1.0,
             };
-            let pmd_ids: Vec<_> = (0..utilized as u16)
-                .map(avfs_chip::topology::PmdId::new)
-                .collect();
-            let real_v = model.safe_vmin_on(&q, &pmd_ids);
+            let pmd_ids = (0..utilized as u16).map(avfs_chip::topology::PmdId::new);
+            let real_v = model.safe_vmin_on(&q, pmd_ids);
             assert!(
                 policy_v >= real_v,
                 "{utilized} PMDs: policy {policy_v} < real {real_v}"
@@ -432,7 +430,7 @@ mod tests {
             active_threads: 1,
             workload_sensitivity: 1.0,
         };
-        let real = model.safe_vmin_on(&q, &[weakest]);
+        let real = model.safe_vmin_on(&q, [weakest]);
         let policy = table.safe_voltage_for_pmds(FreqVminClass::Max, 1, 1);
         assert!(policy >= real, "policy {policy} < real {real}");
     }

@@ -4,7 +4,7 @@
 //! forced down the full planning path.
 
 use avfs_chip::presets;
-use avfs_core::daemon::{Daemon, DaemonStats};
+use avfs_core::daemon::{Daemon, DaemonStats, DECISION_CACHE_CAP};
 use avfs_sched::system::{System, SystemConfig};
 use avfs_sched::RunMetrics;
 use avfs_sim::time::SimDuration;
@@ -73,6 +73,13 @@ fn cache_is_transparent_on_both_presets() {
         assert!(
             hits > 0,
             "{preset:?}: cache never hit (hits={hits} misses={misses})"
+        );
+        // More misses than entries: the cache filled, and later misses
+        // refilled evicted entries' buffers under the byte-identity
+        // checks above.
+        assert!(
+            misses > DECISION_CACHE_CAP as u64,
+            "{preset:?}: {misses} misses never filled the {DECISION_CACHE_CAP}-entry cache"
         );
         assert_eq!(off_stats, (0, 0), "disabled cache must not count");
     }

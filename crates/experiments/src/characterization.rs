@@ -184,12 +184,12 @@ pub fn fig4(scale: Scale) -> Table {
         .map(|c| (format!("core{}", c.index()), spec.pmd_of(c), 1usize))
         .collect();
     cases.extend(spec.all_pmds().map(|p| {
-        let cs = spec.cores_of(p);
-        (
-            format!("cores{},{}", cs[0].index(), cs[1].index()),
-            p,
-            2usize,
-        )
+        let cores: Vec<String> = spec
+            .cores_of(p)
+            .iter()
+            .map(|c| c.index().to_string())
+            .collect();
+        (format!("cores{}", cores.join(",")), p, 2usize)
     }));
     for (label, pmd, threads) in cases {
         let mut lo = u32::MAX;
@@ -202,7 +202,7 @@ pub fn fig4(scale: Scale) -> Table {
                 active_threads: threads,
                 workload_sensitivity: bench.profile().vmin_sensitivity,
             };
-            let model_safe = chip.vmin_model().safe_vmin_on(&q, &[pmd]);
+            let model_safe = chip.vmin_model().safe_vmin_on(&q, [pmd]);
             // Verify by campaign: descend with the per-PMD safe value.
             let droop = chip.vmin_model().droop_class(1);
             let mut v = chip.nominal_voltage();

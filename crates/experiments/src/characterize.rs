@@ -267,7 +267,7 @@ fn cell_truth(chip: &Chip, freq_class: FreqVminClass, utilized: usize, threads: 
                 active_threads: threads,
                 workload_sensitivity: 1.0,
             },
-            &by_weakness[..utilized],
+            by_weakness[..utilized].iter().copied(),
         )
         .as_mv()
 }
@@ -396,9 +396,9 @@ fn run_window(
 ) {
     let busy = !active.is_empty();
     let voltage = if busy {
-        let utilized = active.utilized_pmds(chip.spec());
-        let fc = chip.freq_vmin_class(&utilized);
-        daemon.chosen_voltage(fc, utilized.len(), active.len(), droop_guard, false)
+        let fc = chip.freq_vmin_class(active.utilized_pmds(chip.spec()));
+        let utilized = active.utilized_pmd_count(chip.spec());
+        daemon.chosen_voltage(fc, utilized, active.len(), droop_guard, false)
     } else {
         chip.nominal_voltage()
     };

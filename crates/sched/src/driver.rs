@@ -156,8 +156,8 @@ impl SystemView {
         self.processes.iter().find(|p| p.pid == pid)
     }
 
-    /// PMDs with at least one busy core.
-    pub fn utilized_pmds(&self) -> Vec<PmdId> {
+    /// PMDs with at least one busy core, in index order.
+    pub fn utilized_pmds(&self) -> impl Iterator<Item = PmdId> + '_ {
         self.busy_cores().utilized_pmds(&self.spec)
     }
 }
@@ -275,7 +275,7 @@ mod tests {
     fn waiting_processes_occupy_nothing() {
         let v = view();
         assert!(!v.busy_cores().contains(CoreId::new(7)));
-        assert_eq!(v.utilized_pmds().len(), 1);
+        assert_eq!(v.utilized_pmds().count(), 1);
     }
 
     #[test]

@@ -27,9 +27,8 @@ use crate::process::{Pid, Process, ProcessState};
 use avfs_chip::chip::Chip;
 use avfs_chip::error::ChipError;
 use avfs_chip::power::{PmdLoad, PowerInputs};
-use avfs_chip::topology::{CoreId, CoreSet, PmdId};
+use avfs_chip::topology::{ChipSpec, CoreId, CoreSet, PmdId};
 use avfs_chip::FreqStep;
-use avfs_sim::stats::TimeWeighted;
 use avfs_sim::time::{SimDuration, SimTime};
 use avfs_sim::RngStream;
 use avfs_telemetry::{Telemetry, TraceKind, Value};
@@ -37,7 +36,7 @@ use avfs_workloads::classify::{HysteresisClassifier, IntensityClass};
 use avfs_workloads::generator::WorkloadTrace;
 use avfs_workloads::perf::PerfModel;
 use avfs_workloads::phases;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Simulator configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,6 +111,32 @@ struct SigEntry {
     stalled: bool,
 }
 
+/// Kernel-like placement of `threads` threads around `busy`: free cores
+/// ordered by their PMD's occupancy, then PMD index, then core index,
+/// so idle PMDs fill first. `None` when too few cores are free.
+fn default_placement(spec: &ChipSpec, busy: CoreSet, threads: usize) -> Option<CoreSet> {
+    let free = CoreSet::first_n(spec.cores).difference(busy);
+    if free.len() < threads {
+        return None;
+    }
+    let mut chosen = CoreSet::EMPTY;
+    for occupancy in 0..=spec.cores_per_pmd as usize {
+        for pmd in spec.all_pmds() {
+            let cores = spec.cores_of(pmd);
+            if cores.intersection(busy).len() != occupancy {
+                continue;
+            }
+            for core in cores.difference(busy).iter() {
+                if chosen.len() == threads {
+                    return Some(chosen);
+                }
+                chosen.insert(core);
+            }
+        }
+    }
+    Some(chosen)
+}
+
 /// Slice-invariant quantities memoized between change points: power,
 /// safety, and the droop classification of the current allocation. Valid
 /// only while the signature (process set, placement, phases, stalls),
@@ -167,8 +192,6 @@ struct Scratch {
     loads: Vec<PmdLoad>,
     /// Per-PMD activity accumulator for power evaluation.
     act_sum: Vec<f64>,
-    /// Free cores considered by default admission.
-    free: Vec<CoreId>,
     /// Governor frequency-step decisions staged before application.
     steps: Vec<(PmdId, FreqStep)>,
     /// Signature the slice cache was computed under.
@@ -196,6 +219,13 @@ struct MonitorState {
     last_rate: Option<f64>,
 }
 
+/// One row of the process table: a process and its monitoring window.
+#[derive(Debug, Clone)]
+struct Entry {
+    process: Process,
+    monitor: MonitorState,
+}
+
 /// The full-system simulator.
 #[derive(Debug)]
 pub struct System {
@@ -203,13 +233,14 @@ pub struct System {
     perf: PerfModel,
     config: SystemConfig,
     now: SimTime,
-    procs: BTreeMap<Pid, Process>,
+    /// The process table, pid-sorted. Pids are issued in increasing
+    /// order, so a submit appends; a process leaves the table once its
+    /// completion has been dispatched.
+    procs: Vec<Entry>,
     queue: VecDeque<Pid>,
     governor: GovernorMode,
     next_pid: u64,
-    monitors: BTreeMap<Pid, MonitorState>,
     energy_j: f64,
-    power_acc: TimeWeighted,
     droop_rng: RngStream,
     failure_rng: RngStream,
     unsafe_time_s: f64,
@@ -332,13 +363,11 @@ impl System {
             perf,
             config,
             now: SimTime::ZERO,
-            procs: BTreeMap::new(),
+            procs: Vec::new(),
             queue: VecDeque::new(),
             governor: GovernorMode::Ondemand,
             next_pid: 1,
-            monitors: BTreeMap::new(),
             energy_j: 0.0,
-            power_acc: TimeWeighted::new(SimTime::ZERO, 0.0),
             droop_rng,
             failure_rng,
             unsafe_time_s: 0.0,
@@ -412,8 +441,7 @@ impl System {
 
     /// Live (waiting or running) process count.
     pub fn live_processes(&self) -> usize {
-        self.procs
-            .values()
+        self.processes()
             .filter(|p| p.state != ProcessState::Finished)
             .count()
     }
@@ -421,8 +449,7 @@ impl System {
     /// Total threads across live (waiting or running) processes — the
     /// load signal cluster-level routing policies balance on.
     pub fn live_threads(&self) -> usize {
-        self.procs
-            .values()
+        self.processes()
             .filter(|p| p.state != ProcessState::Finished)
             .map(|p| p.threads)
             .sum()
@@ -430,10 +457,30 @@ impl System {
 
     /// Cores currently assigned to running processes.
     pub fn busy_cores(&self) -> CoreSet {
-        self.procs
-            .values()
-            .filter(|p| p.is_running())
+        self.running()
             .fold(CoreSet::EMPTY, |acc, p| acc.union(p.assigned))
+    }
+
+    /// The process table in pid order.
+    fn processes(&self) -> impl Iterator<Item = &Process> {
+        self.procs.iter().map(|e| &e.process)
+    }
+
+    /// Running processes in pid order.
+    fn running(&self) -> impl Iterator<Item = &Process> {
+        self.processes().filter(|p| p.is_running())
+    }
+
+    /// Table index of `pid`, if it is in the table.
+    fn slot(&self, pid: Pid) -> Option<usize> {
+        self.procs
+            .binary_search_by_key(&pid, |e| e.process.pid)
+            .ok()
+    }
+
+    /// The process `pid`, if it is in the table.
+    fn process(&self, pid: Pid) -> Option<&Process> {
+        self.slot(pid).map(|i| &self.procs[i].process)
     }
 
     /// Submits a job directly (outside a trace); returns its pid.
@@ -442,12 +489,9 @@ impl System {
         self.next_pid += 1;
         let profile = bench.profile();
         let work = self.perf.thread_work(&profile, threads).scaled(scale);
-        let proc = Process::new(pid, bench, threads, scale, work, self.now);
-        self.procs.insert(pid, proc);
-        self.queue.push_back(pid);
-        self.monitors.insert(
-            pid,
-            MonitorState {
+        self.procs.push(Entry {
+            process: Process::new(pid, bench, threads, scale, work, self.now),
+            monitor: MonitorState {
                 classifier: HysteresisClassifier::new(
                     self.config.l3c_threshold,
                     0.1 * self.config.l3c_threshold,
@@ -456,7 +500,8 @@ impl System {
                 window_start_l3: 0,
                 last_rate: None,
             },
-        );
+        });
+        self.queue.push_back(pid);
         pid
     }
 
@@ -502,14 +547,14 @@ impl System {
             self.live_processes() == 0,
             "begin_run() requires a fresh system; use a new System per run"
         );
-        let mut st = RunState {
+        let st = RunState {
             metrics: RunMetrics::default(),
             next_monitor: self.now + self.config.monitor_interval,
             next_sample: self.now,
             last_finish: self.now,
             iterations: 0,
         };
-        self.dispatch(driver, SysEvent::MonitorTick, &mut st.metrics);
+        self.dispatch(driver, SysEvent::MonitorTick);
         self.apply_governor();
         st
     }
@@ -517,16 +562,18 @@ impl System {
     /// Submits a job mid-run as if it arrived from a trace at the current
     /// simulation time: the driver sees [`SysEvent::ProcessArrived`],
     /// admission runs, and the governor is re-applied. Returns the pid.
+    /// An arrival changes none of the run's bookkeeping; `_st` names the
+    /// run it joins so every stepping call takes the same arguments.
     pub fn inject_arrival(
         &mut self,
-        st: &mut RunState,
+        _st: &mut RunState,
         driver: &mut dyn Driver,
         bench: avfs_workloads::Benchmark,
         threads: usize,
         scale: f64,
     ) -> Pid {
         let pid = self.submit(bench, threads, scale);
-        self.dispatch(driver, SysEvent::ProcessArrived(pid), &mut st.metrics);
+        self.dispatch(driver, SysEvent::ProcessArrived(pid));
         self.try_admit();
         self.apply_governor();
         pid
@@ -562,8 +609,8 @@ impl System {
                 // Sample through idle gaps too, for the Figure 15 traces.
                 next = next.min(st.next_sample);
             }
-            for p in self.procs.values() {
-                if p.is_running() && p.stalled_until > self.now {
+            for p in self.running() {
+                if p.stalled_until > self.now {
                     next = next.min(p.stalled_until);
                 }
             }
@@ -573,7 +620,7 @@ impl System {
             let next = next.max(self.now);
 
             // Integrate the slice [now, next).
-            self.advance_to(next, &conds, &mut st.metrics);
+            self.advance_to(next, &conds);
             self.scratch.conds = conds;
         }
     }
@@ -597,8 +644,8 @@ impl System {
             // Candidate next event times (live > 0 here, so the monitor
             // and sampler are always candidates).
             let mut next = st.next_monitor.min(st.next_sample);
-            for p in self.procs.values() {
-                if p.is_running() && p.stalled_until > self.now {
+            for p in self.running() {
+                if p.stalled_until > self.now {
                     next = next.min(p.stalled_until);
                 }
             }
@@ -607,7 +654,7 @@ impl System {
             }
             assert!(next < SimTime::MAX, "simulation stuck with no next event");
             let next = next.max(self.now);
-            self.advance_to(next, &conds, &mut st.metrics);
+            self.advance_to(next, &conds);
             self.scratch.conds = conds;
         }
     }
@@ -638,35 +685,35 @@ impl System {
         let mut finished = std::mem::take(&mut self.scratch.finished);
         finished.clear();
         finished.extend(
-            self.procs
-                .values()
-                .filter(|p| p.is_running() && p.progress >= 1.0 - 1e-9)
+            self.running()
+                .filter(|p| p.progress >= 1.0 - 1e-9)
                 .map(|p| p.pid),
         );
         for &pid in &finished {
-            let record = {
-                let p = self.procs.get_mut(&pid).expect("finished pid");
-                p.state = ProcessState::Finished;
-                p.finished_at = Some(self.now);
-                p.assigned = CoreSet::EMPTY;
-                ProcessRecord {
-                    pid,
-                    arrived_at: p.arrived_at,
-                    finished_at: self.now,
-                    threads: p.threads,
-                    migrations: p.migrations,
-                }
-            };
-            st.metrics.completed.push(record);
+            // Earlier completions in this batch left the table, so look
+            // the slot up afresh; a finishing pid is always present.
+            let Some(i) = self.slot(pid) else { continue };
+            let p = &mut self.procs[i].process;
+            p.state = ProcessState::Finished;
+            p.finished_at = Some(self.now);
+            p.assigned = CoreSet::EMPTY;
+            st.metrics.completed.push(ProcessRecord {
+                pid,
+                arrived_at: p.arrived_at,
+                finished_at: self.now,
+                threads: p.threads,
+                migrations: p.migrations,
+            });
             st.last_finish = self.now;
-            self.monitors.remove(&pid);
-            self.dispatch(driver, SysEvent::ProcessFinished(pid), &mut st.metrics);
+            self.dispatch(driver, SysEvent::ProcessFinished(pid));
             self.try_admit();
             self.apply_governor();
             // Every observer filters on the Finished state, so dropping
             // the entry now is invisible — and keeps the process table
             // (scanned per slice) from growing with run length.
-            self.procs.remove(&pid);
+            if let Some(i) = self.slot(pid) {
+                self.procs.remove(i);
+            }
         }
         self.scratch.finished = finished;
 
@@ -681,7 +728,7 @@ impl System {
                 plan.droop_check();
             }
             self.close_monitor_windows();
-            self.dispatch(driver, SysEvent::MonitorTick, &mut st.metrics);
+            self.dispatch(driver, SysEvent::MonitorTick);
             let changes = std::mem::take(&mut self.scratch.class_changes);
             for &(pid, class) in &changes {
                 self.telemetry.trace(TraceKind::Classification, || {
@@ -696,7 +743,7 @@ impl System {
                         ),
                     ]
                 });
-                self.dispatch(driver, SysEvent::ClassChanged(pid, class), &mut st.metrics);
+                self.dispatch(driver, SysEvent::ClassChanged(pid, class));
             }
             self.scratch.class_changes = changes;
             self.apply_governor();
@@ -730,17 +777,18 @@ impl System {
     // ------------------------------------------------------------------
 
     /// Builds the sanitized snapshot for drivers. Allocates fresh
-    /// buffers; the dispatch loop recycles one snapshot through
-    /// [`Self::fill_view`] instead.
+    /// buffers, sized for the current chip and process table; the
+    /// dispatch loop recycles one snapshot through [`Self::fill_view`]
+    /// instead.
     fn view(&self) -> SystemView {
         let mut view = SystemView {
             now: self.now,
             spec: self.chip.spec().clone(),
             voltage: self.chip.voltage(),
-            pmd_steps: Vec::new(),
+            pmd_steps: Vec::with_capacity(self.chip.spec().pmds() as usize),
             governor: self.governor,
             droop_alert: self.chip.droop_excursion_active(),
-            processes: Vec::new(),
+            processes: Vec::with_capacity(self.procs.len()),
         };
         self.fill_view(&mut view);
         view
@@ -766,17 +814,17 @@ impl System {
         view.processes.clear();
         view.processes.extend(
             self.procs
-                .values()
-                .filter(|p| p.state != ProcessState::Finished)
-                .map(|p| {
-                    let mon = self.monitors.get(&p.pid);
+                .iter()
+                .filter(|e| e.process.state != ProcessState::Finished)
+                .map(|e| {
+                    let p = &e.process;
                     ProcessView {
                         pid: p.pid,
                         threads: p.threads,
                         state: p.state,
                         assigned: p.assigned,
-                        l3c_per_mcycle: mon.and_then(|m| m.last_rate),
-                        class: mon.and_then(|m| m.classifier.current()),
+                        l3c_per_mcycle: e.monitor.last_rate,
+                        class: e.monitor.classifier.current(),
                         arrived_at: p.arrived_at,
                         stalled_until: (p.is_running() && p.stalled_until > self.now)
                             .then_some(p.stalled_until),
@@ -791,7 +839,7 @@ impl System {
     /// request/response loop a real daemon runs against the mailbox.
     /// With no fault plan armed, no notice is ever produced and this is
     /// exactly the old consult-once path.
-    fn dispatch(&mut self, driver: &mut dyn Driver, event: SysEvent, metrics: &mut RunMetrics) {
+    fn dispatch(&mut self, driver: &mut dyn Driver, event: SysEvent) {
         self.telemetry.advance_to(self.now);
         self.telemetry.counter_inc("sched.events");
         let mut view = match self.scratch.view.take() {
@@ -815,7 +863,7 @@ impl System {
         let mut notices = std::mem::take(&mut self.scratch.notices);
         let mut next = std::mem::take(&mut self.scratch.notices_next);
         notices.clear();
-        self.apply_actions_into(&acts, metrics, &mut notices);
+        self.apply_actions_into(&acts, &mut notices);
         for _ in 0..FAULT_FEEDBACK_ROUNDS {
             if notices.is_empty() {
                 break;
@@ -825,7 +873,7 @@ impl System {
                 self.telemetry.counter_inc("sched.fault_feedback_events");
                 self.fill_view(&mut view);
                 let acts = driver.on_event(&view, &SysEvent::OperationFault(notice));
-                self.apply_actions_into(&acts, metrics, &mut next);
+                self.apply_actions_into(&acts, &mut next);
             }
             std::mem::swap(&mut notices, &mut next);
         }
@@ -843,17 +891,12 @@ impl System {
     fn refresh_slice(&mut self) {
         let mut sig_next = std::mem::take(&mut self.scratch.sig_next);
         sig_next.clear();
-        sig_next.extend(
-            self.procs
-                .values()
-                .filter(|p| p.is_running())
-                .map(|p| SigEntry {
-                    pid: p.pid,
-                    assigned: p.assigned,
-                    phase: phases::phase_index(p.bench, p.progress),
-                    stalled: p.stalled_until > self.now,
-                }),
-        );
+        sig_next.extend(self.running().map(|p| SigEntry {
+            pid: p.pid,
+            assigned: p.assigned,
+            phase: phases::phase_index(p.bench, p.progress),
+            stalled: p.stalled_until > self.now,
+        }));
         let epoch = self.chip.state_epoch();
         let droop_alert = self.chip.droop_excursion_active();
         let fresh = self.change_point_integration
@@ -881,14 +924,12 @@ impl System {
         let watts = self.chip.evaluate_power_w(&inputs);
 
         let busy = self.busy_cores();
+        let utilized = busy.utilized_pmd_count(self.chip.spec());
         let unsafe_active = !busy.is_empty() && !self.chip.is_voltage_safe_for(busy);
         let mut p_per_run = 0.0;
         if unsafe_active && self.config.inject_failures {
             let safe = self.chip.current_safe_vmin(busy);
-            let class = self
-                .chip
-                .vmin_model()
-                .droop_class(busy.utilized_pmd_count(self.chip.spec()));
+            let class = self.chip.vmin_model().droop_class(utilized);
             p_per_run = self
                 .chip
                 .failure_model()
@@ -906,7 +947,7 @@ impl System {
             watts,
             unsafe_active,
             p_per_run,
-            utilized: busy.utilized_pmd_count(self.chip.spec()),
+            utilized,
         };
     }
 
@@ -914,9 +955,7 @@ impl System {
     /// their current (possibly reduced) core clocks.
     fn total_pressure(&self) -> f64 {
         let fmax = self.chip.spec().fmax_mhz as f64;
-        self.procs
-            .values()
-            .filter(|p| p.is_running())
+        self.running()
             .map(|p| {
                 let freq = p
                     .assigned
@@ -947,7 +986,7 @@ impl System {
         conds.clear();
         owner.clear();
         let base_mult = self.perf.mem_contention_mult(pressure);
-        for p in self.procs.values().filter(|p| p.is_running()) {
+        for p in self.running() {
             for c in p.assigned.iter() {
                 if c.index() >= owner.len() {
                     owner.resize(c.index() + 1, None);
@@ -955,7 +994,7 @@ impl System {
                 owner[c.index()] = Some(p.pid);
             }
         }
-        for p in self.procs.values().filter(|p| p.is_running()) {
+        for p in self.running() {
             let mut worst_rate = f64::INFINITY;
             let mut min_freq = u32::MAX;
             let mut worst_mult = base_mult;
@@ -991,21 +1030,25 @@ impl System {
     fn l2_partner_mem(&self, core: CoreId, owner: &[Option<Pid>]) -> Option<f64> {
         let spec = self.chip.spec();
         let pmd = spec.pmd_of(core);
-        spec.cores_of_iter(pmd)
+        spec.cores_of(pmd)
+            .iter()
             .filter(|&c| c != core)
             .find_map(|c| owner.get(c.index()).copied().flatten())
-            .map(|pid| {
-                let q = &self.procs[&pid];
-                phases::effective_profile(q.bench, q.progress).mem_fraction
-            })
+            .and_then(|pid| self.process(pid))
+            .map(|q| phases::effective_profile(q.bench, q.progress).mem_fraction)
     }
 
     /// The earliest running-process completion time, if any, given the
     /// current conditions.
     fn earliest_completion(&self, conds: &[(Pid, Cond)]) -> Option<SimTime> {
         let mut earliest: Option<SimTime> = None;
+        // `conds` is a pid-ordered subsequence of the table: one merge
+        // pass pairs each condition with its process.
+        let mut table = self.processes();
         for &(pid, (rate, _, _)) in conds {
-            let p = &self.procs[&pid];
+            let Some(p) = table.find(|p| p.pid == pid) else {
+                break;
+            };
             if p.stalled_until > self.now {
                 // Resumes later; completion considered after resume.
                 continue;
@@ -1026,7 +1069,7 @@ impl System {
 
     /// Integrates state forward to `target` (progress, energy, PMU,
     /// droops, safety accounting).
-    fn advance_to(&mut self, target: SimTime, conds: &[(Pid, Cond)], metrics: &mut RunMetrics) {
+    fn advance_to(&mut self, target: SimTime, conds: &[(Pid, Cond)]) {
         if target <= self.now {
             return;
         }
@@ -1035,9 +1078,7 @@ impl System {
         // Power for this slice: piecewise constant, so the value the
         // slice memo captured at the last change point is *the* value
         // for the whole slice — no re-evaluation.
-        let watts = self.scratch.slice.watts;
-        self.energy_j += watts * dt;
-        self.power_acc.set(self.now, watts);
+        self.energy_j += self.scratch.slice.watts * dt;
 
         // Safety accounting (and optional failure injection), also
         // constant across the slice.
@@ -1050,14 +1091,17 @@ impl System {
             }
         }
 
-        // Progress + PMU.
-        let mut chip_cycles_at_fmax = 0u64;
+        // Progress + PMU. `conds` is a pid-ordered subsequence of the
+        // table, so one merge pass pairs each condition with its process.
         let mut activity_sum = 0.0;
         let mut active_threads = 0usize;
         let use_memo = self.change_point_integration;
         let mut memo = std::mem::take(&mut self.scratch.pmu_memo);
+        let mut table = self.procs.iter_mut().map(|e| &mut e.process);
         for (i, &(pid, (rate, freq, mult))) in conds.iter().enumerate() {
-            let p = self.procs.get_mut(&pid).expect("cond pid");
+            let Some(p) = table.find(|p| p.pid == pid) else {
+                break;
+            };
             let run_dt = if p.stalled_until > self.now {
                 // Stall may end inside the slice (slice boundaries include
                 // stall ends, so this is exact, not an approximation).
@@ -1133,7 +1177,7 @@ impl System {
                 .vmin_model()
                 .droop_class(self.scratch.slice.utilized);
             let mean_act = activity_sum / active_threads as f64;
-            chip_cycles_at_fmax = (self.chip.spec().fmax_mhz as f64 * 1e6 * dt) as u64;
+            let chip_cycles_at_fmax = (self.chip.spec().fmax_mhz as f64 * 1e6 * dt) as u64;
             let counts = self.chip.droop_model().sample(
                 class,
                 mean_act,
@@ -1142,8 +1186,6 @@ impl System {
             );
             self.chip.pmu_mut().record_droops(&counts);
         }
-        let _ = chip_cycles_at_fmax;
-        let _ = metrics;
 
         self.now = target;
     }
@@ -1164,7 +1206,7 @@ impl System {
         loads.resize(spec.pmds() as usize, PmdLoad::IDLE);
         act_sum.clear();
         act_sum.resize(spec.pmds() as usize, 0.0);
-        for p in self.procs.values().filter(|p| p.is_running()) {
+        for p in self.running() {
             let profile = phases::effective_profile(p.bench, p.progress);
             let (_, freq, mult) = cond_of(conds, p.pid).unwrap_or((0.0, 0, 1.0));
             let act = self
@@ -1199,13 +1241,7 @@ impl System {
     /// write is synchronous, so a raise that never landed must gate the
     /// reconfiguration it was meant to cover (the fail-safe ordering
     /// survives injected faults precisely because of this cut).
-    fn apply_actions_into(
-        &mut self,
-        actions: &[Action],
-        metrics: &mut RunMetrics,
-        notices: &mut Vec<FaultNotice>,
-    ) {
-        let _ = metrics;
+    fn apply_actions_into(&mut self, actions: &[Action], notices: &mut Vec<FaultNotice>) {
         for action in actions {
             match *action {
                 Action::PinProcess(pid, cores) => {
@@ -1265,17 +1301,18 @@ impl System {
         if cores.iter().any(|c| !self.chip.spec().contains_core(c)) {
             return false;
         }
-        let Some(p) = self.procs.get(&pid) else {
+        let Some(i) = self.slot(pid) else {
             return false;
         };
+        let p = &self.procs[i].process;
         if p.state == ProcessState::Finished || cores.len() != p.threads {
             return false;
         }
+        let migrating = p.state == ProcessState::Running && p.assigned != cores;
         // Target cores must be free or already ours.
         let others = self
-            .procs
-            .values()
-            .filter(|q| q.is_running() && q.pid != pid)
+            .running()
+            .filter(|q| q.pid != pid)
             .fold(CoreSet::EMPTY, |acc, q| acc.union(q.assigned));
         if !cores.intersection(others).is_empty() {
             return false;
@@ -1285,16 +1322,12 @@ impl System {
         // A daemon-driven migration may hang mid-flight (injected fault).
         // Initial placement of a waiting process never hangs — only the
         // teardown/rebuild of a running process's mapping is at risk.
-        let migrating = self
-            .procs
-            .get(&pid)
-            .is_some_and(|p| p.state == ProcessState::Running && p.assigned != cores);
         let hangs = migrating
             && self
                 .chip
                 .fault_plan_mut()
                 .is_some_and(|f| f.sample_migration_hang());
-        let p = self.procs.get_mut(&pid).expect("checked above");
+        let p = &mut self.procs[i].process;
         match p.state {
             ProcessState::Waiting => {
                 p.state = ProcessState::Running;
@@ -1329,36 +1362,16 @@ impl System {
             let Some(&pid) = self.queue.front() else {
                 return;
             };
-            let p = &self.procs[&pid];
-            if p.state != ProcessState::Waiting {
+            let waiting = self
+                .process(pid)
+                .filter(|p| p.state == ProcessState::Waiting);
+            let Some(p) = waiting else {
                 self.queue.pop_front();
                 continue;
-            }
-            let threads = p.threads;
-            let busy = self.busy_cores();
-            let mut free = std::mem::take(&mut self.scratch.free);
-            free.clear();
-            let chosen = {
-                let spec = self.chip.spec();
-                free.extend(spec.all_cores().filter(|&c| !busy.contains(c)));
-                if free.len() < threads {
-                    None // head-of-line blocks until cores free up
-                } else {
-                    // Order: idle-PMD cores first, then by PMD occupancy.
-                    free.sort_by_key(|&c| {
-                        let pmd = spec.pmd_of(c);
-                        let occupancy = spec
-                            .cores_of_iter(pmd)
-                            .filter(|&x| busy.contains(x))
-                            .count();
-                        (occupancy, pmd.index(), c.index())
-                    });
-                    Some(free.iter().take(threads).copied().collect::<CoreSet>())
-                }
             };
-            self.scratch.free = free;
-            let Some(chosen) = chosen else {
-                return;
+            let Some(chosen) = default_placement(self.chip.spec(), self.busy_cores(), p.threads)
+            else {
+                return; // head-of-line blocks until cores free up
             };
             // pin_process transitions the process to Running and removes
             // it from the queue itself.
@@ -1378,7 +1391,7 @@ impl System {
         {
             let spec = self.chip.spec();
             for pmd in spec.all_pmds() {
-                let pmd_busy = spec.cores_of_iter(pmd).any(|c| busy.contains(c));
+                let pmd_busy = !spec.cores_of(pmd).intersection(busy).is_empty();
                 if let Some(step) = self.governor.desired_step(pmd_busy) {
                     steps.push((pmd, step));
                 }
@@ -1397,10 +1410,8 @@ impl System {
     fn close_monitor_windows(&mut self) {
         let mut changes = std::mem::take(&mut self.scratch.class_changes);
         changes.clear();
-        for (pid, mon) in self.monitors.iter_mut() {
-            let Some(p) = self.procs.get(pid) else {
-                continue;
-            };
+        for e in &mut self.procs {
+            let (p, mon) = (&e.process, &mut e.monitor);
             if !p.is_running() {
                 continue;
             }
@@ -1428,7 +1439,7 @@ impl System {
             // treats unmeasured processes as CPU-intensive, so learning
             // otherwise must trigger a replan.
             if before != Some(after) {
-                changes.push((*pid, after));
+                changes.push((p.pid, after));
             }
         }
         self.scratch.class_changes = changes;
@@ -1439,12 +1450,14 @@ impl System {
         self.refresh_slice();
         let watts = self.scratch.slice.watts;
         metrics.power_trace.push(self.now, watts);
-        let running_threads: usize = self
-            .procs
-            .values()
-            .filter(|p| p.is_running())
-            .map(|p| p.threads)
-            .sum();
+        let (mut running_threads, mut cpu, mut mem) = (0usize, 0u32, 0u32);
+        for e in self.procs.iter().filter(|e| e.process.is_running()) {
+            running_threads += e.process.threads;
+            match e.monitor.classifier.current() {
+                Some(IntensityClass::MemoryIntensive) => mem += 1,
+                Some(IntensityClass::CpuIntensive) | None => cpu += 1,
+            }
+        }
         self.telemetry.advance_to(self.now);
         let voltage_mv = self.chip.voltage().as_mv();
         self.telemetry.trace(TraceKind::MonitorSample, || {
@@ -1455,17 +1468,6 @@ impl System {
             ]
         });
         metrics.load_trace.push(self.now, running_threads as f64);
-        let (mut cpu, mut mem) = (0u32, 0u32);
-        for p in self.procs.values().filter(|p| p.is_running()) {
-            match self
-                .monitors
-                .get(&p.pid)
-                .and_then(|m| m.classifier.current())
-            {
-                Some(IntensityClass::MemoryIntensive) => mem += 1,
-                Some(IntensityClass::CpuIntensive) | None => cpu += 1,
-            }
-        }
         metrics.cpu_class_trace.push(self.now, cpu as f64);
         metrics.mem_class_trace.push(self.now, mem as f64);
     }
@@ -1975,7 +1977,7 @@ mod tests {
         // The migration hangs: the stall end sits far in the future and
         // the driver view surfaces it.
         assert!(sys.pin_process(pid, second));
-        let stall = sys.procs[&pid].stalled_until;
+        let stall = sys.process(pid).unwrap().stalled_until;
         assert!(stall.saturating_since(sys.now) > SimDuration::from_secs(1_000));
         let view = sys.view();
         assert_eq!(view.process(pid).and_then(|p| p.stalled_until), Some(stall));
@@ -1983,7 +1985,7 @@ mod tests {
         // Re-pinning the same cores (the watchdog's rescue) restarts the
         // migration with the normal pause.
         assert!(sys.pin_process(pid, second));
-        let rescued = sys.procs[&pid].stalled_until;
+        let rescued = sys.process(pid).unwrap().stalled_until;
         assert!(rescued.saturating_since(sys.now) <= sys.config.migration_pause);
     }
 

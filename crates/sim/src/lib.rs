@@ -1,12 +1,11 @@
 //! Deterministic discrete-event simulation kernel for the AVFS reproduction.
 //!
-//! This crate provides the time base, random-number streams, time series
-//! and the time-weighted power accumulator shared by every other crate in the
-//! workspace. The whole reproduction is a *simulation* of two ARMv8
-//! micro-servers (see the workspace `DESIGN.md`), so determinism is a hard
-//! requirement: every stochastic model draws from a [`rng::RngStream`]
-//! derived from a root seed, and two runs with the same seed produce
-//! bit-identical results.
+//! This crate provides the time base, random-number streams and time
+//! series shared by every other crate in the workspace. The whole
+//! reproduction is a *simulation* of two ARMv8 micro-servers (see the
+//! workspace `DESIGN.md`), so determinism is a hard requirement: every
+//! stochastic model draws from a [`rng::RngStream`] derived from a root
+//! seed, and two runs with the same seed produce bit-identical results.
 //!
 //! # Quick tour
 //!
@@ -27,10 +26,8 @@
 
 pub mod rng;
 pub mod series;
-pub mod stats;
 pub mod time;
 
 pub use rng::RngStream;
 pub use series::TimeSeries;
-pub use stats::TimeWeighted;
 pub use time::{SimDuration, SimTime};

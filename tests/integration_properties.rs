@@ -111,8 +111,8 @@ proptest! {
             workload_sensitivity: sens,
         };
         // Worst PMD subset of that size.
-        let worst: Vec<PmdId> = (0..pmds as u16).map(PmdId::new).collect();
-        let real_v = chip.vmin_model().safe_vmin_on(&q, &worst);
+        let worst = (0..pmds as u16).map(PmdId::new);
+        let real_v = chip.vmin_model().safe_vmin_on(&q, worst);
         prop_assert!(policy_v >= real_v, "policy {} < real {}", policy_v, real_v);
     }
 
