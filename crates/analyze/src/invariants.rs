@@ -6,7 +6,8 @@
 //!   constructing a `VminModel` (whose constructor panics on bad tables,
 //!   which would turn a finding into a crash).
 //! * **Model** — queries against the built chip's validated model.
-//! * **Topology** — structural well-formedness of the [`ChipSpec`].
+//! * **Topology** — structural well-formedness of the
+//!   [`ChipSpec`](avfs_chip::topology::ChipSpec).
 //! * **Policy** — the characterized [`PolicyTable`]: totality over every
 //!   `FreqVminClass × DroopClass × thread-bucket` cell, monotonicity, and
 //!   coverage of the underlying model.
@@ -918,8 +919,7 @@ impl Invariant for EdpEstimatesSane {
     fn description(&self) -> &'static str {
         "ED2P scaling estimates are positive, finite, and identity at full speed"
     }
-    fn check(&self, cx: &AnalysisContext) -> Vec<Violation> {
-        let _ = cx;
+    fn check(&self, _cx: &AnalysisContext) -> Vec<Violation> {
         let mut out = Vec::new();
         for mem_x100 in [0u32, 20, 50, 85] {
             for ratio_x8 in 1..=8u32 {

@@ -1,7 +1,7 @@
 //! The runtime chip: state plus all calibrated models.
 //!
-//! [`Chip`] owns the voltage rail, the per-PMD frequency steps, the PMU,
-//! and the calibrated Vmin / droop / failure / power models. Software
+//! [`Chip`] owns the voltage rail, the per-PMD frequency steps, and the
+//! calibrated Vmin / droop / failure / power models. Software
 //! (the scheduler substrate and the daemon) manipulates it only through
 //! the knobs a real X-Gene exposes: per-PMD frequency requests (cpufreq)
 //! and SLIMpro mailbox messages (voltage).
@@ -11,7 +11,6 @@ use crate::error::ChipError;
 use crate::failure::{FailureModel, RunOutcome};
 use crate::fault::{FaultPlan, FaultStats, MailboxFault};
 use crate::freq::{CppcBehavior, FreqStep, FreqVminClass, FrequencyMhz};
-use crate::pmu::ChipPmu;
 use crate::power::{PowerInputs, PowerLut, PowerModel};
 use crate::slimpro::{MailboxRequest, MailboxResponse, MailboxStats};
 use crate::topology::{ChipSpec, CoreSet, PmdId};
@@ -35,7 +34,6 @@ pub struct Chip {
     power_lut: PowerLut,
     droop: DroopModel,
     failure: FailureModel,
-    pmu: ChipPmu,
     mailbox_stats: MailboxStats,
     /// Power reported by the sensor on the last mailbox read, mW.
     last_sensor_mw: u64,
@@ -73,7 +71,6 @@ impl Chip {
             Millivolts::new(spec.vreg_floor_mv),
         );
         let pmds = spec.pmds() as usize;
-        let cores = spec.cores as usize;
         let fmax = FrequencyMhz::new(spec.fmax_mhz);
         let power_lut = power.build_lut(
             FreqStep::all().map(|s| s.frequency(fmax).as_mhz()),
@@ -90,7 +87,6 @@ impl Chip {
             power_lut,
             droop,
             failure,
-            pmu: ChipPmu::new(cores),
             mailbox_stats: MailboxStats::default(),
             last_sensor_mw: 0,
             fault: None,
@@ -121,7 +117,7 @@ impl Chip {
 
     /// Arms (or disarms) a fault-injection plan. The plan draws from its
     /// own seeded stream, so arming one cannot perturb the simulator's
-    /// droop/failure sampling.
+    /// failure sampling.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
         self.state_epoch += 1;
@@ -163,7 +159,7 @@ impl Chip {
     /// state*: rail millivolts, the per-PMD frequency program, and the
     /// droop-excursion flag. Calibrated models and the spec are
     /// construction-time constants and deliberately excluded, as are the
-    /// PMU and mailbox statistics (observational, not control state).
+    /// mailbox statistics (observational, not control state).
     /// Used by `avfs-analyze`'s model checker to fingerprint explored
     /// states.
     pub fn state_digest(&self) -> u64 {
@@ -199,16 +195,6 @@ impl Chip {
     /// The sub-Vmin failure model.
     pub fn failure_model(&self) -> &FailureModel {
         &self.failure
-    }
-
-    /// The PMU block.
-    pub fn pmu(&self) -> &ChipPmu {
-        &self.pmu
-    }
-
-    /// Mutable PMU access (the simulator records progress through this).
-    pub fn pmu_mut(&mut self) -> &mut ChipPmu {
-        &mut self.pmu
     }
 
     /// The current rail voltage.

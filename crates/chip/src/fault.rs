@@ -9,7 +9,7 @@
 //! provokes is replayable bit-for-bit.
 //!
 //! The plan draws from its **own** [`RngStream`] (label `"fault-plan"`),
-//! never from the simulator's droop/failure streams, so arming a plan —
+//! never from the simulator's failure stream, so arming a plan —
 //! even one whose rates are all zero — cannot perturb an existing run.
 //! A chip without a plan ([`crate::chip::Chip::set_fault_plan`] never
 //! called) behaves exactly as before this layer existed.

@@ -23,8 +23,10 @@
 //!   operation below the safe Vmin (Figures 4 and 5).
 //! * **Power** ([`power`]): the PCP-domain power model used for all energy
 //!   numbers (Figures 7, 11, 14; Tables III/IV).
-//! * **PMU** ([`pmu`]): cycle / instruction / L3-access / droop counters,
-//!   the daemon's only window into running workloads.
+//! * **PMU** ([`pmu`]): standalone per-core cycle / instruction /
+//!   L3-access counters and the droop-band registers. The [`Chip`] holds
+//!   none: the simulator keeps the daemon's two counters (cycles and L3
+//!   accesses) per process, and Figure 6 samples [`droop`] directly.
 //!
 //! # Example
 //!

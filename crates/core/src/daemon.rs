@@ -574,6 +574,8 @@ impl Daemon {
     /// Returns [`PolicyError::PmdCountMismatch`] when the table was
     /// characterized for a different chip shape; the old table stays in
     /// place.
+    ///
+    /// [`PolicyError::PmdCountMismatch`]: crate::policy::PolicyError::PmdCountMismatch
     pub fn swap_table(&mut self, table: PolicyTable) -> Result<(), crate::policy::PolicyError> {
         let chip_pmds = self.spec.pmds() as usize;
         if table.pmds() != chip_pmds {

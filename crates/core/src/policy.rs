@@ -391,7 +391,6 @@ mod tests {
         let chip = presets::xgene3().build();
         let model = chip.vmin_model();
         let table = xg3_table();
-        let spec = chip.spec();
         for utilized in 1..=16usize {
             let threads = utilized * 2; // clustered fill
             let dc = table.droop_class(utilized);
@@ -410,7 +409,6 @@ mod tests {
                 "{utilized} PMDs: policy {policy_v} < real {real_v}"
             );
         }
-        let _ = spec;
     }
 
     #[test]

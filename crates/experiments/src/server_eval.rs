@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn quick_eval_reproduces_the_paper_shape() {
-        let (t, results) = table3_4(Machine::XGene2, Scale::Quick, 7);
+        let (t, _) = table3_4(Machine::XGene2, Scale::Quick, 7);
         // Optimal saves a substantial fraction of energy...
         let optimal_savings = t.value("Energy Savings (%)", "Optimal").unwrap();
         assert!(optimal_savings > 12.0, "optimal {optimal_savings}%");
@@ -238,7 +238,6 @@ mod tests {
         let pl = t.value("Energy Savings (%)", "Placement").unwrap();
         assert!(sv > 2.0 && sv < optimal_savings);
         assert!(pl > 0.0 && pl < optimal_savings);
-        let _ = results;
     }
 
     /// Pins the Paper-scale, seed-2024 Tables III/IV rows that

@@ -135,11 +135,11 @@ pub fn table2_policy() -> Table {
             "policy Vmin @1.5GHz (mV)",
         ],
     );
-    for (class, pmds, threads) in [
-        (DroopClass::D25, 2usize, 4usize),
-        (DroopClass::D35, 4, 8),
-        (DroopClass::D45, 8, 16),
-        (DroopClass::D55, 16, 32),
+    for (class, threads) in [
+        (DroopClass::D25, 4usize),
+        (DroopClass::D35, 8),
+        (DroopClass::D45, 16),
+        (DroopClass::D55, 32),
     ] {
         t.push_row(vec![
             class.to_string().into(),
@@ -154,7 +154,6 @@ pub fn table2_policy() -> Table {
                     .as_mv() as i64,
             ),
         ]);
-        let _ = pmds;
     }
     t
 }

@@ -1,5 +1,5 @@
 //! The `telemetry summary` report: renders a captured metrics snapshot
-//! and trace journal as [`report::Table`]s — the action mix, the
+//! and trace journal as [`Table`]s — the action mix, the
 //! per-interval monitor summary, and the fault/recovery timeline.
 //!
 //! The inputs come from a [`Telemetry::hub`]-backed run (`exp <id>
@@ -77,7 +77,8 @@ fn numeric_field(event: &TraceEvent, name: &str) -> Option<f64> {
 }
 
 /// The action mix: every dispatch/decision counter the run recorded,
-/// one row per counter in [`ACTION_MIX_COUNTERS`] order.
+/// one row per counter, in display order: what the scheduler dispatched,
+/// what the daemon decided, what the mailbox saw.
 pub fn action_mix(snapshot: &MetricsSnapshot) -> Table {
     let mut t = Table::new(
         "telemetry-action-mix",

@@ -1,7 +1,7 @@
 //! Fleet nodes: one simulated machine each, with its own chip preset,
 //! seed, driver, and telemetry hub.
 //!
-//! A [`Node`] wraps an [`avfs_sched::System`] plus the driver chosen by
+//! A `Node` wraps an [`avfs_sched::System`] plus the driver chosen by
 //! its [`NodeConfig`] and the incremental [`RunState`] the fleet engine
 //! advances epoch by epoch. Routing policies never see a `Node`
 //! directly — they get the sanitized [`NodeView`] snapshot, which also

@@ -63,8 +63,6 @@ pub struct Process {
     pub stalled_until: SimTime,
     /// PMU accumulator: core cycles across all threads.
     pub cycles: u64,
-    /// PMU accumulator: retired instructions across all threads.
-    pub instructions: u64,
     /// PMU accumulator: L3 accesses across all threads.
     pub l3_accesses: u64,
     /// Number of times the process was migrated.
@@ -95,7 +93,6 @@ impl Process {
             finished_at: None,
             stalled_until: SimTime::ZERO,
             cycles: 0,
-            instructions: 0,
             l3_accesses: 0,
             migrations: 0,
         }

@@ -10,8 +10,11 @@
 //!   and clustering conditions;
 //! * PCP power is evaluated from the per-PMD loads and integrated over
 //!   each slice;
-//! * the PMU accrues cycles / instructions / L3 accesses per process, and
-//!   droop events chip-wide, which is everything the daemon observes.
+//! * each process accrues core cycles and L3 accesses, the two counters
+//!   the daemon's monitoring windows read (§VI-A).
+//!
+//! Droop events are not simulated per slice: nothing on the control loop
+//! reads them. Figure 6 samples the chip's droop model on its own stream.
 //!
 //! Events: job arrivals (from a [`WorkloadTrace`]), process completions,
 //! monitoring windows (classification), trace sampling, and migration
@@ -52,8 +55,8 @@ pub struct SystemConfig {
     /// from the chip's failure model (used by ablations); when false,
     /// unsafe time is only recorded.
     pub inject_failures: bool,
-    /// Root seed for the simulator's stochastic models (droops,
-    /// failures).
+    /// Root seed for sub-Vmin failure sampling, the simulator's only
+    /// stochastic model.
     pub seed: u64,
     /// Classification threshold, L3 accesses per 1M cycles (the paper's
     /// 3000 by default; ablations sweep it).
@@ -137,11 +140,11 @@ fn default_placement(spec: &ChipSpec, busy: CoreSet, threads: usize) -> Option<C
     Some(chosen)
 }
 
-/// Slice-invariant quantities memoized between change points: power,
-/// safety, and the droop classification of the current allocation. Valid
-/// only while the signature (process set, placement, phases, stalls),
-/// the chip's state epoch, and the droop alert all match — i.e. until
-/// the next V/F/allocation/arrival/finish/phase boundary.
+/// Slice-invariant quantities memoized between change points: power and
+/// safety. Valid only while the signature (process set, placement,
+/// phases, stalls), the chip's state epoch, and the droop alert all
+/// match — i.e. until the next V/F/allocation/arrival/finish/phase
+/// boundary.
 #[derive(Debug, Default)]
 struct SliceCache {
     valid: bool,
@@ -154,14 +157,12 @@ struct SliceCache {
     /// Sub-Vmin failure probability per unit run (0 unless unsafe and
     /// failure injection is on).
     p_per_run: f64,
-    /// PMDs utilized by the current allocation (drives the droop class).
-    utilized: usize,
 }
 
-/// Per-process memo for the PMU observables of a slice, keyed on the
-/// end-of-slice phase plus the frequency/contention pair from the
-/// conditions. Unlike [`SliceCache`] (start-of-slice state), these
-/// follow the progress *after* integration, so they get their own keys.
+/// Per-process memo for the observed L3-access rate of a slice, keyed on
+/// the end-of-slice phase plus the frequency/contention pair from the
+/// conditions. Unlike [`SliceCache`] (start-of-slice state), the rate
+/// follows the progress *after* integration, so it gets its own keys.
 #[derive(Debug, Clone, Copy)]
 struct PmuMemoEntry {
     pid: Pid,
@@ -169,7 +170,6 @@ struct PmuMemoEntry {
     freq: u32,
     mult_bits: u64,
     l3_rate: f64,
-    act: f64,
 }
 
 /// Reusable hot-path buffers, cleared and refilled per event instead of
@@ -200,7 +200,7 @@ struct Scratch {
     sig_next: Vec<SigEntry>,
     /// Memoized slice-invariant power/safety quantities.
     slice: SliceCache,
-    /// Per-process PMU observables memo (aligned with `conds`).
+    /// Per-process L3-rate memo (aligned with `conds`).
     pmu_memo: Vec<PmuMemoEntry>,
     /// Fault notices produced by the current action batch.
     notices: Vec<FaultNotice>,
@@ -241,7 +241,6 @@ pub struct System {
     governor: GovernorMode,
     next_pid: u64,
     energy_j: f64,
-    droop_rng: RngStream,
     failure_rng: RngStream,
     unsafe_time_s: f64,
     failures: u64,
@@ -312,8 +311,8 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the root seed for the simulator's stochastic models
-    /// (overrides the seed inside any [`Self::config`] given earlier).
+    /// Sets the root seed for sub-Vmin failure sampling (overrides the
+    /// seed inside any [`Self::config`] given earlier).
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
         self
@@ -355,7 +354,6 @@ impl System {
     /// Inherits whatever telemetry handle the chip already carries (null
     /// by default), so a pre-instrumented chip keeps reporting.
     pub fn new(chip: Chip, perf: PerfModel, config: SystemConfig) -> Self {
-        let droop_rng = RngStream::from_root(config.seed, "system-droops");
         let failure_rng = RngStream::from_root(config.seed, "system-failures");
         let telemetry = chip.telemetry().clone();
         System {
@@ -368,7 +366,6 @@ impl System {
             governor: GovernorMode::Ondemand,
             next_pid: 1,
             energy_j: 0.0,
-            droop_rng,
             failure_rng,
             unsafe_time_s: 0.0,
             failures: 0,
@@ -924,11 +921,11 @@ impl System {
         let watts = self.chip.evaluate_power_w(&inputs);
 
         let busy = self.busy_cores();
-        let utilized = busy.utilized_pmd_count(self.chip.spec());
         let unsafe_active = !busy.is_empty() && !self.chip.is_voltage_safe_for(busy);
         let mut p_per_run = 0.0;
         if unsafe_active && self.config.inject_failures {
             let safe = self.chip.current_safe_vmin(busy);
+            let utilized = busy.utilized_pmd_count(self.chip.spec());
             let class = self.chip.vmin_model().droop_class(utilized);
             p_per_run = self
                 .chip
@@ -947,7 +944,6 @@ impl System {
             watts,
             unsafe_active,
             p_per_run,
-            utilized,
         };
     }
 
@@ -1067,8 +1063,8 @@ impl System {
         earliest
     }
 
-    /// Integrates state forward to `target` (progress, energy, PMU,
-    /// droops, safety accounting).
+    /// Integrates state forward to `target` (progress, energy, the
+    /// per-process cycle and L3 counters, safety accounting).
     fn advance_to(&mut self, target: SimTime, conds: &[(Pid, Cond)]) {
         if target <= self.now {
             return;
@@ -1091,10 +1087,8 @@ impl System {
             }
         }
 
-        // Progress + PMU. `conds` is a pid-ordered subsequence of the
+        // Progress + counters. `conds` is a pid-ordered subsequence of the
         // table, so one merge pass pairs each condition with its process.
-        let mut activity_sum = 0.0;
-        let mut active_threads = 0usize;
         let use_memo = self.change_point_integration;
         let mut memo = std::mem::take(&mut self.scratch.pmu_memo);
         let mut table = self.procs.iter_mut().map(|e| &mut e.process);
@@ -1119,13 +1113,13 @@ impl System {
                     p.progress = 1.0;
                 }
             }
-            // PMU accrues whenever cores are clocked, stalled or not.
-            // Observables follow the program's current phase — sampled
-            // *after* the progress update, so they key on the
-            // end-of-slice phase, unlike the start-of-slice slice memo.
+            // Counters accrue whenever cores are clocked, stalled or not.
+            // The L3 rate follows the program's current phase — sampled
+            // *after* the progress update, so it keys on the end-of-slice
+            // phase, unlike the start-of-slice slice memo.
             let cycles = (freq as f64 * 1e6 * dt) as u64 * p.threads as u64;
             let phase = phases::phase_index(p.bench, p.progress);
-            let (l3_rate, act) = match memo.get(i) {
+            let l3_rate = match memo.get(i) {
                 Some(e)
                     if use_memo
                         && e.pid == pid
@@ -1133,59 +1127,30 @@ impl System {
                         && e.freq == freq
                         && e.mult_bits == mult.to_bits() =>
                 {
-                    (e.l3_rate, e.act)
+                    e.l3_rate
                 }
                 _ => {
                     let profile = phases::effective_profile(p.bench, p.progress);
                     let l3_rate = self.perf.observed_l3c_rate(&profile, mult);
-                    let act = self.perf.effective_activity(&profile, &p.work, freq, mult);
                     let entry = PmuMemoEntry {
                         pid,
                         phase,
                         freq,
                         mult_bits: mult.to_bits(),
                         l3_rate,
-                        act,
                     };
                     if i < memo.len() {
                         memo[i] = entry;
                     } else {
                         memo.push(entry);
                     }
-                    (l3_rate, act)
+                    l3_rate
                 }
             };
-            let l3 = (cycles as f64 / 1e6 * l3_rate) as u64;
-            let instr = (cycles as f64 * act) as u64;
             p.cycles += cycles;
-            p.l3_accesses += l3;
-            p.instructions += instr;
-            // Mirror into the per-core PMU (first assigned core carries
-            // the process's counters, as the kernel module reads them).
-            if let Some(core) = p.assigned.first() {
-                self.chip.pmu_mut().record(core, cycles, instr, l3);
-            }
-            activity_sum += act * p.threads as f64;
-            active_threads += p.threads;
+            p.l3_accesses += (cycles as f64 / 1e6 * l3_rate) as u64;
         }
         self.scratch.pmu_memo = memo;
-
-        // Droop events for the slice.
-        if active_threads > 0 {
-            let class = self
-                .chip
-                .vmin_model()
-                .droop_class(self.scratch.slice.utilized);
-            let mean_act = activity_sum / active_threads as f64;
-            let chip_cycles_at_fmax = (self.chip.spec().fmax_mhz as f64 * 1e6 * dt) as u64;
-            let counts = self.chip.droop_model().sample(
-                class,
-                mean_act,
-                chip_cycles_at_fmax,
-                &mut self.droop_rng,
-            );
-            self.chip.pmu_mut().record_droops(&counts);
-        }
 
         self.now = target;
     }
@@ -1477,6 +1442,7 @@ impl System {
 mod tests {
     use super::*;
     use crate::driver::DefaultPolicy;
+    use avfs_chip::pmu::ChipPmu;
     use avfs_chip::presets;
     use avfs_workloads::catalog::Benchmark;
     use avfs_workloads::generator::{Arrival, GeneratorConfig};
@@ -1565,44 +1531,64 @@ mod tests {
         // The slice memo must be a pure optimization: integrating power
         // only at change points has to reproduce the reference path
         // (full re-evaluation every slice) to the last bit, on both
-        // chip presets and with failure injection exercising the
-        // safety/droop accounting.
-        let presets: [(fn() -> avfs_chip::presets::ChipBuilder, PerfModel); 2] = [
-            (presets::xgene2, PerfModel::xgene2()),
-            (presets::xgene3, PerfModel::xgene3()),
+        // chip presets, with failure injection on. Each seed runs under
+        // the ondemand baseline at nominal voltage, which is never
+        // unsafe, and again with the rail held at a per-preset voltage
+        // below safe Vmin for most of the small traces' allocations, so
+        // unsafe-time accounting and failure sampling run under the
+        // check too.
+        let presets = [
+            (presets::xgene2(), PerfModel::xgene2(), 850),
+            (presets::xgene3(), PerfModel::xgene3(), 790),
         ];
-        for (mk_chip, perf) in presets {
+        for (chip, perf, undervolt_mv) in presets {
+            let mut failures = 0;
             for seed in [11u64, 42, 97] {
                 let trace = small_trace(seed);
                 let cfg = SystemConfig {
                     inject_failures: true,
                     ..SystemConfig::default()
                 };
-
-                let mut reference = System::new(mk_chip().build(), perf.clone(), cfg.clone());
-                reference.set_change_point_integration(false);
-                let r = reference.run(&trace, &mut DefaultPolicy::ondemand());
-
-                let mut cached = System::new(mk_chip().build(), perf.clone(), cfg.clone());
-                cached.set_change_point_integration(true);
-                let c = cached.run(&trace, &mut DefaultPolicy::ondemand());
-
-                assert_eq!(r.energy_j.to_bits(), c.energy_j.to_bits(), "seed {seed}");
-                assert_eq!(r.makespan, c.makespan, "seed {seed}");
-                assert_eq!(r.unsafe_time_s.to_bits(), c.unsafe_time_s.to_bits());
-                assert_eq!(r.failures, c.failures, "seed {seed}");
-                assert_eq!(r.migrations, c.migrations, "seed {seed}");
-                assert_eq!(r.voltage_changes, c.voltage_changes, "seed {seed}");
-                assert_eq!(r.power_trace.len(), c.power_trace.len(), "seed {seed}");
-                for ((ta, va), (tb, vb)) in r.power_trace.iter().zip(c.power_trace.iter()) {
-                    assert_eq!(ta, tb, "seed {seed}");
-                    assert_eq!(va.to_bits(), vb.to_bits(), "seed {seed}");
+                let run = |change_points: bool, driver: &mut dyn Driver| {
+                    let mut sys = System::new(chip.build(), perf.clone(), cfg.clone());
+                    sys.set_change_point_integration(change_points);
+                    sys.run(&trace, driver)
+                };
+                let undervolt = || {
+                    Scripted(vec![
+                        Action::SetGovernor(GovernorMode::Ondemand),
+                        Action::SetVoltage(avfs_chip::Millivolts::new(undervolt_mv)),
+                    ])
+                };
+                let nominal = (
+                    run(false, &mut DefaultPolicy::ondemand()),
+                    run(true, &mut DefaultPolicy::ondemand()),
+                );
+                let unsafe_runs = (run(false, &mut undervolt()), run(true, &mut undervolt()));
+                for (r, c) in [&nominal, &unsafe_runs] {
+                    assert_eq!(r.energy_j.to_bits(), c.energy_j.to_bits(), "seed {seed}");
+                    assert_eq!(r.makespan, c.makespan, "seed {seed}");
+                    assert_eq!(r.unsafe_time_s.to_bits(), c.unsafe_time_s.to_bits());
+                    assert_eq!(r.failures, c.failures, "seed {seed}");
+                    assert_eq!(r.migrations, c.migrations, "seed {seed}");
+                    assert_eq!(r.voltage_changes, c.voltage_changes, "seed {seed}");
+                    assert_eq!(r.power_trace.len(), c.power_trace.len(), "seed {seed}");
+                    for ((ta, va), (tb, vb)) in r.power_trace.iter().zip(c.power_trace.iter()) {
+                        assert_eq!(ta, tb, "seed {seed}");
+                        assert_eq!(va.to_bits(), vb.to_bits(), "seed {seed}");
+                    }
+                    for (a, b) in r.completed.iter().zip(&c.completed) {
+                        assert_eq!(a.pid, b.pid, "seed {seed}");
+                        assert_eq!(a.finished_at, b.finished_at, "seed {seed}");
+                    }
                 }
-                for (a, b) in r.completed.iter().zip(&c.completed) {
-                    assert_eq!(a.pid, b.pid, "seed {seed}");
-                    assert_eq!(a.finished_at, b.finished_at, "seed {seed}");
-                }
+                assert!(
+                    unsafe_runs.1.unsafe_time_s > 0.0,
+                    "seed {seed}: never unsafe"
+                );
+                failures += unsafe_runs.1.failures;
             }
+            assert!(failures > 0, "{undervolt_mv} mV injected no failures");
         }
     }
 
@@ -1802,12 +1788,55 @@ mod tests {
         assert_eq!(sys.rejected_actions(), 0);
     }
 
+    /// The ondemand baseline, recording the time and busy cores of every
+    /// view it is shown.
+    struct AllocationRecorder(DefaultPolicy, Vec<(SimTime, CoreSet)>);
+
+    impl crate::driver::Driver for AllocationRecorder {
+        fn on_event(
+            &mut self,
+            view: &crate::driver::SystemView,
+            event: &crate::driver::SysEvent,
+        ) -> Vec<Action> {
+            self.1.push((view.now, view.busy_cores()));
+            self.0.on_event(view, event)
+        }
+
+        fn name(&self) -> &str {
+            "allocation-recorder"
+        }
+    }
+
     #[test]
     fn droop_counters_populate() {
-        let trace = small_trace(6);
+        // The simulator keeps no droop counters. Sampling the chip's
+        // droop model at the droop class of each allocation a run passes
+        // through, for as long as it holds, populates a PMU's droop
+        // registers up to the widest allocation's band.
+        let mut driver = AllocationRecorder(DefaultPolicy::ondemand(), Vec::new());
         let mut sys = xgene2_system();
-        let _ = sys.run(&trace, &mut DefaultPolicy::ondemand());
-        assert!(sys.chip().pmu().droops().total() > 0);
+        let _ = sys.run(&small_trace(6), &mut driver);
+        let chip = sys.chip();
+        let class_of = |busy: CoreSet| {
+            chip.vmin_model()
+                .droop_class(busy.utilized_pmd_count(chip.spec()))
+        };
+        let mut rng = RngStream::from_root(6, "droops");
+        let mut pmu = ChipPmu::new(chip.spec().cores as usize);
+        let mut widest = None;
+        for pair in driver.1.windows(2) {
+            let ((at, busy), (until, _)) = (pair[0], pair[1]);
+            if busy.is_empty() {
+                continue;
+            }
+            let class = class_of(busy);
+            widest = widest.max(Some(class));
+            let dt = until.saturating_since(at).as_secs_f64();
+            let cycles = (f64::from(chip.spec().fmax_mhz) * 1e6 * dt) as u64;
+            pmu.record_droops(&chip.droop_model().sample(class, 0.5, cycles, &mut rng));
+        }
+        assert!(pmu.droops().total() > 0);
+        assert!(pmu.droops().max_band() >= widest, "{:?}", pmu.droops());
     }
 
     /// A driver that emits a fixed action list on its first event, for

@@ -158,11 +158,9 @@ pub fn class_flips(bench: Benchmark) -> bool {
     let Some(phases) = schedule(bench) else {
         return false;
     };
-    let mut classes = phases.iter().map(|p| {
-        let prev_end = 0.0; // sample the start of each phase
-        let _ = prev_end;
-        classify(bench.profile().l3c_per_mcycle * p.l3c_mult)
-    });
+    let mut classes = phases
+        .iter()
+        .map(|p| classify(bench.profile().l3c_per_mcycle * p.l3c_mult));
     let first = classes.next();
     classes.any(|c| Some(c) != first)
 }

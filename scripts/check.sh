@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, clippy, the avfs-analyze checks (domain
-# invariants, source lints, bounded model checking, the policy-domain
-# proof, the measured-margin audit, race exploration), the test suite,
-# the experiment smokes, and the two hot-path correctness gates (null
-# observer overhead; allocations in steady state and on churn traffic).
+# Full local gate: formatting, clippy, rustdoc, the avfs-analyze checks
+# (domain invariants, source lints, bounded model checking, the
+# policy-domain proof, the measured-margin audit, race exploration), the
+# test suite, the experiment smokes, and the two hot-path correctness
+# gates (null observer overhead; allocations in steady state and on
+# churn traffic).
 # Speed is measured by the perfbench benchmark (see BENCHMARK.json), not
 # here.
 # Mirrors what CI would run; exits nonzero on the first failure.
@@ -25,6 +26,9 @@ cargo clippy -q --all-targets \
   -- -D warnings \
   -A clippy::unwrap_used -A clippy::expect_used \
   -A clippy::float_cmp -A clippy::cast-possible-truncation
+
+echo "==> cargo doc (warnings are errors: no broken or private doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 echo "==> avfs-analyze invariants"
 cargo run -q -p avfs-analyze -- invariants

@@ -219,3 +219,48 @@ fn placement_runs_at_nominal_voltage() {
     assert_eq!(m.voltage_changes, 0);
     assert_eq!(m.unsafe_time_s, 0.0);
 }
+
+#[test]
+fn results_are_pinned_for_every_configuration() {
+    // Bit-exact results for both presets under all four configurations,
+    // plus an X-Gene 3 Optimal run with the fail-safe ordering ablated
+    // and failure injection on, so the sub-Vmin failure path is pinned
+    // too. A change that moves results on purpose re-pins the digest and
+    // says so.
+    let mut bytes = Vec::new();
+    let mut fold = |m: &avfs_sched::RunMetrics| {
+        for word in [
+            m.energy_j.to_bits(),
+            m.makespan.as_nanos(),
+            m.migrations,
+            m.voltage_changes,
+            m.unsafe_time_s.to_bits(),
+            m.failures,
+        ] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+    };
+    for xg3 in [false, true] {
+        let t = trace(if xg3 { 32 } else { 8 }, 2024, 600);
+        for cfg in EvalConfig::ALL {
+            fold(&run(xg3, &t, cfg));
+        }
+    }
+    let chip = presets::xgene3().build();
+    let mut daemon = Daemon::optimal(&chip);
+    daemon.set_fail_safe_ordering(false);
+    let config = SystemConfig {
+        inject_failures: true,
+        ..SystemConfig::default()
+    };
+    let ablated =
+        System::new(chip, PerfModel::xgene3(), config).run(&trace(32, 2024, 600), &mut daemon);
+    assert!(ablated.unsafe_time_s > 0.0, "ablated run never went unsafe");
+    assert!(ablated.failures > 0, "ablated run injected no failures");
+    fold(&ablated);
+    let got = avfs_sim::rng::fnv1a_64(&bytes);
+    assert_eq!(
+        got, 0xa9b2_09a3_dee4_8487,
+        "results moved (digest {got:#018x})"
+    );
+}

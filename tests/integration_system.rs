@@ -1,11 +1,14 @@
 //! Cross-crate integration: chip model + workloads + scheduler substrate.
 
+use avfs_chip::chip::Chip;
+use avfs_chip::pmu::ChipPmu;
 use avfs_chip::presets;
 use avfs_chip::topology::CoreSet;
-use avfs_sched::driver::DefaultPolicy;
+use avfs_sched::driver::{Action, DefaultPolicy, Driver, SysEvent, SystemView};
 use avfs_sched::governor::GovernorMode;
 use avfs_sched::system::{System, SystemConfig};
 use avfs_sim::time::{SimDuration, SimTime};
+use avfs_sim::RngStream;
 use avfs_workloads::generator::{Arrival, GeneratorConfig, WorkloadTrace};
 use avfs_workloads::{Benchmark, PerfModel};
 
@@ -156,8 +159,60 @@ fn oversubscription_queues_and_eventually_drains() {
     assert!(m.load_trace.max().unwrap_or(0.0) <= 8.0);
 }
 
+/// The ondemand baseline, keeping a copy of every view it is shown:
+/// what a monitoring daemon observes of a run.
+struct Recorder {
+    inner: DefaultPolicy,
+    views: Vec<SystemView>,
+}
+
+impl Recorder {
+    fn new() -> Self {
+        Recorder {
+            inner: DefaultPolicy::ondemand(),
+            views: Vec::new(),
+        }
+    }
+
+    /// Droop counts over the recorded run. Each view's busy cores are
+    /// the allocation until the next event; the chip's droop model is
+    /// sampled at that allocation's droop class for the interval's fmax
+    /// cycles.
+    fn droops(&self, chip: &Chip, activity: f64) -> ChipPmu {
+        let mut rng = RngStream::from_root(2024, "droops");
+        let mut pmu = ChipPmu::new(chip.spec().cores as usize);
+        for pair in self.views.windows(2) {
+            let busy = pair[0].busy_cores();
+            if busy.is_empty() {
+                continue;
+            }
+            let class = chip
+                .vmin_model()
+                .droop_class(busy.utilized_pmd_count(chip.spec()));
+            let dt = pair[1].now.saturating_since(pair[0].now).as_secs_f64();
+            let cycles = (f64::from(chip.spec().fmax_mhz) * 1e6 * dt) as u64;
+            pmu.record_droops(&chip.droop_model().sample(class, activity, cycles, &mut rng));
+        }
+        pmu
+    }
+}
+
+impl Driver for Recorder {
+    fn on_event(&mut self, view: &SystemView, event: &SysEvent) -> Vec<Action> {
+        self.views.push(view.clone());
+        self.inner.on_event(view, event)
+    }
+
+    fn name(&self) -> &str {
+        "recorder"
+    }
+}
+
 #[test]
 fn pmu_counters_reflect_execution() {
+    // The daemon reads each process's L3 accesses per 1M cycles over a
+    // monitoring window. milc is memory-intensive: the rate it sees must
+    // exceed the classification threshold.
     let trace = WorkloadTrace {
         arrivals: vec![Arrival {
             at: SimTime::ZERO,
@@ -167,26 +222,24 @@ fn pmu_counters_reflect_execution() {
         }],
         duration: SimDuration::from_secs(120),
     };
-    let mut sys = xg2_system();
-    let _ = sys.run(&trace, &mut DefaultPolicy::ondemand());
-    let pmu = sys.chip().pmu();
-    let total_cycles: u64 = (0..8)
-        .map(|i| pmu.core(avfs_chip::CoreId::new(i)).cycles)
-        .sum();
-    assert!(total_cycles > 1_000_000, "cycles {total_cycles}");
-    // milc is memory-intensive: the recorded L3 rate must exceed the
-    // classification threshold.
-    let busy_core = (0..8)
-        .map(avfs_chip::CoreId::new)
-        .max_by_key(|&c| pmu.core(c).cycles)
-        .unwrap();
-    assert!(pmu.core(busy_core).l3_per_mcycle() > 3_000.0);
+    let mut recorder = Recorder::new();
+    let _ = xg2_system().run(&trace, &mut recorder);
+    let rates: Vec<f64> = recorder
+        .views
+        .iter()
+        .flat_map(|v| &v.processes)
+        .filter_map(|p| p.l3c_per_mcycle)
+        .collect();
+    assert!(!rates.is_empty(), "no monitoring window closed");
+    for rate in rates {
+        assert!(rate > 3_000.0, "milc observed at {rate} L3/Mcycle");
+    }
 }
 
 #[test]
 fn droop_counters_track_utilization_width() {
-    // A full-chip run reaches the top droop band; a single-PMD run does
-    // not.
+    // Sampled over the allocations the kernel places, a full-chip run
+    // reaches the top droop band; a single-PMD run does not.
     let full = WorkloadTrace {
         arrivals: (0..8)
             .map(|_| Arrival {
@@ -207,13 +260,17 @@ fn droop_counters_track_utilization_width() {
         }],
         duration: SimDuration::from_secs(300),
     };
-    let mut sys_full = xg2_system();
-    let _ = sys_full.run(&full, &mut DefaultPolicy::ondemand());
-    let mut sys_narrow = xg2_system();
-    let _ = sys_narrow.run(&narrow, &mut DefaultPolicy::ondemand());
+    let activity = Benchmark::NpbLu.profile().activity;
+    let chip = presets::xgene2().build();
+    let mut full_run = Recorder::new();
+    let _ = xg2_system().run(&full, &mut full_run);
+    let mut narrow_run = Recorder::new();
+    let _ = xg2_system().run(&narrow, &mut narrow_run);
     let top = avfs_chip::DroopClass::D55;
-    assert!(sys_full.chip().pmu().droops().in_band(top) > 0);
-    assert_eq!(sys_narrow.chip().pmu().droops().in_band(top), 0);
+    let full_droops = full_run.droops(&chip, activity);
+    let narrow_droops = narrow_run.droops(&chip, activity);
+    assert!(full_droops.droops().in_band(top) > 0);
+    assert_eq!(narrow_droops.droops().in_band(top), 0);
 }
 
 #[test]
