@@ -27,7 +27,7 @@
 //! * [`fleet`] — cluster-level checks over `avfs-fleet`: job
 //!   conservation through admission/shedding/drain, per-node safety
 //!   under cluster-induced load, aggregate consistency, and the
-//!   byte-identical-across-worker-counts determinism contract.
+//!   determinism contract: a same-seed rerun is byte-identical.
 //! * [`model`] + [`statespace`] + [`shrink`] — a bounded explicit-state
 //!   model checker over the Daemon↔Chip↔Sched shared state: exhaustive
 //!   enumeration of every event interleaving up to a depth bound, with

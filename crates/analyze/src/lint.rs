@@ -205,10 +205,9 @@ fn is_determinism_sensitive_path(path: &str) -> bool {
 
 /// Hot-path modules, which run at every change point: the sched step
 /// loop, the core daemon and monitor, and the layout planner every
-/// replan that misses the decision cache runs. The counting-allocator
-/// bench gate measures the composed loop on a steady-state window and
-/// on churn traffic; this lint keeps fresh `Vec::new()` sites from
-/// creeping back in between gate runs.
+/// replan runs. The counting-allocator bench gate measures the composed
+/// loop on a steady-state window and on churn traffic; this lint keeps
+/// fresh `Vec::new()` sites from creeping back in between gate runs.
 fn is_hot_path(path: &str) -> bool {
     [
         "crates/sched/src/system.rs",

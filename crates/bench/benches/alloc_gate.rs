@@ -5,12 +5,12 @@
 //!
 //! 1. **Steady state.** X-Gene 2 runs six long jobs that neither finish
 //!    nor change class inside the window. Every slice boundary, monitor
-//!    tick, replan (a decision-cache hit) and governor pass must run out
-//!    of recycled buffers: the window counts **zero** allocations.
+//!    tick, replan and governor pass must run out of recycled buffers:
+//!    the window counts **zero** allocations.
 //! 2. **Churn.** X-Gene 3 replays the short-job trace of perfbench's
 //!    churn workload (`paper_default(32, 2024)` at `job_scale` 0.05).
 //!    After a warm-up, at least ten simulated minutes of arrivals,
-//!    exits, class flips and decision-cache misses are measured. Every
+//!    exits, class flips and the replans they cause are measured. Every
 //!    daemon call is counted on its own: it must allocate exactly once
 //!    when it returns actions and never otherwise, because the `Driver`
 //!    API hands the list to `System` by value. Every other allocation
@@ -107,8 +107,8 @@ fn steady_state() {
         system.inject_arrival(&mut st, &mut daemon, bench, threads, 500.0);
     }
 
-    // Warm-up: settle admissions, classifications, the decision cache,
-    // and every scratch buffer's capacity.
+    // Warm-up: settle admissions, classifications and every scratch
+    // buffer's capacity.
     system.step_until(&mut st, &mut daemon, SimTime::from_secs(10));
 
     let events_before = st.iterations();
@@ -218,12 +218,12 @@ fn churn() {
     let mut arrivals = trace.arrivals.iter().peekable();
     let mut st = system.begin_run(&mut gate);
 
-    // Warm-up: fill the decision cache and bring the process table and
-    // every scratch buffer to the traffic's working capacity.
+    // Warm-up: bring the process table and every scratch buffer to the
+    // traffic's working capacity.
     replay_until(&mut system, &mut st, &mut gate, &mut arrivals, WARM_UP);
 
     gate.measuring = true;
-    let (_, misses_before) = gate.daemon.decision_cache_stats();
+    let plans_before = gate.daemon.stats().plans;
     let capacity_before = st.metrics().completed.capacity();
     let events_before = st.iterations();
     let allocs_before = allocs();
@@ -231,8 +231,7 @@ fn churn() {
     let allocs = allocs() - allocs_before;
     let events = st.iterations() - events_before;
     let capacity_after = st.metrics().completed.capacity();
-    let (_, misses_after) = gate.daemon.decision_cache_stats();
-    let misses = misses_after - misses_before;
+    let plans = gate.daemon.stats().plans - plans_before;
 
     // Completion records grow by doubling, one reallocation each.
     assert!(
@@ -245,7 +244,7 @@ fn churn() {
 
     println!(
         "alloc gate, churn: {events} events over {} s, {} daemon calls \
-         ({} arrivals, {} exits, {} class flips, {misses} cache misses), \
+         ({} arrivals, {} exits, {} class flips, {plans} plans), \
          {allocs} allocations = {} action lists + {record_growths} completion-record growths; \
          {:.3} allocations per event",
         (END - WARM_UP).as_secs_f64(),
@@ -257,8 +256,8 @@ fn churn() {
         allocs as f64 / events as f64
     );
     assert!(
-        gate.arrivals > 0 && gate.exits > 0 && gate.flips > 0 && misses > 0,
-        "the churn window must contain arrivals, exits, class flips and cache misses"
+        gate.arrivals > 0 && gate.exits > 0 && gate.flips > 0 && plans > 0,
+        "the churn window must contain arrivals, exits, class flips and plans"
     );
     let unexplained = allocs as i64 - (gate.allocs + record_growths) as i64;
     assert_eq!(

@@ -161,8 +161,8 @@ impl fmt::Display for DaemonStats {
 }
 
 /// Reusable buffers for the replan pipeline, so a replan allocates
-/// nothing for planner inputs, the layout, the frequency program, pin
-/// sequencing, or the decoding of a cached plan.
+/// nothing for planner inputs, the layout, the frequency program or pin
+/// sequencing.
 #[derive(Debug, Clone, Default)]
 struct PlanScratch {
     procs: Vec<PlanProc>,
@@ -171,11 +171,11 @@ struct PlanScratch {
     /// Canonical plan order: rank → view index (see
     /// [`Daemon::canonical_order`]).
     order: Vec<usize>,
-    /// Ordered pins of the plan, as (canonical rank, target cores).
+    /// Ordered pins of the plan, as (view index, target cores).
     pins: Vec<(usize, CoreSet)>,
     /// Pin sequencing: cores each view process occupies, by view index.
     occupied: Vec<CoreSet>,
-    /// Pin sequencing: pins not yet placed, as (canonical rank, cores).
+    /// Pin sequencing: pins not yet placed, as (view index, cores).
     pending: Vec<(usize, CoreSet)>,
 }
 
@@ -192,84 +192,6 @@ impl PlanScratch {
             pending: Vec::with_capacity(cores),
             ..PlanScratch::default()
         }
-    }
-}
-
-/// A memoized *placement* decision: the fingerprint of everything the
-/// layout/frequency planner reads, and the plan it produced. Pins are
-/// stored by the process's *canonical rank* (its position in
-/// [`Daemon::canonical_order`] — the shape-sorted order the whole
-/// planning pipeline runs in), never by raw pid or view position: the
-/// plan depends on processes only through their shapes, so a cached
-/// plan replays correctly after pid churn permutes the view. The
-/// voltage program is deliberately *not* cached: it depends on the
-/// entering rail voltage (which varies with the previous configuration
-/// even when the placement state recurs) and is cheap table lookups —
-/// recomputing it live keeps the key small and the hit rate high.
-#[derive(Debug, Clone)]
-struct CachedPlan {
-    key: u64,
-    /// Ordered pins, as (canonical rank, target cores).
-    pins: Vec<(usize, CoreSet)>,
-    /// Full per-PMD frequency program.
-    steps: Vec<FreqStep>,
-    /// Cores busy under the target layout (stranded included).
-    target_busy: CoreSet,
-    /// `deferred_pins` delta the sequencing pass recorded, replayed on
-    /// hits so the counter surface stays byte-identical.
-    deferred: u64,
-}
-
-/// Entries kept in the decision cache. Control state rarely revisits
-/// more than a handful of distinct configurations between invalidations,
-/// so a small linear-scan cache wins over a map.
-pub const DECISION_CACHE_CAP: usize = 32;
-
-impl avfs_sched::Report for DaemonStats {
-    /// The `Display` line doubles as the fingerprint: all fields are
-    /// integers, so textual equality is bit equality.
-    fn fingerprint(&self) -> String {
-        self.to_string()
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"invocations\":{},\"plans\":{},\"pins\":{},\"voltage_raises\":{},\
-             \"voltage_lowers\":{},\"deferred_pins\":{},\"mailbox_faults\":{},\
-             \"retries\":{},\"backoff_us\":{},\"safe_mode_entries\":{},\
-             \"safe_mode_exits\":{},\"watchdog_fires\":{},\"droop_emergencies\":{}}}",
-            self.invocations,
-            self.plans,
-            self.pins,
-            self.voltage_raises,
-            self.voltage_lowers,
-            self.deferred_pins,
-            self.mailbox_faults,
-            self.retries,
-            self.backoff_us,
-            self.safe_mode_entries,
-            self.safe_mode_exits,
-            self.watchdog_fires,
-            self.droop_emergencies,
-        )
-    }
-
-    fn summary_table(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("invocations", self.invocations.to_string()),
-            ("plans", self.plans.to_string()),
-            ("pins", self.pins.to_string()),
-            ("voltage_raises", self.voltage_raises.to_string()),
-            ("voltage_lowers", self.voltage_lowers.to_string()),
-            ("deferred_pins", self.deferred_pins.to_string()),
-            ("mailbox_faults", self.mailbox_faults.to_string()),
-            ("retries", self.retries.to_string()),
-            ("backoff_us", self.backoff_us.to_string()),
-            ("safe_mode_entries", self.safe_mode_entries.to_string()),
-            ("safe_mode_exits", self.safe_mode_exits.to_string()),
-            ("watchdog_fires", self.watchdog_fires.to_string()),
-            ("droop_emergencies", self.droop_emergencies.to_string()),
-        ]
     }
 }
 
@@ -291,10 +213,6 @@ pub struct Daemon {
     /// The action list under construction; [`Driver::on_event`] returns
     /// a copy, so the buffer keeps its capacity across events.
     actions: Vec<Action>,
-    cache: Vec<CachedPlan>,
-    cache_enabled: bool,
-    cache_hits: u64,
-    cache_misses: u64,
 }
 
 impl Daemon {
@@ -362,10 +280,6 @@ impl Daemon {
             // per PMD, and per core a replan pin plus a watchdog rescue.
             // Sized once, the buffer never grows.
             actions: Vec::with_capacity(4 + spec.pmds() as usize + 2 * spec.cores as usize),
-            cache: Vec::new(),
-            cache_enabled: true,
-            cache_hits: 0,
-            cache_misses: 0,
         }
     }
 
@@ -550,13 +464,11 @@ impl Daemon {
     /// knob; disabling it makes transitions unsafe on purpose).
     pub fn set_fail_safe_ordering(&mut self, enabled: bool) {
         self.config.fail_safe_ordering = enabled;
-        self.cache.clear();
     }
 
     /// Overrides the memory-PMD frequency step (threshold/step sweeps).
     pub fn set_mem_step(&mut self, step: FreqStep) {
         self.config.mem_step = step;
-        self.cache.clear();
     }
 
     /// The policy table currently driving voltage decisions.
@@ -565,9 +477,8 @@ impl Daemon {
     }
 
     /// Atomically replaces the policy table (the recharacterization swap
-    /// seam): all memoized decisions are dropped so the very next replan
-    /// reads the new table, and the swap is traced as a
-    /// [`TraceKind::TableSwap`].
+    /// seam): the very next replan reads the new table, and the swap is
+    /// traced as a [`TraceKind::TableSwap`].
     ///
     /// # Errors
     ///
@@ -586,7 +497,6 @@ impl Daemon {
         }
         let static_max_mv = table.static_safe_voltage(FreqVminClass::Max).as_mv();
         self.table = table;
-        self.cache.clear();
         self.telemetry.counter_inc("daemon.table_swaps");
         self.telemetry.trace(TraceKind::TableSwap, || {
             vec![
@@ -619,114 +529,59 @@ impl Daemon {
         }
         let first = actions.len();
 
-        // --- Target layout & frequency program (memoized). ---
+        // --- Target layout & frequency program. ---
         // The scratch buffers persist across replans (taken out of self
-        // so the planner can borrow them while `self` stays usable).
+        // so the planner can borrow them while `self` stays usable). The
+        // whole pipeline runs in canonical order.
         let mut scratch = std::mem::take(&mut self.plan_scratch);
         self.canonical_order(view, &mut scratch.order);
-        let key = self.decision_key(view, &scratch.order);
-        let hit = if self.cache_enabled {
-            self.cache.iter().position(|e| e.key == key)
-        } else {
-            None
-        };
-        let target_busy = if let Some(idx) = hit {
-            self.cache_hits += 1;
-            let entry = &self.cache[idx];
-            scratch.steps.clear();
-            scratch.steps.extend_from_slice(&entry.steps);
-            scratch.pins.clear();
-            scratch.pins.extend_from_slice(&entry.pins);
-            let deferred = entry.deferred;
-            let target_busy = entry.target_busy;
-            // LRU: move the hit entry to the back; eviction takes the
-            // front, so recurring configurations survive one-off visits.
-            self.cache[idx..].rotate_left(1);
-            // The sequencing pass counts deferrals unconditionally (even
-            // zero), so the replay must touch the counter at the same
-            // point for the cached journal to stay byte-identical.
-            self.count(Dc::DeferredPins, deferred);
-            target_busy
-        } else {
-            // The whole fresh pipeline runs in canonical order, so its
-            // decisions are a function of the fingerprinted shapes alone
-            // — the property the rank-encoded replay above relies on.
-            scratch.procs.clear();
-            scratch.procs.extend(scratch.order.iter().map(|&i| {
-                let p = &view.processes[i];
-                PlanProc {
-                    pid: p.pid,
-                    threads: p.threads,
-                    class: self.tracker.class_of(p.pid),
-                }
-            }));
-            plan_layout_into(&self.spec, &scratch.procs, &mut scratch.layout);
-            // Running processes the layout could not re-fit (fragmentation
-            // under oversubscription: a wide process cannot be packed around
-            // a newly placed narrow one) keep executing on their current
-            // cores. The program must keep those PMDs clocked and the rail
-            // above their Vmin, or the final undervolt would dip below what
-            // the cores that never vacated require.
-            let stranded = view
-                .processes
-                .iter()
-                .filter(|p| {
-                    p.state == ProcessState::Running
-                        && scratch.layout.assignment_of(p.pid).is_none()
-                })
-                .fold(CoreSet::EMPTY, |acc, p| acc.union(p.assigned));
-            scratch.steps.clear();
-            for (i, role) in scratch.layout.pmd_roles().iter().enumerate() {
-                let planned = match role {
-                    PmdRole::Cpu => FreqStep::MAX,
-                    PmdRole::Mem => self.config.mem_step,
-                    PmdRole::Idle => self.config.idle_step,
-                };
-                let hosts_stranded = !self
-                    .spec
-                    .cores_of(PmdId::new(i as u16))
-                    .intersection(stranded)
-                    .is_empty();
-                scratch.steps.push(if hosts_stranded {
-                    // Never throttle a core a stranded process runs on.
-                    view.pmd_steps
-                        .get(i)
-                        .map_or(planned, |&current| planned.max(current))
-                } else {
-                    planned
-                });
+        scratch.procs.clear();
+        scratch.procs.extend(scratch.order.iter().map(|&i| {
+            let p = &view.processes[i];
+            PlanProc {
+                pid: p.pid,
+                threads: p.threads,
+                class: self.tracker.class_of(p.pid),
             }
-            let deferred = Self::sequence_pins(view, &mut scratch);
-            self.count(Dc::DeferredPins, deferred);
-            let target_busy = scratch.layout.busy_cores().union(stranded);
-            if self.cache_enabled {
-                self.cache_misses += 1;
-                // A full cache hands its least recently used entry's
-                // buffers to the new plan. A fresh entry reserves room
-                // for the most pins a plan can hold (one per core), so
-                // reusing it never grows a buffer.
-                let mut entry = if self.cache.len() >= DECISION_CACHE_CAP {
-                    self.cache.remove(0)
-                } else {
-                    CachedPlan {
-                        key,
-                        pins: Vec::with_capacity(self.spec.cores as usize),
-                        steps: Vec::with_capacity(scratch.steps.len()),
-                        target_busy,
-                        deferred,
-                    }
-                };
-                entry.key = key;
-                entry.pins.clear();
-                entry.pins.extend_from_slice(&scratch.pins);
-                entry.steps.clear();
-                entry.steps.extend_from_slice(&scratch.steps);
-                entry.target_busy = target_busy;
-                entry.deferred = deferred;
-                self.cache.push(entry);
-            }
-            target_busy
-        };
+        }));
+        plan_layout_into(&self.spec, &scratch.procs, &mut scratch.layout);
+        // Running processes the layout could not re-fit (fragmentation
+        // under oversubscription: a wide process cannot be packed around
+        // a newly placed narrow one) keep executing on their current
+        // cores. The program must keep those PMDs clocked and the rail
+        // above their Vmin, or the final undervolt would dip below what
+        // the cores that never vacated require.
+        let stranded = view
+            .processes
+            .iter()
+            .filter(|p| {
+                p.state == ProcessState::Running && scratch.layout.assignment_of(p.pid).is_none()
+            })
+            .fold(CoreSet::EMPTY, |acc, p| acc.union(p.assigned));
+        scratch.steps.clear();
+        for (i, role) in scratch.layout.pmd_roles().iter().enumerate() {
+            let planned = match role {
+                PmdRole::Cpu => FreqStep::MAX,
+                PmdRole::Mem => self.config.mem_step,
+                PmdRole::Idle => self.config.idle_step,
+            };
+            let hosts_stranded = !self
+                .spec
+                .cores_of(PmdId::new(i as u16))
+                .intersection(stranded)
+                .is_empty();
+            scratch.steps.push(if hosts_stranded {
+                // Never throttle a core a stranded process runs on.
+                view.pmd_steps
+                    .get(i)
+                    .map_or(planned, |&current| planned.max(current))
+            } else {
+                planned
+            });
+        }
+        let deferred = Self::sequence_pins(view, &mut scratch);
+        self.count(Dc::DeferredPins, deferred);
+        let target_busy = scratch.layout.busy_cores().union(stranded);
         let new_steps = &scratch.steps;
 
         // --- Voltage program. ---
@@ -817,13 +672,13 @@ impl Daemon {
 
     /// The canonical planning order: view indices sorted by process
     /// *shape* — run state (running first), current placement bits,
-    /// width, tracked class. The fingerprint hashes shapes in this
-    /// order and the fresh pipeline plans in it, so two views whose
-    /// shape multisets match produce identical rank-indexed plans even
-    /// when pid churn permutes the view. Equal-shape processes are
-    /// interchangeable (running processes always differ in placement
-    /// bits; tied waiting processes have the same width and class), so
-    /// the tie order within the sort cannot affect the plan.
+    /// width, tracked class. The layout planner and pin sequencing run
+    /// in this order, so it decides which process lands where; two
+    /// views whose shape multisets match get the same layout, shape for
+    /// shape, even when pid churn permutes the view. Equal-shape
+    /// processes are interchangeable (running processes always differ in
+    /// placement bits; tied waiting processes have the same width and
+    /// class), so the tie order within the sort cannot affect the plan.
     fn canonical_order(&self, view: &SystemView, order: &mut Vec<usize>) {
         order.clear();
         order.extend(0..view.processes.len());
@@ -842,74 +697,20 @@ impl Daemon {
         });
     }
 
-    /// Fingerprint of everything the *placement* planner reads: the
-    /// per-PMD step program (stranded cores are never throttled below
-    /// their current step) and each process's shape in canonical order
-    /// — threads, run state, current placement, and tracked class. Pids
-    /// are deliberately excluded, and shapes are hashed in
-    /// [`Self::canonical_order`] rather than view order: the plan
-    /// depends on processes only through their shapes, so a cached
-    /// decision stays valid across pid churn *and* across churn-induced
-    /// permutations of the view. The rail voltage, droop guard, and
-    /// recovery posture feed only the voltage program, which is
-    /// recomputed live on every replan — hashing them would sink the
-    /// hit rate (the entering voltage varies with the *previous*
-    /// configuration even when the placement state recurs). The
-    /// daemon's own config is not hashed; its setters invalidate the
-    /// cache instead.
-    fn decision_key(&self, view: &SystemView, order: &[usize]) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: u64, v: u64) -> u64 {
-            (h ^ v).wrapping_mul(FNV_PRIME)
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        h = mix(h, view.pmd_steps.len() as u64);
-        for &step in &view.pmd_steps {
-            h = mix(h, u64::from(step.numerator()));
-        }
-        h = mix(h, view.processes.len() as u64);
-        for &i in order {
-            let p = &view.processes[i];
-            h = mix(h, p.threads as u64);
-            h = mix(
-                h,
-                match p.state {
-                    ProcessState::Waiting => 0,
-                    ProcessState::Running => 1,
-                    ProcessState::Finished => 2,
-                },
-            );
-            h = mix(h, p.assigned.bits());
-            h = mix(
-                h,
-                match self.tracker.class_of(p.pid) {
-                    IntensityClass::CpuIntensive => 0,
-                    IntensityClass::MemoryIntensive => 1,
-                },
-            );
-        }
-        h
-    }
+    /// Does nothing: every replan runs the full planning pipeline. Kept
+    /// so existing callers compile; it will be removed.
+    #[deprecated(note = "the daemon no longer caches replan decisions; drop the call")]
+    pub fn set_decision_cache(&mut self, _enabled: bool) {}
 
-    /// Enables or disables the replan decision cache (enabled by
-    /// default). Disabling clears it, forcing every subsequent replan
-    /// down the full planning path.
-    pub fn set_decision_cache(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-        if !enabled {
-            self.cache.clear();
-        }
-    }
-
-    /// `(hits, misses)` observed by the decision cache. Diagnostic only:
-    /// not part of [`DaemonStats`] or any telemetry surface, so cached
-    /// and uncached runs stay byte-identical everywhere else.
+    /// Always `(0, 0)`: every replan runs the full planning pipeline.
+    /// Kept so existing callers compile; it will be removed.
+    #[deprecated(note = "the daemon no longer caches replan decisions; drop the call")]
     pub fn decision_cache_stats(&self) -> (u64, u64) {
-        (self.cache_hits, self.cache_misses)
+        (0, 0)
     }
 
     /// Emits frequency-step changes (only the deltas), then the plan's
-    /// pins from `scratch.pins`, mapped from canonical rank to pid.
+    /// pins from `scratch.pins`, mapped from view index to pid.
     fn push_reconfig(
         &mut self,
         actions: &mut Vec<Action>,
@@ -927,9 +728,8 @@ impl Daemon {
                 }
             }
         }
-        for &(rank, cores) in &scratch.pins {
-            let pid = view.processes[scratch.order[rank]].pid;
-            actions.push(Action::PinProcess(pid, cores));
+        for &(i, cores) in &scratch.pins {
+            actions.push(Action::PinProcess(view.processes[i].pid, cores));
             self.bump(Dc::Pins);
         }
     }
@@ -982,14 +782,13 @@ impl Daemon {
                 CoreSet::EMPTY
             }
         }));
-        // Targets in canonical order: the emitted pin *order* must be
-        // shape-determined for the rank-encoded replay to reproduce it
-        // on a permuted view.
+        // Targets in canonical order, so the emitted pin order is
+        // determined by process shapes, not by view order.
         pending.clear();
-        for (rank, &i) in order.iter().enumerate() {
+        for &i in order.iter() {
             if let Some(cores) = layout.assignment_of(view.processes[i].pid) {
                 if occupied[i] != cores {
-                    pending.push((rank, cores));
+                    pending.push((i, cores));
                 }
             }
         }
@@ -998,15 +797,14 @@ impl Daemon {
         // processes' current cores.
         for _ in 0..pending.len().max(1) {
             let mut progressed = false;
-            pending.retain(|&(rank, cores)| {
-                let i = order[rank];
+            pending.retain(|&(i, cores)| {
                 let others = occupied
                     .iter()
                     .enumerate()
                     .filter(|&(j, _)| j != i)
                     .fold(CoreSet::EMPTY, |acc, (_, &cs)| acc.union(cs));
                 if cores.intersection(others).is_empty() {
-                    pins.push((rank, cores));
+                    pins.push((i, cores));
                     occupied[i] = cores;
                     progressed = true;
                     false
@@ -1043,7 +841,6 @@ impl Daemon {
             return false;
         }
         self.droop_guard = view.droop_alert;
-        self.cache.clear();
         if self.droop_guard {
             self.bump(Dc::DroopEmergencies);
         }
@@ -1109,9 +906,6 @@ impl Daemon {
         actions: &mut Vec<Action>,
     ) {
         self.bump(Dc::MailboxFaults);
-        // A fault reshapes everything downstream (retry budget, safe
-        // mode, pessimized voltage) — drop all memoized decisions.
-        self.cache.clear();
         let before = self.recovery.state();
         let decision = self.recovery.on_fault();
         self.trace_recovery_transition(before, "fault");
@@ -1179,9 +973,6 @@ impl Daemon {
                 self.bump(Dc::VoltageLowers);
             }
         }
-        // Class flips reshape the layout, but need no cache invalidation:
-        // every tracked class is part of the decision key, so a flip
-        // changes the key and stale entries simply stop matching.
         self.tracker.refresh(view);
         if let SysEvent::OperationFault(notice) = event {
             self.on_operation_fault(view, *notice, actions);
@@ -1192,9 +983,6 @@ impl Daemon {
         // recovery machine and pick up droop-alert changes.
         let before = self.recovery.state();
         let exited_safe_mode = self.recovery.on_clean_event();
-        if before != self.recovery.state() {
-            self.cache.clear();
-        }
         self.trace_recovery_transition(before, "clean_window");
         if exited_safe_mode {
             self.bump(Dc::SafeModeExits);

@@ -255,6 +255,43 @@ mod tests {
         assert!(ablated_unsafe > 0.0, "ablation produced no unsafe time");
     }
 
+    /// Pins the Paper-scale, seed-2024 fail-safe rows that EXPERIMENTS.md
+    /// quotes, so the document cannot drift from the code silently. A
+    /// change that moves results must update this test and that text
+    /// together.
+    #[test]
+    fn paper_scale_fail_safe_rows_match_the_documented_rows() {
+        // (variant, unsafe time s, failures) per machine.
+        let documented = [
+            (
+                Machine::XGene2,
+                [
+                    ("raise-before (paper)", 0.0, 0.0),
+                    ("voltage-last (ablated)", 12.610, 16.0),
+                ],
+            ),
+            (
+                Machine::XGene3,
+                [
+                    ("raise-before (paper)", 0.0, 0.0),
+                    ("voltage-last (ablated)", 20.943, 8.0),
+                ],
+            ),
+        ];
+        for (machine, rows) in documented {
+            let t = fail_safe_ablation(machine, Scale::Paper, 2024);
+            for (variant, unsafe_s, failures) in rows {
+                let got = t.value(variant, "unsafe time (s)").unwrap();
+                assert!(
+                    (got - unsafe_s).abs() <= 0.005,
+                    "{machine} {variant} unsafe time {got} s"
+                );
+                let got = t.value(variant, "failures").unwrap();
+                assert_eq!(got, failures, "{machine} {variant} failures");
+            }
+        }
+    }
+
     #[test]
     fn wider_guardband_means_more_savings() {
         let t = guardband_sweep(Machine::XGene2, Scale::Quick, 13);

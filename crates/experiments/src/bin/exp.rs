@@ -25,7 +25,7 @@
 //! (all jobs drained, safe end state, strictly positive savings). The
 //! fleet id likewise exits nonzero when a policy run breaks job
 //! conservation, operates unsafely, loses to round-robin on energy, or
-//! diverges across worker counts. The characterize id trims to one
+//! diverges on a same-seed rerun. The characterize id trims to one
 //! machine under `--smoke` and exits nonzero unless measured tables
 //! reclaim strictly more undervolt depth than the conservative preset
 //! while covering the hidden ground truth, and the drift drill swaps in
@@ -310,7 +310,7 @@ fn run_id(id: &str, opts: &Options) -> Result<Vec<Table>, String> {
             fleet::validate(&results).map_err(|e| format!("fleet acceptance failed: {e}"))?;
             if let Some(path) = &opts.trace {
                 // The merged, node-tagged journal of the energy-aware
-                // run (byte-identical across worker counts).
+                // run (byte-identical on a same-seed rerun).
                 let journal = results.energy_aware().journal.clone().unwrap_or_default();
                 std::fs::write(path, &journal)
                     .map_err(|e| format!("cannot write trace to {}: {e}", path.display()))?;
@@ -338,7 +338,7 @@ fn run_id(id: &str, opts: &Options) -> Result<Vec<Table>, String> {
                 .map_err(|e| format!("fleet-resilience acceptance failed: {e}"))?;
             if let Some(path) = &opts.trace {
                 // The crash drill's merged, node-tagged journal
-                // (byte-identical across worker counts).
+                // (byte-identical on a same-seed rerun).
                 let journal = results.drill.journal.clone().unwrap_or_default();
                 std::fs::write(path, &journal)
                     .map_err(|e| format!("cannot write trace to {}: {e}", path.display()))?;

@@ -37,12 +37,10 @@ pub mod driver;
 pub mod governor;
 pub mod metrics;
 pub mod process;
-pub mod report;
 pub mod system;
 
 pub use driver::{Action, Driver, SysEvent, SystemView};
 pub use governor::GovernorMode;
 pub use metrics::RunMetrics;
 pub use process::{Pid, Process, ProcessState};
-pub use report::Report;
 pub use system::{RunState, System, SystemBuilder, SystemConfig};

@@ -1,11 +1,10 @@
 //! The builder is the blessed construction path; with no options set it
 //! must build exactly the system `System::new` builds (same seed in,
-//! identical [`Report::fingerprint`] out).
+//! identical `RunMetrics::fingerprint` out).
 
 use avfs_chip::presets;
 use avfs_sched::driver::DefaultPolicy;
 use avfs_sched::system::{System, SystemConfig};
-use avfs_sched::Report;
 use avfs_sim::time::SimDuration;
 use avfs_workloads::generator::{GeneratorConfig, WorkloadTrace};
 use avfs_workloads::PerfModel;
