@@ -18,12 +18,12 @@
 //!   float `==`, `thread::sleep` in sim-clocked paths, truncating `as`
 //!   casts near voltage/frequency arithmetic) against a committed
 //!   allowlist, so existing debt is frozen and new debt fails the build.
-//! * [`race`] — a deterministic interleaving-exploration harness that
-//!   replays seeded event schedules through the daemon, applies its
-//!   actions one atomic step at a time, and asserts the shared-state
-//!   invariants (no torn V/F pair, no mid-migration mask, rail in range)
-//!   after every step — the property the fail-safe ordering exists to
-//!   maintain.
+//! * [`race`] — a deterministic interleaving walk that feeds seeded
+//!   event schedules to the model checker's [`statespace::World`], which
+//!   applies the daemon's actions one atomic step at a time and asserts
+//!   the shared-state invariants (no torn V/F pair, no mid-migration
+//!   mask, rail in range) after every step — the property the fail-safe
+//!   ordering exists to maintain.
 //! * [`fleet`] — cluster-level checks over `avfs-fleet`: job
 //!   conservation through admission/shedding/drain, per-node safety
 //!   under cluster-induced load, aggregate consistency, and the

@@ -8,12 +8,12 @@
 //! intermediate state* is safe: the rail always covers the safe Vmin of
 //! whatever is currently running at the current frequency program.
 //!
-//! [`explore`] replays seeded random event schedules (arrivals, finishes,
-//! re-classifications, monitor ticks, in permuted orders) through a real
-//! [`Daemon`] driving a real [`Chip`], applies each action list **one
-//! atomic action at a time**, and evaluates the shared-state invariants
-//! at every step boundary — exactly the points a concurrent
-//! monitor-sample could land on:
+//! [`explore`] walks seeded random event schedules (arrivals, finishes,
+//! re-classifications, monitor ticks, in permuted orders) through the
+//! model checker's [`World`]: a real [`Daemon`] driving a real chip, its
+//! plans applied **one atomic action at a time**, with the shared-state
+//! invariants evaluated at every step boundary — exactly the points a
+//! concurrent monitor-sample could land on:
 //!
 //! * **no torn V/F pair** — `chip.is_voltage_safe_for(busy)` holds
 //!   between every pair of actions, not just at the end of a plan;
@@ -22,37 +22,30 @@
 //! * **rail in range** — the voltage stays within `[floor, nominal]`
 //!   (every `SetVoltage` the daemon emits must be programmable).
 //!
-//! Schedules are pure functions of their seed (a splitmix64 stream), so
-//! any reported violation is replayable by seed.
-
+//! Where the model checker enumerates every short schedule of a narrow
+//! alphabet, the walk reaches what that bound cuts off: arrivals of up
+//! to four threads, any number of live processes, long schedules, and
+//! mailbox faults. Schedules are pure functions of their seed (a
+//! splitmix64 stream), so any reported violation is replayable by seed.
+//!
 //! Schedules can also be **fault-bearing**: a per-schedule
 //! [`FaultPlan`] makes the SLIMpro mailbox refuse or lose requests, the
 //! batch aborts at the failed action (as in the real system), and the
 //! daemon's recovery path (retry / safe-mode fallback) runs — with the
 //! same invariants still checked at every boundary. Droop excursions are
-//! deliberately *not* injected here: the harness does not advance time,
+//! deliberately *not* injected here: the walk does not advance time,
 //! and an excursion raises the effective Vmin at the instant it opens —
 //! before any controller could react — which would make the torn-state
 //! invariant unsatisfiable by construction. Droop response is covered by
 //! the full-system resilience runs instead.
 
-use avfs_chip::chip::Chip;
-use avfs_chip::error::ChipError;
+use crate::statespace::{ModelEvent, World};
 use avfs_chip::fault::{FaultPlan, FaultRates};
-use avfs_chip::freq::FreqStep;
 use avfs_chip::presets;
-use avfs_chip::topology::CoreSet;
 use avfs_core::daemon::Daemon;
-use avfs_sched::driver::{Action, Driver, FaultNotice, ProcessView, SysEvent, SystemView};
-use avfs_sched::governor::GovernorMode;
-use avfs_sched::process::{Pid, ProcessState};
-use avfs_sim::time::SimTime;
+use avfs_sim::rng::{splitmix64, SPLITMIX64_GAMMA};
 use avfs_workloads::classify::IntensityClass;
 use std::fmt;
-
-/// Bound on synchronous fault→retry rounds per event (mirrors the
-/// scheduler's own dispatch bound).
-const FAULT_ROUNDS: usize = 8;
 
 /// Outcome of one exploration campaign.
 #[derive(Debug, Clone, Default)]
@@ -63,7 +56,8 @@ pub struct RaceReport {
     pub events: u64,
     /// Atomic actions applied.
     pub actions: u64,
-    /// Invariant evaluations (one after every atomic action).
+    /// Invariant evaluations (one before each plan, one after every
+    /// atomic action).
     pub checks: u64,
     /// Mailbox faults injected (0 unless exploring with faults).
     pub faults: u64,
@@ -93,313 +87,103 @@ impl fmt::Display for RaceReport {
     }
 }
 
-/// splitmix64: tiny, deterministic, seed-splittable — all the harness
-/// needs to derive permutations and workloads from a schedule id.
-struct Splitmix(u64);
+/// A schedule's choice stream: splitmix64 outputs reduced modulo the
+/// number of options.
+struct Choices(u64);
 
-impl Splitmix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
+impl Choices {
     fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
+        let z = splitmix64(self.0);
+        self.0 = self.0.wrapping_add(SPLITMIX64_GAMMA);
+        z % bound.max(1)
     }
 }
 
-/// One live process in the harness's mirror of the system.
-#[derive(Debug, Clone)]
-struct Proc {
-    pid: Pid,
-    threads: usize,
-    state: ProcessState,
-    assigned: CoreSet,
-    class: IntensityClass,
-}
-
-impl Proc {
-    fn view(&self) -> ProcessView {
-        ProcessView {
-            pid: self.pid,
-            threads: self.threads,
-            state: self.state,
-            assigned: self.assigned,
-            // The kernel sampler reports an L3 rate consistent with the
-            // class (the daemon's 3000-accesses threshold sits between).
-            l3c_per_mcycle: Some(match self.class {
-                IntensityClass::CpuIntensive => 200.0,
-                IntensityClass::MemoryIntensive => 15_000.0,
-            }),
-            class: Some(self.class),
-            arrived_at: SimTime::ZERO,
-            stalled_until: None,
+/// Draws the next event: builds the set of events that could fire now,
+/// then lets the seed pick which one wins the race to the daemon's queue.
+fn next_event(world: &World, rng: &mut Choices) -> ModelEvent {
+    let live = world.live_procs() as u64;
+    let free = world.chip().spec().cores as usize - world.live_threads();
+    // 0 = monitor tick (always possible), 1 = arrival, 2 = finish,
+    // 3 = re-classification.
+    let mut choices: Vec<u8> = vec![0];
+    if free > 0 {
+        choices.push(1);
+    }
+    if live > 0 {
+        choices.extend([2, 3]);
+    }
+    match choices[rng.below(choices.len() as u64) as usize] {
+        1 => {
+            let threads = 1 + rng.below(4.min(free) as u64) as usize;
+            let class = if rng.below(2) == 0 {
+                IntensityClass::CpuIntensive
+            } else {
+                IntensityClass::MemoryIntensive
+            };
+            ModelEvent::Arrive { threads, class }
         }
+        2 => ModelEvent::Finish {
+            slot: rng.below(live) as usize,
+        },
+        3 => ModelEvent::Flip {
+            slot: rng.below(live) as usize,
+        },
+        _ => ModelEvent::Tick,
     }
 }
 
-/// The mirrored system one schedule runs against.
-struct Harness {
-    chip: Chip,
-    procs: Vec<Proc>,
-    governor: GovernorMode,
-    seed: u64,
-    report: RaceReport,
-}
-
-impl Harness {
-    fn new(seed: u64, fault_rate: f64) -> Self {
-        // Alternate chips so both firmware behaviours are explored.
-        let mut chip = if seed.is_multiple_of(2) {
-            presets::xgene2().build()
-        } else {
-            presets::xgene3().build()
-        };
-        if fault_rate > 0.0 {
-            chip.set_fault_plan(Some(FaultPlan::new(
-                seed ^ 0xFA17_0000,
-                FaultRates {
-                    mailbox: fault_rate,
-                    ..FaultRates::ZERO
-                },
-            )));
-        }
-        Harness {
-            chip,
-            procs: Vec::new(),
-            governor: GovernorMode::Ondemand,
-            seed,
-            report: RaceReport::default(),
-        }
-    }
-
-    fn view(&self) -> SystemView {
-        let spec = self.chip.spec();
-        SystemView {
-            now: SimTime::ZERO,
-            spec: spec.clone(),
-            voltage: self.chip.voltage(),
-            pmd_steps: spec
-                .all_pmds()
-                .map(|p| self.chip.pmd_freq_step(p).unwrap_or(FreqStep::MAX))
-                .collect(),
-            governor: self.governor,
-            droop_alert: self.chip.droop_excursion_active(),
-            processes: self.procs.iter().map(Proc::view).collect(),
-        }
-    }
-
-    fn busy_cores(&self) -> CoreSet {
-        self.procs
-            .iter()
-            .filter(|p| p.state == ProcessState::Running)
-            .fold(CoreSet::EMPTY, |acc, p| acc.union(p.assigned))
-    }
-
-    fn fail(&mut self, what: &str) {
-        self.report
+/// Feeds one event to the world and tallies its step into `report`,
+/// tagging violations with the schedule seed for replay.
+fn feed(world: &mut World, event: ModelEvent, seed: u64, report: &mut RaceReport) {
+    report.events += 1;
+    let Some(step) = world.apply_event(event) else {
+        report
             .violations
-            .push(format!("seed {}: {what}", self.seed));
-    }
-
-    /// The shared-state invariants, evaluated at an interleaving point.
-    fn check_invariants(&mut self, at: &str) {
-        self.report.checks += 1;
-
-        // Rail within its regulated window.
-        let v = self.chip.voltage();
-        let (floor, nominal) = (self.chip.spec().vreg_floor_mv, self.chip.spec().nominal_mv);
-        if v.as_mv() < floor || v.as_mv() > nominal {
-            let msg = format!("{at}: rail {v} outside [{floor}mV, {nominal}mV]");
-            self.fail(&msg);
-        }
-
-        // No torn V/F pair: the rail covers the safe Vmin of what is
-        // running right now at the frequency program right now.
-        let busy = self.busy_cores();
-        if !self.chip.is_voltage_safe_for(busy) {
-            let msg = format!(
-                "{at}: torn V/F state — {v} below safe Vmin {} for busy cores {busy}",
-                self.chip.current_safe_vmin(busy)
-            );
-            self.fail(&msg);
-        }
-
-        // No mid-migration mask: running masks are thread-sized and
-        // pairwise disjoint.
-        let mut seen = CoreSet::EMPTY;
-        let mut mask_faults = Vec::new();
-        for p in self
-            .procs
-            .iter()
-            .filter(|p| p.state == ProcessState::Running)
-        {
-            if p.assigned.len() != p.threads {
-                mask_faults.push(format!(
-                    "{at}: {} holds {} cores for {} threads",
-                    p.pid,
-                    p.assigned.len(),
-                    p.threads
-                ));
-            }
-            if !seen.intersection(p.assigned).is_empty() {
-                mask_faults.push(format!(
-                    "{at}: {} mask {} overlaps another process",
-                    p.pid, p.assigned
-                ));
-            }
-            seen = seen.union(p.assigned);
-        }
-        for msg in mask_faults {
-            self.fail(&msg);
-        }
-    }
-
-    /// Applies one atomic action — one mailbox/CPPC/affinity write.
-    /// An injected mailbox fault is *not* a violation: it is reported
-    /// back as the notice the daemon's recovery path consumes.
-    fn apply(&mut self, action: Action) -> Option<FaultNotice> {
-        self.report.actions += 1;
-        match action {
-            Action::SetVoltage(mv) => match self.chip.set_voltage(mv) {
-                Ok(()) => None,
-                Err(ChipError::MailboxRefused { .. }) => {
-                    self.report.faults += 1;
-                    Some(FaultNotice::VoltageRefused(mv))
-                }
-                Err(ChipError::MailboxDropped) => {
-                    self.report.faults += 1;
-                    Some(FaultNotice::VoltageDropped(mv))
-                }
-                Err(e) => {
-                    let msg = format!("daemon requested an unprogrammable voltage: {e}");
-                    self.fail(&msg);
-                    None
-                }
-            },
-            Action::SetPmdStep(pmd, step) => {
-                if self.governor == GovernorMode::Userspace {
-                    if let Err(e) = self.chip.set_pmd_freq_step(pmd, step) {
-                        let msg = format!("daemon requested an invalid step: {e}");
-                        self.fail(&msg);
-                    }
-                }
-                None
-            }
-            Action::PinProcess(pid, cores) => {
-                if let Some(p) = self.procs.iter_mut().find(|p| p.pid == pid) {
-                    p.assigned = cores;
-                    p.state = ProcessState::Running;
-                }
-                None
-            }
-            Action::SetGovernor(mode) => {
-                self.governor = mode;
-                None
-            }
-        }
-    }
-
-    /// Delivers one event to the daemon and applies its plan one atomic
-    /// action at a time, re-checking the invariants at every boundary —
-    /// each boundary is a point a concurrent monitor sample can observe.
-    /// A faulted action aborts the rest of its batch (exactly as the
-    /// scheduler does) and the notice is fed back for a bounded number of
-    /// recovery rounds, all under the same interleaved checks.
-    fn deliver(&mut self, daemon: &mut Daemon, event: SysEvent) {
-        self.report.events += 1;
-        let mut event = event;
-        for _round in 0..=FAULT_ROUNDS {
-            let view = self.view();
-            let actions = daemon.on_event(&view, &event);
-            self.check_invariants("before plan");
-            let mut notice = None;
-            for (i, action) in actions.into_iter().enumerate() {
-                let outcome = self.apply(action);
-                let at = format!("{event:?} action {i}");
-                self.check_invariants(&at);
-                if outcome.is_some() {
-                    notice = outcome;
-                    break;
-                }
-            }
-            match notice {
-                Some(n) => event = SysEvent::OperationFault(n),
-                None => break,
-            }
-        }
-    }
+            .push(format!("seed {seed}: {event} is not applicable"));
+        return;
+    };
+    report.actions += step.actions;
+    report.checks += step.checks;
+    report.faults += step.faults;
+    report.violations.extend(
+        step.violations
+            .into_iter()
+            .map(|v| format!("seed {seed}: {v}")),
+    );
 }
 
 /// Runs one seeded schedule; returns its report.
 fn run_schedule(seed: u64, events_per_schedule: usize, fault_rate: f64) -> RaceReport {
-    let mut rng = Splitmix(seed.wrapping_mul(0x9e37_79b9).wrapping_add(1));
-    let mut harness = Harness::new(seed, fault_rate);
-    let mut daemon = Daemon::optimal(&harness.chip);
-    let mut next_pid = 1u64;
+    // Alternate chips so both firmware behaviours are explored.
+    let preset = if seed.is_multiple_of(2) {
+        presets::xgene2()
+    } else {
+        presets::xgene3()
+    };
+    let mut chip = preset.build();
+    if fault_rate > 0.0 {
+        chip.set_fault_plan(Some(FaultPlan::new(
+            seed ^ 0xFA17_0000,
+            FaultRates {
+                mailbox: fault_rate,
+                ..FaultRates::ZERO
+            },
+        )));
+    }
+    let daemon = Daemon::optimal(&chip);
+    // No process bound: arrivals are gated by free cores alone.
+    let mut world = World::new(chip, daemon, usize::MAX);
+    let mut rng = Choices(seed.wrapping_mul(0x9e37_79b9).wrapping_add(1));
+    let mut report = RaceReport::default();
 
     // Initialization event (governor switch + idle settle).
-    harness.deliver(&mut daemon, SysEvent::MonitorTick);
-
+    feed(&mut world, ModelEvent::Tick, seed, &mut report);
     for _ in 0..events_per_schedule {
-        // Build the set of events that could fire now, then let the seed
-        // pick which one wins the race to the daemon's queue.
-        let live: Vec<(Pid, IntensityClass)> =
-            harness.procs.iter().map(|p| (p.pid, p.class)).collect();
-        let total_threads: usize = harness.procs.iter().map(|p| p.threads).sum();
-        let capacity = harness.chip.spec().cores as usize;
-
-        let mut choices: Vec<u8> = vec![0]; // 0 = monitor tick, always possible
-        if total_threads < capacity {
-            choices.push(1); // arrival
-        }
-        if !live.is_empty() {
-            choices.push(2); // finish
-            choices.push(3); // re-classification
-        }
-        let choice = choices[rng.below(choices.len() as u64) as usize];
-        match choice {
-            1 => {
-                let threads = 1 + rng.below(4.min((capacity - total_threads) as u64)) as usize;
-                let class = if rng.below(2) == 0 {
-                    IntensityClass::CpuIntensive
-                } else {
-                    IntensityClass::MemoryIntensive
-                };
-                let pid = Pid(next_pid);
-                next_pid += 1;
-                harness.procs.push(Proc {
-                    pid,
-                    threads,
-                    state: ProcessState::Waiting,
-                    assigned: CoreSet::EMPTY,
-                    class,
-                });
-                harness.deliver(&mut daemon, SysEvent::ProcessArrived(pid));
-            }
-            2 => {
-                let (pid, _) = live[rng.below(live.len() as u64) as usize];
-                harness.procs.retain(|p| p.pid != pid);
-                harness.deliver(&mut daemon, SysEvent::ProcessFinished(pid));
-            }
-            3 => {
-                let (pid, class) = live[rng.below(live.len() as u64) as usize];
-                let flipped = match class {
-                    IntensityClass::CpuIntensive => IntensityClass::MemoryIntensive,
-                    IntensityClass::MemoryIntensive => IntensityClass::CpuIntensive,
-                };
-                if let Some(p) = harness.procs.iter_mut().find(|p| p.pid == pid) {
-                    p.class = flipped;
-                }
-                harness.deliver(&mut daemon, SysEvent::ClassChanged(pid, flipped));
-            }
-            _ => harness.deliver(&mut daemon, SysEvent::MonitorTick),
-        }
+        let event = next_event(&world, &mut rng);
+        feed(&mut world, event, seed, &mut report);
     }
-    harness.report
+    report
 }
 
 /// Explores `schedules` seeded schedules of `events_per_schedule` events
@@ -481,6 +265,30 @@ mod tests {
         assert!(report.is_clean(), "violations: {:#?}", report.violations);
         // Recovery rounds add checked actions beyond the original plans.
         assert!(report.checks >= report.actions);
+    }
+
+    /// Totals of the two campaigns the local gate runs, pinned: they
+    /// fix which schedules the walk generates, not only that two walks
+    /// agree.
+    #[test]
+    fn fault_free_campaign_totals_are_pinned() {
+        let r = explore(160, 24, 0xA5F5_0001);
+        assert_eq!(
+            (r.schedules, r.events, r.actions, r.checks, r.faults),
+            (160, 4000, 12_319, 16_319, 0)
+        );
+        assert!(r.is_clean(), "violations: {:#?}", r.violations);
+    }
+
+    #[test]
+    fn faulted_campaign_totals_are_pinned() {
+        // `--seed 4195287042` in the gate, i.e. 0xFA0F_0002.
+        let r = explore_with_faults(96, 24, 4_195_287_042, 0.10);
+        assert_eq!(
+            (r.schedules, r.events, r.actions, r.checks, r.faults),
+            (96, 2400, 7584, 10_158, 174)
+        );
+        assert!(r.is_clean(), "violations: {:#?}", r.violations);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Shared state-space machinery for the bounded model checker.
+//! Shared state-space machinery for the interleaving checks.
 //!
-//! The race explorer ([`crate::race`]) samples *seeded random* schedules;
+//! The race explorer ([`crate::race`]) walks *seeded random* schedules;
 //! the model checker ([`crate::model`]) instead enumerates a *symbolic*
-//! event alphabet exhaustively. This module holds what both the checker
-//! and the counterexample shrinker need:
+//! event alphabet exhaustively. Both drive the same [`World`]; this
+//! module holds what they and the counterexample shrinker need:
 //!
 //! * [`ModelEvent`] — a seedless, replayable event vocabulary. Finishes
 //!   and class flips address processes by *slot* (arrival order), not
@@ -12,8 +12,7 @@
 //! * [`World`] — the mirrored system (a real [`Chip`], a real [`Daemon`],
 //!   the live process set) with deterministic event application. Every
 //!   action of the daemon's plan is applied one atomic write at a time
-//!   and the three torn-state properties are evaluated at every boundary,
-//!   exactly as in the race explorer.
+//!   and the three torn-state properties are evaluated at every boundary.
 //! * [`World::fingerprint`] — the state-hash the checker's cache and the
 //!   DPOR commutation check key on: rail mV, per-PMD frequency program,
 //!   masks, governor, and the daemon's control state (recovery machine,
@@ -22,7 +21,8 @@
 //!   fingerprints transition identically under equal events.
 //!
 //! No wall clock, no RNG: the whole state space is a pure function of
-//! the initial world and the event alphabet.
+//! the initial world (including any fault plan armed on its chip) and
+//! the event sequence.
 
 use avfs_chip::chip::Chip;
 use avfs_chip::error::ChipError;
@@ -32,20 +32,15 @@ use avfs_core::daemon::Daemon;
 use avfs_sched::driver::{Action, Driver, FaultNotice, ProcessView, SysEvent, SystemView};
 use avfs_sched::governor::GovernorMode;
 use avfs_sched::process::{Pid, ProcessState};
+use avfs_sim::rng::{fnv1a_fold, FNV_OFFSET_BASIS};
 use avfs_sim::time::SimTime;
 use avfs_workloads::classify::IntensityClass;
 use std::fmt;
 
-/// Bound on synchronous fault→retry rounds per event (mirrors the race
-/// explorer; without an armed fault plan the loop runs exactly once).
+/// Bound on synchronous fault→retry rounds per event (mirrors the
+/// scheduler's own dispatch bound; without an armed fault plan the loop
+/// runs exactly once).
 const FAULT_ROUNDS: usize = 8;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
-}
 
 /// One symbolic event in the model's alphabet. The vocabulary is
 /// self-contained — no pids, no seeds — so any schedule (a `Vec` of
@@ -59,7 +54,7 @@ pub enum ModelEvent {
         /// Thread count of the arriving process.
         threads: usize,
         /// Its intensity class (the kernel sampler reports a matching
-        /// L3 rate, as in the race explorer).
+        /// L3 rate).
         class: IntensityClass,
     },
     /// The `slot`-th live process (in arrival order) finishes.
@@ -131,6 +126,8 @@ impl Proc {
             threads: self.threads,
             state: self.state,
             assigned: self.assigned,
+            // The kernel sampler reports an L3 rate consistent with the
+            // class (the daemon's 3000-accesses threshold sits between).
             l3c_per_mcycle: Some(match self.class {
                 IntensityClass::CpuIntensive => 200.0,
                 IntensityClass::MemoryIntensive => 15_000.0,
@@ -151,6 +148,9 @@ pub struct StepReport {
     pub actions: u64,
     /// Invariant evaluations (one before the plan, one per action).
     pub checks: u64,
+    /// Mailbox faults the chip's fault plan injected (each one fed back
+    /// to the daemon as a fault notice, not counted as a violation).
+    pub faults: u64,
     /// Torn-state property violations, in discovery order.
     pub violations: Vec<String>,
     /// The step issued at least one `SetVoltage` (the rail is global:
@@ -225,6 +225,12 @@ impl World {
         self.procs.len()
     }
 
+    /// Threads across all live processes (arrivals fit while this stays
+    /// within the chip's core count).
+    pub fn live_threads(&self) -> usize {
+        self.procs.iter().map(|p| p.threads).sum()
+    }
+
     fn view(&self) -> SystemView {
         let spec = self.chip.spec();
         SystemView {
@@ -254,7 +260,7 @@ impl World {
     /// bound.
     pub fn enabled_events(&self) -> Vec<ModelEvent> {
         let mut events = vec![ModelEvent::Tick];
-        let total_threads: usize = self.procs.iter().map(|p| p.threads).sum();
+        let total_threads = self.live_threads();
         let capacity = self.chip.spec().cores as usize;
         if self.procs.len() < self.max_procs {
             for threads in [1usize, 2] {
@@ -290,9 +296,8 @@ impl World {
         let sys_event = match event {
             ModelEvent::Tick => SysEvent::MonitorTick,
             ModelEvent::Arrive { threads, class } => {
-                let total_threads: usize = self.procs.iter().map(|p| p.threads).sum();
                 let capacity = self.chip.spec().cores as usize;
-                if self.procs.len() >= self.max_procs || total_threads + threads > capacity {
+                if self.procs.len() >= self.max_procs || self.live_threads() + threads > capacity {
                     return None;
                 }
                 let pid = Pid(self.next_pid);
@@ -365,17 +370,19 @@ impl World {
         match action {
             Action::SetVoltage(mv) => {
                 report.wrote_voltage = true;
-                match self.chip.set_voltage(mv) {
-                    Ok(()) => None,
-                    Err(ChipError::MailboxRefused { .. }) => Some(FaultNotice::VoltageRefused(mv)),
-                    Err(ChipError::MailboxDropped) => Some(FaultNotice::VoltageDropped(mv)),
+                let notice = match self.chip.set_voltage(mv) {
+                    Ok(()) => return None,
+                    Err(ChipError::MailboxRefused { .. }) => FaultNotice::VoltageRefused(mv),
+                    Err(ChipError::MailboxDropped) => FaultNotice::VoltageDropped(mv),
                     Err(e) => {
                         report
                             .violations
                             .push(format!("daemon requested an unprogrammable voltage: {e}"));
-                        None
+                        return None;
                     }
-                }
+                };
+                report.faults += 1;
+                Some(notice)
             }
             Action::SetPmdStep(pmd, step) => {
                 report.pmd_mask |= 1u64 << (pmd.index() % 64);
@@ -406,8 +413,8 @@ impl World {
         }
     }
 
-    /// The three torn-state properties of the race explorer, evaluated
-    /// at one interleaving boundary.
+    /// The three torn-state properties, evaluated at one interleaving
+    /// boundary.
     fn check_invariants(&self, at: &str, report: &mut StepReport) {
         report.checks += 1;
 
@@ -460,8 +467,8 @@ impl World {
     /// (rail, frequency program, droop flag), governor, pid allocator,
     /// every live process, and the daemon's control fingerprint.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = mix(FNV_OFFSET, self.chip.state_digest());
-        h = mix(
+        let mut h = fnv1a_fold(FNV_OFFSET_BASIS, self.chip.state_digest());
+        h = fnv1a_fold(
             h,
             match self.governor {
                 GovernorMode::Ondemand => 0,
@@ -470,11 +477,11 @@ impl World {
                 GovernorMode::Userspace => 3,
             },
         );
-        h = mix(h, self.next_pid);
+        h = fnv1a_fold(h, self.next_pid);
         for p in &self.procs {
-            h = mix(h, p.pid.0);
-            h = mix(h, p.threads as u64);
-            h = mix(
+            h = fnv1a_fold(h, p.pid.0);
+            h = fnv1a_fold(h, p.threads as u64);
+            h = fnv1a_fold(
                 h,
                 match p.state {
                     ProcessState::Waiting => 0,
@@ -482,8 +489,8 @@ impl World {
                     ProcessState::Finished => 2,
                 },
             );
-            h = mix(h, p.assigned.bits());
-            h = mix(
+            h = fnv1a_fold(h, p.assigned.bits());
+            h = fnv1a_fold(
                 h,
                 match p.class {
                     IntensityClass::CpuIntensive => 0,
@@ -491,7 +498,7 @@ impl World {
                 },
             );
         }
-        mix(h, self.daemon.control_fingerprint())
+        fnv1a_fold(h, self.daemon.control_fingerprint())
     }
 }
 

@@ -16,6 +16,7 @@ use crate::slimpro::{MailboxRequest, MailboxResponse, MailboxStats};
 use crate::topology::{ChipSpec, CoreSet, PmdId};
 use crate::vmin::{VminDrift, VminModel, VminQuery};
 use crate::voltage::{Millivolts, VoltageRail};
+use avfs_sim::rng::{fnv1a_fold, FNV_OFFSET_BASIS};
 use avfs_sim::RngStream;
 use avfs_telemetry::{Telemetry, TraceKind, Value};
 
@@ -163,13 +164,11 @@ impl Chip {
     /// Used by `avfs-analyze`'s model checker to fingerprint explored
     /// states.
     pub fn state_digest(&self) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        h = (h ^ u64::from(self.rail.current().as_mv())).wrapping_mul(FNV_PRIME);
+        let mut h = fnv1a_fold(FNV_OFFSET_BASIS, u64::from(self.rail.current().as_mv()));
         for step in &self.pmd_steps {
-            h = (h ^ u64::from(step.numerator())).wrapping_mul(FNV_PRIME);
+            h = fnv1a_fold(h, u64::from(step.numerator()));
         }
-        (h ^ u64::from(self.droop_excursion_active())).wrapping_mul(FNV_PRIME)
+        fnv1a_fold(h, u64::from(self.droop_excursion_active()))
     }
 
     /// The CPPC firmware behaviour of this part.

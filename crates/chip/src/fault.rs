@@ -206,11 +206,6 @@ impl FaultPlan {
         self.excursion_checks_left > 0
     }
 
-    /// How far an active excursion raises the effective safe Vmin.
-    pub fn excursion_guard_mv(&self) -> u32 {
-        EXCURSION_GUARD_MV
-    }
-
     /// Applies the excursion guard to a base Vmin, capped at `nominal`
     /// (nominal voltage is safe by construction, excursion or not).
     pub fn effective_vmin(&self, base: Millivolts, nominal: Millivolts) -> Millivolts {

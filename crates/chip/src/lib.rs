@@ -23,10 +23,10 @@
 //!   operation below the safe Vmin (Figures 4 and 5).
 //! * **Power** ([`power`]): the PCP-domain power model used for all energy
 //!   numbers (Figures 7, 11, 14; Tables III/IV).
-//! * **PMU** ([`pmu`]): standalone per-core cycle / instruction /
-//!   L3-access counters and the droop-band registers. The [`Chip`] holds
-//!   none: the simulator keeps the daemon's two counters (cycles and L3
-//!   accesses) per process, and Figure 6 samples [`droop`] directly.
+//!
+//! The chip keeps no PMU counters: the simulator keeps the daemon's two
+//! (cycles and L3 accesses) per process, and Figure 6 samples [`droop`]
+//! directly.
 //!
 //! # Example
 //!
@@ -48,7 +48,6 @@ pub mod error;
 pub mod failure;
 pub mod fault;
 pub mod freq;
-pub mod pmu;
 pub mod power;
 pub mod presets;
 pub mod slimpro;

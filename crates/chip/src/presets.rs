@@ -29,24 +29,6 @@ pub struct ChipBuilder {
 }
 
 impl ChipBuilder {
-    /// Replaces the Vmin tables (for ablations / sensitivity sweeps).
-    pub fn vmin_tables(mut self, tables: VminTables) -> Self {
-        self.tables = tables;
-        self
-    }
-
-    /// Replaces the power model.
-    pub fn power_model(mut self, power: PowerModel) -> Self {
-        self.power = power;
-        self
-    }
-
-    /// Replaces the droop model.
-    pub fn droop_model(mut self, droop: DroopModel) -> Self {
-        self.droop = droop;
-        self
-    }
-
     /// Re-draws the per-PMD static-variation offsets from `seed`,
     /// modelling a different chip specimen of the same part. The offset
     /// span depends on the process: ±15 mV on 28 nm bulk, ±10 mV on 16 nm

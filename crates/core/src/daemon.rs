@@ -29,6 +29,7 @@ use avfs_chip::voltage::Millivolts;
 use avfs_sched::driver::{Action, Driver, SysEvent, SystemView};
 use avfs_sched::governor::GovernorMode;
 use avfs_sched::process::ProcessState;
+use avfs_sim::rng::{fnv1a_fold, FNV_OFFSET_BASIS};
 use avfs_telemetry::{CounterRegistry, Telemetry, TraceKind, Value};
 use avfs_workloads::classify::IntensityClass;
 use std::fmt;
@@ -434,17 +435,12 @@ impl Daemon {
     /// are observational and deliberately excluded — two daemons with
     /// equal fingerprints plan identically on equal views.
     pub fn control_fingerprint(&self) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: u64, v: u64) -> u64 {
-            (h ^ v).wrapping_mul(FNV_PRIME)
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        h = mix(h, u64::from(self.initialized));
-        h = mix(h, u64::from(self.droop_guard));
-        h = mix(h, self.recovery.fingerprint());
+        let mut h = fnv1a_fold(FNV_OFFSET_BASIS, u64::from(self.initialized));
+        h = fnv1a_fold(h, u64::from(self.droop_guard));
+        h = fnv1a_fold(h, self.recovery.fingerprint());
         for (pid, class) in self.tracker.entries() {
-            h = mix(h, pid.0);
-            h = mix(
+            h = fnv1a_fold(h, pid.0);
+            h = fnv1a_fold(
                 h,
                 match class {
                     IntensityClass::CpuIntensive => 0,

@@ -16,6 +16,7 @@ use avfs_fleet::{
     EnergyAware, Fleet, FleetConfig, FleetSummary, LeastQueued, NodeConfig, NodeKind, RoundRobin,
     RoutingPolicy,
 };
+use avfs_sim::rng::fnv1a_64;
 use avfs_workloads::generator::{GeneratorConfig, WorkloadTrace};
 
 /// Total cores across the default cluster (2×8 + 2×32).
@@ -243,7 +244,7 @@ pub fn determinism_table(results: &FleetEvalResults) -> Table {
         "Same-seed rerun determinism (energy-aware run)",
         &["run", "summary digest", "journal"],
     );
-    let digest = |s: &str| format!("{:016x}", fnv1a(s.as_bytes()));
+    let digest = |s: &str| format!("{:016x}", fnv1a_64(s.as_bytes()));
     let journal_note = if results.journals_match {
         "byte-identical"
     } else {
@@ -260,16 +261,6 @@ pub fn determinism_table(results: &FleetEvalResults) -> Table {
         Cell::from(journal_note),
     ]);
     t
-}
-
-/// FNV-1a, for compact fingerprint digests in the table output.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -26,6 +26,7 @@ use avfs_fleet::{
     EnergyAware, Fleet, FleetConfig, FleetSummary, NodeFaultKind, NodeFaultPlan, NodeId,
     RoundRobin, ScriptedFault,
 };
+use avfs_sim::rng::fnv1a_64;
 
 /// Node-fault rates swept by the full artifact (per category, per node,
 /// per epoch; the quick window is ~600 epochs, so 0.002 already crashes
@@ -299,7 +300,7 @@ pub fn identity_table(results: &FleetResilienceResults) -> Table {
         "Bit-identity gates (equal digests = byte-identical runs)",
         &["comparison", "left digest", "right digest", "journals"],
     );
-    let digest = |s: &str| format!("{:016x}", fnv1a(s.as_bytes()));
+    let digest = |s: &str| format!("{:016x}", fnv1a_64(s.as_bytes()));
     t.push_row(vec![
         Cell::from("no plan vs armed zero-rate plan"),
         Cell::from(digest(&results.unarmed.fingerprint())),
@@ -321,16 +322,6 @@ pub fn identity_table(results: &FleetResilienceResults) -> Table {
         }),
     ]);
     t
-}
-
-/// FNV-1a, for compact digests in the identity table.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -126,16 +126,15 @@ pub struct NodeFaultStats {
     pub degrades: u64,
 }
 
-/// How many epochs a *sampled* stall lasts by default. Longer than the
-/// default [`HealthConfig::fence_after`], so an injected stall reliably
-/// drives the node through Fenced and back out via Probation.
-const DEFAULT_STALL_EPOCHS: u32 = 6;
+/// How many epochs a *sampled* stall lasts. Longer than the default
+/// [`HealthConfig::fence_after`], so an injected stall reliably drives
+/// the node through Fenced and back out via Probation.
+const STALL_EPOCHS: u32 = 6;
 
 /// A seeded, deterministic node-fault schedule.
 #[derive(Debug, Clone)]
 pub struct NodeFaultPlan {
     rates: NodeFaultRates,
-    stall_epochs: u32,
     rng: RngStream,
     scripted: Vec<ScriptedFault>,
     stats: NodeFaultStats,
@@ -146,7 +145,6 @@ impl NodeFaultPlan {
     pub fn new(seed: u64, rates: NodeFaultRates) -> Self {
         NodeFaultPlan {
             rates,
-            stall_epochs: DEFAULT_STALL_EPOCHS,
             rng: RngStream::from_root(seed, "node-fault-plan"),
             scripted: Vec::new(),
             stats: NodeFaultStats::default(),
@@ -163,12 +161,6 @@ impl NodeFaultPlan {
         let mut plan = NodeFaultPlan::new(0, NodeFaultRates::ZERO);
         plan.scripted = events;
         plan
-    }
-
-    /// Overrides how many epochs a sampled stall lasts.
-    pub fn with_stall_epochs(mut self, epochs: u32) -> Self {
-        self.stall_epochs = epochs.max(1);
-        self
     }
 
     /// Appends one scripted fault.
@@ -210,7 +202,7 @@ impl NodeFaultPlan {
                 events.push((
                     id,
                     NodeFaultKind::Stall {
-                        epochs: self.stall_epochs,
+                        epochs: STALL_EPOCHS,
                     },
                 ));
             }

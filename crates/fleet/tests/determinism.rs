@@ -6,6 +6,7 @@ use avfs_fleet::{
     EnergyAware, Fleet, FleetConfig, FleetSummary, LeastQueued, NodeConfig, NodeKind, RoundRobin,
     RoutingPolicy,
 };
+use avfs_sim::rng::fnv1a_64;
 use avfs_sim::time::SimDuration;
 use avfs_workloads::{GeneratorConfig, WorkloadTrace};
 
@@ -46,13 +47,10 @@ fn run_with(policy: &mut dyn RoutingPolicy) -> FleetSummary {
 /// 64-bit FNV-1a over the summary fingerprint, a `0xff` separator, and
 /// the merged journal.
 fn golden_hash(s: &FleetSummary) -> u64 {
-    let journal = s.journal.as_deref().unwrap_or("");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.fingerprint().bytes().chain([0xff]).chain(journal.bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut bytes = s.fingerprint().into_bytes();
+    bytes.push(0xff);
+    bytes.extend_from_slice(s.journal.as_deref().unwrap_or("").as_bytes());
+    fnv1a_64(&bytes)
 }
 
 /// Absolute results of the small cluster, pinned per policy. The

@@ -2,6 +2,7 @@
 //! report.
 
 use crate::process::Pid;
+use avfs_sim::rng::{fnv1a_fold, FNV_OFFSET_BASIS};
 use avfs_sim::series::TimeSeries;
 use avfs_sim::time::{SimDuration, SimTime};
 
@@ -119,7 +120,7 @@ impl RunMetrics {
     pub fn fingerprint(&self) -> String {
         // Completion records folded positionally so the digest covers
         // every record without rendering them all.
-        let mut rec_fold: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut rec_fold = FNV_OFFSET_BASIS;
         for r in &self.completed {
             for v in [
                 r.pid.0,
@@ -128,7 +129,7 @@ impl RunMetrics {
                 r.threads as u64,
                 u64::from(r.migrations),
             ] {
-                rec_fold = (rec_fold ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+                rec_fold = fnv1a_fold(rec_fold, v);
             }
         }
         format!(

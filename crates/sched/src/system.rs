@@ -340,15 +340,6 @@ impl SystemBuilder {
     }
 }
 
-/// Outcome of applying driver actions (for introspection in tests).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ApplyStats {
-    /// Actions applied successfully.
-    pub applied: u32,
-    /// Actions rejected (invalid pin, refused voltage, ...).
-    pub rejected: u32,
-}
-
 impl System {
     /// Creates a system around a chip and its matching performance model.
     /// Inherits whatever telemetry handle the chip already carries (null
@@ -1442,7 +1433,7 @@ impl System {
 mod tests {
     use super::*;
     use crate::driver::DefaultPolicy;
-    use avfs_chip::pmu::ChipPmu;
+    use avfs_chip::droop::DroopCounts;
     use avfs_chip::presets;
     use avfs_workloads::catalog::Benchmark;
     use avfs_workloads::generator::{Arrival, GeneratorConfig};
@@ -1811,8 +1802,8 @@ mod tests {
     fn droop_counters_populate() {
         // The simulator keeps no droop counters. Sampling the chip's
         // droop model at the droop class of each allocation a run passes
-        // through, for as long as it holds, populates a PMU's droop
-        // registers up to the widest allocation's band.
+        // through, for as long as it holds, populates droop counts up to
+        // the widest allocation's band.
         let mut driver = AllocationRecorder(DefaultPolicy::ondemand(), Vec::new());
         let mut sys = xgene2_system();
         let _ = sys.run(&small_trace(6), &mut driver);
@@ -1822,7 +1813,7 @@ mod tests {
                 .droop_class(busy.utilized_pmd_count(chip.spec()))
         };
         let mut rng = RngStream::from_root(6, "droops");
-        let mut pmu = ChipPmu::new(chip.spec().cores as usize);
+        let mut droops = DroopCounts::default();
         let mut widest = None;
         for pair in driver.1.windows(2) {
             let ((at, busy), (until, _)) = (pair[0], pair[1]);
@@ -1833,10 +1824,10 @@ mod tests {
             widest = widest.max(Some(class));
             let dt = until.saturating_since(at).as_secs_f64();
             let cycles = (f64::from(chip.spec().fmax_mhz) * 1e6 * dt) as u64;
-            pmu.record_droops(&chip.droop_model().sample(class, 0.5, cycles, &mut rng));
+            droops.add(&chip.droop_model().sample(class, 0.5, cycles, &mut rng));
         }
-        assert!(pmu.droops().total() > 0);
-        assert!(pmu.droops().max_band() >= widest, "{:?}", pmu.droops());
+        assert!(droops.total() > 0);
+        assert!(droops.max_band() >= widest, "{droops:?}");
     }
 
     /// A driver that emits a fixed action list on its first event, for

@@ -6,21 +6,21 @@
 //! reruns**. Three rules make that hold:
 //!
 //! * **No wall clock.** Every trace event is stamped with [`SimTime`]
-//!   propagated from the simulator via [`Observer::advance_to`]. Two
+//!   propagated from the simulator via [`Telemetry::advance_to`]. Two
 //!   identical seeded runs therefore produce byte-identical journals.
-//! * **Static metric names.** Counters, gauges and histograms are keyed
-//!   by `&'static str` and stored in `BTreeMap`s, so snapshots and
-//!   exports iterate in a stable order independent of insertion history.
+//! * **Static metric names.** Counters and histograms are keyed by
+//!   `&'static str` and stored in `BTreeMap`s, so snapshots and exports
+//!   iterate in a stable order independent of insertion history.
 //! * **Bounded memory.** The trace journal is a ring of fixed capacity;
 //!   overflow drops the *oldest* events and counts the drops, so a long
 //!   run can always keep tracing.
 //!
 //! The seam between the instrumented crates and this one is the
-//! [`Telemetry`] handle: a cheap clonable façade over an optional
-//! observer. When constructed with [`Telemetry::null`] every method is a
-//! single `Option` branch and the closure passed to [`Telemetry::trace`]
-//! is never invoked — no event is built, nothing allocates. That is the
-//! zero-cost guarantee `crates/bench` verifies.
+//! [`Telemetry`] handle: a cheap clonable façade over an optional shared
+//! [`TelemetryHub`]. When constructed with [`Telemetry::null`] every
+//! method is a single `Option` branch and the closure passed to
+//! [`Telemetry::trace`] is never invoked — no event is built, nothing
+//! allocates. That is the zero-cost guarantee `crates/bench` verifies.
 
 use avfs_sim::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
@@ -41,7 +41,7 @@ pub const HISTOGRAM_BOUNDS: [u64; 7] = [1, 10, 100, 1_000, 10_000, 100_000, 1_00
 pub enum Value {
     /// Unsigned counter-like quantity.
     U64(u64),
-    /// Signed quantity (gauge deltas, offsets).
+    /// Signed quantity (deltas, offsets).
     I64(i64),
     /// Measured quantity (power, savings). Serialized via `Display`,
     /// which is deterministic for finite values; non-finite values
@@ -282,45 +282,6 @@ impl TraceEvent {
     }
 }
 
-/// The sink side of the telemetry seam.
-///
-/// Implementations must be deterministic functions of the call sequence:
-/// no wall clock, no ambient randomness. The instrumented crates only
-/// ever talk to an observer through the [`Telemetry`] handle, which
-/// serializes access, so `&mut self` methods need no internal locking.
-pub trait Observer: Send {
-    /// Propagates simulated time; subsequent events are stamped at `at`.
-    /// Called by clock-owning layers (the scheduler, the daemon) on
-    /// behalf of clock-less ones (the chip).
-    fn advance_to(&mut self, _at: SimTime) {}
-
-    /// Adds `delta` to the named monotone counter.
-    fn counter_add(&mut self, name: &'static str, delta: u64);
-
-    /// Sets the named gauge to `value`.
-    fn gauge_set(&mut self, name: &'static str, value: i64);
-
-    /// Records one observation into the named histogram.
-    fn histogram_observe(&mut self, name: &'static str, value: u64);
-
-    /// Appends a trace event with the given fields.
-    fn record(&mut self, kind: TraceKind, fields: Vec<(&'static str, Value)>);
-}
-
-/// The do-nothing observer: every hook is a no-op the optimizer can
-/// erase. [`Telemetry::null`] does not even allocate one — the handle's
-/// sink is `None` — but the type exists for callers that want to pass an
-/// explicit observer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {
-    fn counter_add(&mut self, _name: &'static str, _delta: u64) {}
-    fn gauge_set(&mut self, _name: &'static str, _value: i64) {}
-    fn histogram_observe(&mut self, _name: &'static str, _value: u64) {}
-    fn record(&mut self, _kind: TraceKind, _fields: Vec<(&'static str, Value)>) {}
-}
-
 /// A fixed-bucket histogram: decade buckets plus count/sum/max.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
@@ -375,8 +336,6 @@ impl Histogram {
 pub struct MetricsSnapshot {
     /// Monotone counters.
     pub counters: BTreeMap<&'static str, u64>,
-    /// Last-write-wins gauges.
-    pub gauges: BTreeMap<&'static str, i64>,
     /// Fixed-bucket histograms.
     pub histograms: BTreeMap<&'static str, Histogram>,
 }
@@ -387,25 +346,20 @@ impl MetricsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// The named gauge's value, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
     /// The named histogram, if it ever observed anything.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
     }
 }
 
-/// The standard observer: metric registries plus a bounded ring journal
-/// of trace events, exportable as JSONL.
+/// The telemetry sink: metric registries plus a bounded ring journal of
+/// trace events, exportable as JSONL. Every hook is a deterministic
+/// function of the call sequence: no wall clock, no ambient randomness.
 #[derive(Debug)]
 pub struct TelemetryHub {
     now: SimTime,
     next_seq: u64,
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, i64>,
     histograms: BTreeMap<&'static str, Histogram>,
     journal: VecDeque<TraceEvent>,
     capacity: usize,
@@ -431,7 +385,6 @@ impl TelemetryHub {
             now: SimTime::ZERO,
             next_seq: 0,
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
             journal: VecDeque::with_capacity(capacity.min(4096)),
             capacity: capacity.max(1),
@@ -458,7 +411,6 @@ impl TelemetryHub {
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
             histograms: self.histograms.clone(),
         }
     }
@@ -485,10 +437,11 @@ impl TelemetryHub {
         }
         out
     }
-}
 
-impl Observer for TelemetryHub {
-    fn advance_to(&mut self, at: SimTime) {
+    /// Propagates simulated time; subsequent events are stamped at `at`.
+    /// Called by clock-owning layers (the scheduler, the daemon) on
+    /// behalf of clock-less ones (the chip).
+    pub(crate) fn advance_to(&mut self, at: SimTime) {
         // Monotone: a stale caller (e.g. a chip clone replayed out of
         // band) cannot rewind the stamp.
         if at > self.now {
@@ -496,19 +449,19 @@ impl Observer for TelemetryHub {
         }
     }
 
-    fn counter_add(&mut self, name: &'static str, delta: u64) {
+    /// Adds `delta` to the named monotone counter.
+    pub(crate) fn counter_add(&mut self, name: &'static str, delta: u64) {
         *self.counters.entry(name).or_insert(0) += delta;
     }
 
-    fn gauge_set(&mut self, name: &'static str, value: i64) {
-        self.gauges.insert(name, value);
-    }
-
-    fn histogram_observe(&mut self, name: &'static str, value: u64) {
+    /// Records one observation into the named histogram.
+    pub(crate) fn histogram_observe(&mut self, name: &'static str, value: u64) {
         self.histograms.entry(name).or_default().observe(value);
     }
 
-    fn record(&mut self, kind: TraceKind, fields: Vec<(&'static str, Value)>) {
+    /// Appends a trace event with the given fields, dropping the oldest
+    /// event when the ring is full.
+    pub(crate) fn record(&mut self, kind: TraceKind, fields: Vec<(&'static str, Value)>) {
         if self.journal.len() >= self.capacity {
             self.journal.pop_front();
             self.dropped += 1;
@@ -524,20 +477,6 @@ impl Observer for TelemetryHub {
     }
 }
 
-enum Sink {
-    Hub(Arc<Mutex<TelemetryHub>>),
-    Custom(Arc<Mutex<Box<dyn Observer>>>),
-}
-
-impl Clone for Sink {
-    fn clone(&self) -> Self {
-        match self {
-            Sink::Hub(hub) => Sink::Hub(Arc::clone(hub)),
-            Sink::Custom(obs) => Sink::Custom(Arc::clone(obs)),
-        }
-    }
-}
-
 /// Recovers the guarded value even if a panicking thread poisoned the
 /// lock — telemetry must never take the control loop down with it.
 fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -547,32 +486,28 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// The handle instrumented code holds: a cheap clonable façade over an
-/// optional shared observer.
+/// optional shared [`TelemetryHub`].
 ///
 /// With [`Telemetry::null`] (the default) every method short-circuits on
 /// a `None` check and the closure given to [`trace`](Telemetry::trace)
 /// is never called — the zero-cost path `crates/bench` guards. With
-/// [`Telemetry::hub`] all clones feed one shared [`TelemetryHub`].
+/// [`Telemetry::hub`] all clones feed one shared hub.
 #[derive(Clone, Default)]
 pub struct Telemetry {
-    sink: Option<Sink>,
+    hub: Option<Arc<Mutex<TelemetryHub>>>,
 }
 
 impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let label = match &self.sink {
-            None => "null",
-            Some(Sink::Hub(_)) => "hub",
-            Some(Sink::Custom(_)) => "custom",
-        };
+        let label = if self.hub.is_some() { "hub" } else { "null" };
         f.debug_struct("Telemetry").field("sink", &label).finish()
     }
 }
 
 impl Telemetry {
-    /// The disabled handle: every hook is one branch, no observer exists.
+    /// The disabled handle: every hook is one branch, no hub exists.
     pub fn null() -> Self {
-        Telemetry { sink: None }
+        Telemetry { hub: None }
     }
 
     /// A handle over a fresh shared [`TelemetryHub`] with the default
@@ -584,42 +519,31 @@ impl Telemetry {
     /// A handle over a fresh shared hub with the given journal capacity.
     pub fn hub_with_capacity(capacity: usize) -> Self {
         Telemetry {
-            sink: Some(Sink::Hub(Arc::new(Mutex::new(
-                TelemetryHub::with_capacity(capacity),
-            )))),
+            hub: Some(Arc::new(Mutex::new(TelemetryHub::with_capacity(capacity)))),
         }
     }
 
-    /// A handle over an arbitrary observer implementation.
-    pub fn custom(observer: Box<dyn Observer>) -> Self {
-        Telemetry {
-            sink: Some(Sink::Custom(Arc::new(Mutex::new(observer)))),
-        }
-    }
-
-    /// True when a real observer is attached. Instrumentation may use
-    /// this to skip *computing* expensive inputs, mirroring what
+    /// True when a hub is attached. Instrumentation may use this to skip
+    /// *computing* expensive inputs, mirroring what
     /// [`trace`](Telemetry::trace) does for event construction.
     pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
+        self.hub.is_some()
     }
 
-    fn with_observer(&self, f: impl FnOnce(&mut dyn Observer)) {
-        match &self.sink {
-            None => {}
-            Some(Sink::Hub(hub)) => f(&mut *lock_unpoisoned(hub)),
-            Some(Sink::Custom(obs)) => f(lock_unpoisoned(obs).as_mut()),
+    fn with_hub_mut(&self, f: impl FnOnce(&mut TelemetryHub)) {
+        if let Some(hub) = &self.hub {
+            f(&mut lock_unpoisoned(hub));
         }
     }
 
-    /// Propagates simulated time to the observer.
+    /// Propagates simulated time to the hub.
     pub fn advance_to(&self, at: SimTime) {
-        self.with_observer(|obs| obs.advance_to(at));
+        self.with_hub_mut(|hub| hub.advance_to(at));
     }
 
     /// Adds `delta` to the named monotone counter.
     pub fn counter_add(&self, name: &'static str, delta: u64) {
-        self.with_observer(|obs| obs.counter_add(name, delta));
+        self.with_hub_mut(|hub| hub.counter_add(name, delta));
     }
 
     /// Adds 1 to the named monotone counter.
@@ -627,31 +551,21 @@ impl Telemetry {
         self.counter_add(name, 1);
     }
 
-    /// Sets the named gauge.
-    pub fn gauge_set(&self, name: &'static str, value: i64) {
-        self.with_observer(|obs| obs.gauge_set(name, value));
-    }
-
     /// Records one histogram observation.
     pub fn histogram_observe(&self, name: &'static str, value: u64) {
-        self.with_observer(|obs| obs.histogram_observe(name, value));
+        self.with_hub_mut(|hub| hub.histogram_observe(name, value));
     }
 
-    /// Appends a trace event. `fields` is only invoked when an observer
-    /// is attached, so the null path never builds the event.
+    /// Appends a trace event. `fields` is only invoked when a hub is
+    /// attached, so the null path never builds the event.
     pub fn trace(&self, kind: TraceKind, fields: impl FnOnce() -> Vec<(&'static str, Value)>) {
-        if self.sink.is_some() {
-            self.with_observer(|obs| obs.record(kind, fields()));
-        }
+        self.with_hub_mut(|hub| hub.record(kind, fields()));
     }
 
     /// Runs `f` against the shared hub, if this handle wraps one.
-    /// Returns `None` for null and custom handles.
+    /// Returns `None` for null handles.
     pub fn with_hub<R>(&self, f: impl FnOnce(&TelemetryHub) -> R) -> Option<R> {
-        match &self.sink {
-            Some(Sink::Hub(hub)) => Some(f(&lock_unpoisoned(hub))),
-            _ => None,
-        }
+        self.hub.as_ref().map(|hub| f(&lock_unpoisoned(hub)))
     }
 
     /// The hub's metrics snapshot, if this handle wraps a hub.
@@ -711,7 +625,6 @@ mod tests {
         let t = Telemetry::null();
         assert!(!t.is_enabled());
         t.counter_add("x", 1);
-        t.gauge_set("g", -3);
         t.histogram_observe("h", 10);
         t.trace(TraceKind::Replan, || {
             panic!("closure must not run on the null path")
@@ -725,13 +638,11 @@ mod tests {
         let t = Telemetry::hub();
         t.counter_add("a.count", 2);
         t.counter_inc("a.count");
-        t.gauge_set("a.gauge", -7);
         t.histogram_observe("a.hist", 5);
         t.histogram_observe("a.hist", 50_000);
         let snap = t.snapshot().expect("hub handle snapshots");
         assert_eq!(snap.counter("a.count"), 3);
         assert_eq!(snap.counter("never.touched"), 0);
-        assert_eq!(snap.gauge("a.gauge"), Some(-7));
         let h = snap.histogram("a.hist").expect("observed");
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 50_005);
@@ -830,39 +741,5 @@ mod tests {
         assert_eq!(reg.get(7), 0);
         let pairs: Vec<(&str, u64)> = reg.iter().collect();
         assert_eq!(pairs, vec![("one", 2), ("two", 1)]);
-    }
-
-    #[test]
-    fn custom_observer_receives_all_hooks() {
-        #[derive(Default)]
-        struct Probe {
-            calls: Vec<String>,
-        }
-        impl Observer for Probe {
-            fn advance_to(&mut self, at: SimTime) {
-                self.calls.push(format!("t={}", at.as_nanos()));
-            }
-            fn counter_add(&mut self, name: &'static str, delta: u64) {
-                self.calls.push(format!("c:{name}+{delta}"));
-            }
-            fn gauge_set(&mut self, name: &'static str, value: i64) {
-                self.calls.push(format!("g:{name}={value}"));
-            }
-            fn histogram_observe(&mut self, name: &'static str, value: u64) {
-                self.calls.push(format!("h:{name}<{value}"));
-            }
-            fn record(&mut self, kind: TraceKind, fields: Vec<(&'static str, Value)>) {
-                self.calls.push(format!("r:{kind}/{}", fields.len()));
-            }
-        }
-        let t = Telemetry::custom(Box::new(Probe::default()));
-        assert!(t.is_enabled());
-        t.advance_to(SimTime::from_nanos(9));
-        t.counter_add("c", 3);
-        t.gauge_set("g", 1);
-        t.histogram_observe("h", 2);
-        t.trace(TraceKind::Init, Vec::new);
-        // Custom sinks have no hub to export from.
-        assert!(t.export_jsonl().is_none());
     }
 }

@@ -15,8 +15,8 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy"
-# The offline rand/proptest stand-ins under shims/ are checked by build +
-# tests only; clippy gates the real crates. The four warn-level domain lints
+# The offline proptest stand-in under shims/ is checked by build + tests
+# only; clippy gates the real crates. The four warn-level domain lints
 # (unwrap/expect/float-cmp/truncating-cast) stay advisory here because the
 # avfs-analyze lint ratchet below is their enforcement point.
 cargo clippy -q --all-targets \

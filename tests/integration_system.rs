@@ -1,7 +1,7 @@
 //! Cross-crate integration: chip model + workloads + scheduler substrate.
 
 use avfs_chip::chip::Chip;
-use avfs_chip::pmu::ChipPmu;
+use avfs_chip::droop::DroopCounts;
 use avfs_chip::presets;
 use avfs_chip::topology::CoreSet;
 use avfs_sched::driver::{Action, DefaultPolicy, Driver, SysEvent, SystemView};
@@ -178,9 +178,9 @@ impl Recorder {
     /// the allocation until the next event; the chip's droop model is
     /// sampled at that allocation's droop class for the interval's fmax
     /// cycles.
-    fn droops(&self, chip: &Chip, activity: f64) -> ChipPmu {
+    fn droops(&self, chip: &Chip, activity: f64) -> DroopCounts {
         let mut rng = RngStream::from_root(2024, "droops");
-        let mut pmu = ChipPmu::new(chip.spec().cores as usize);
+        let mut droops = DroopCounts::default();
         for pair in self.views.windows(2) {
             let busy = pair[0].busy_cores();
             if busy.is_empty() {
@@ -191,9 +191,9 @@ impl Recorder {
                 .droop_class(busy.utilized_pmd_count(chip.spec()));
             let dt = pair[1].now.saturating_since(pair[0].now).as_secs_f64();
             let cycles = (f64::from(chip.spec().fmax_mhz) * 1e6 * dt) as u64;
-            pmu.record_droops(&chip.droop_model().sample(class, activity, cycles, &mut rng));
+            droops.add(&chip.droop_model().sample(class, activity, cycles, &mut rng));
         }
-        pmu
+        droops
     }
 }
 
@@ -269,8 +269,8 @@ fn droop_counters_track_utilization_width() {
     let top = avfs_chip::DroopClass::D55;
     let full_droops = full_run.droops(&chip, activity);
     let narrow_droops = narrow_run.droops(&chip, activity);
-    assert!(full_droops.droops().in_band(top) > 0);
-    assert_eq!(narrow_droops.droops().in_band(top), 0);
+    assert!(full_droops.in_band(top) > 0);
+    assert_eq!(narrow_droops.in_band(top), 0);
 }
 
 #[test]
