@@ -14,8 +14,9 @@
 //!
 //! Every subcommand accepts `--format text|json`. Exit codes: 0 clean,
 //! 1 violations found, 2 usage error — so CI can distinguish "the code
-//! is broken" from "the invocation is broken" (`scripts/check.sh` runs
-//! the gates individually).
+//! is broken" from "the invocation is broken". `scripts/check.sh` runs
+//! every gate through `all`, which holds the only copy of their
+//! arguments.
 
 use avfs_analyze::invariant::{check_all, registry};
 use avfs_analyze::jsonout::{string, string_array};
@@ -522,7 +523,7 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(Format, Outcome), String> {
                 run_invariants(format),
                 run_lint(format, false),
                 run_race(format, 160, 24, 0xA5F5_0001, 0.0),
-                run_race(format, 96, 24, 0xFA17_0002, 0.10),
+                run_race(format, 96, 24, race::FAULTED_CAMPAIGN_SEED, 0.10),
                 run_fleet(format, 0xF1EE_7001),
                 run_model(format, 6, 2),
                 run_prove_policy(format, false, margins::DEFAULT_SEED),

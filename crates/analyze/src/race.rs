@@ -47,6 +47,11 @@ use avfs_sim::rng::{splitmix64, SPLITMIX64_GAMMA};
 use avfs_workloads::classify::IntensityClass;
 use std::fmt;
 
+/// Base seed of the faulted campaign that `avfs-analyze all` runs (96
+/// schedules at a 10% mailbox-fault rate); on the command line it is
+/// `race --seed 4195287042`.
+pub const FAULTED_CAMPAIGN_SEED: u64 = 0xFA0F_0002;
+
 /// Outcome of one exploration campaign.
 #[derive(Debug, Clone, Default)]
 pub struct RaceReport {
@@ -282,13 +287,38 @@ mod tests {
 
     #[test]
     fn faulted_campaign_totals_are_pinned() {
-        // `--seed 4195287042` in the gate, i.e. 0xFA0F_0002.
-        let r = explore_with_faults(96, 24, 4_195_287_042, 0.10);
+        let r = explore_with_faults(96, 24, FAULTED_CAMPAIGN_SEED, 0.10);
         assert_eq!(
             (r.schedules, r.events, r.actions, r.checks, r.faults),
             (96, 2400, 7584, 10_158, 174)
         );
         assert!(r.is_clean(), "violations: {:#?}", r.violations);
+    }
+
+    /// The deferred-pin window of ROADMAP item 1, reached by the walk:
+    /// longer schedules from seed 99 leave the rail under the cores a
+    /// deferred pin left behind, once on X-Gene 2 and twice on X-Gene 3.
+    /// This pins a known bug, not wanted behaviour: the fix for item 1
+    /// must flip this campaign to clean.
+    #[test]
+    fn long_schedules_reach_the_deferred_pin_window() {
+        let r = explore(200, 40, 99);
+        assert_eq!(
+            (r.schedules, r.events, r.actions, r.checks, r.faults),
+            (200, 8200, 24_178, 32_378, 0)
+        );
+        let [xg2, xg3_after, xg3_before] = r.violations.as_slice() else {
+            panic!("expected 3 violations: {:#?}", r.violations);
+        };
+        assert!(xg2.starts_with("seed 216: "), "{xg2}");
+        assert!(
+            xg2.ends_with("877mV below safe Vmin 904mV for busy cores {0,5,6}"),
+            "{xg2}"
+        );
+        for v in [xg3_after, xg3_before] {
+            assert!(v.starts_with("seed 245: "), "{v}");
+            assert!(v.contains("816mV below safe Vmin 832mV"), "{v}");
+        }
     }
 
     #[test]

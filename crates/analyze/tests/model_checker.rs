@@ -1,15 +1,18 @@
 //! End-to-end tests for the bounded model checker and the policy-domain
-//! prover: the clean daemon proves clean, a deliberately broken daemon
-//! ordering yields a short shrunken counterexample that replays, and a
-//! broken voltage chooser fails the proof with exact cell coordinates.
+//! prover: the clean daemon proves clean at the gate's bound, a
+//! deliberately broken daemon ordering yields a short shrunken
+//! counterexample that replays, one bound deeper the checker reaches the
+//! known deferred-pin window, and a broken voltage chooser fails the
+//! proof with exact cell coordinates.
 
 use avfs_analyze::model::{check, check_world, ModelOptions};
 use avfs_analyze::proof::{prove, prove_preset_with};
 use avfs_analyze::shrink::replay;
-use avfs_analyze::statespace::World;
+use avfs_analyze::statespace::{ModelEvent, World};
 use avfs_chip::freq::FreqVminClass;
 use avfs_chip::voltage::Millivolts;
 use avfs_core::daemon::Daemon;
+use avfs_workloads::IntensityClass;
 
 fn broken_world() -> World {
     let chip = avfs_chip::presets::xgene2().build();
@@ -80,6 +83,53 @@ fn broken_ordering_yields_a_short_replayable_counterexample() {
             "dropping event {skip} still reproduces"
         );
     }
+}
+
+/// The deferred-pin window of ROADMAP item 1, pinned against the
+/// current daemon the way the ablated ordering is pinned above. At depth
+/// 7 with three live processes, X-Gene 2 stays clean, but on X-Gene 3 a
+/// pin the daemon defers leaves its process on cores the final voltage
+/// does not count, and the counterexample shrinks from 7 to 6 events.
+/// This pins a known bug, not wanted behaviour: the fix for item 1 must
+/// flip this test to clean on both presets.
+#[test]
+fn depth_seven_reaches_the_deferred_pin_window() {
+    let report = check(&ModelOptions {
+        depth: 7,
+        max_procs: 3,
+        dpor: true,
+    });
+    let [xg2, xg3] = report.presets.as_slice() else {
+        panic!("expected two presets: {report:?}");
+    };
+    assert!(xg2.is_clean(), "{xg2}");
+    assert_eq!(xg2.states, 740, "{xg2}");
+    assert!(xg3.registry_violations.is_empty(), "{xg3}");
+    let cx = xg3
+        .counterexample
+        .as_ref()
+        .unwrap_or_else(|| panic!("X-Gene 3 must reach the window at depth 7: {xg3}"));
+    assert_eq!(cx.original_len, 7, "{cx}");
+    let arrive = |threads, class| ModelEvent::Arrive { threads, class };
+    assert_eq!(
+        cx.schedule,
+        [
+            arrive(2, IntensityClass::CpuIntensive),
+            arrive(1, IntensityClass::CpuIntensive),
+            arrive(2, IntensityClass::MemoryIntensive),
+            ModelEvent::Flip { slot: 0 },
+            ModelEvent::Flip { slot: 1 },
+            ModelEvent::Flip { slot: 0 },
+        ],
+        "{cx}"
+    );
+    let [violation] = cx.violations.as_slice() else {
+        panic!("expected one violation: {cx}");
+    };
+    assert!(
+        violation.ends_with("806mV below safe Vmin 812mV for busy cores {0,24,26,28,30}"),
+        "{violation}"
+    );
 }
 
 #[test]

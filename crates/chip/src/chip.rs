@@ -124,11 +124,6 @@ impl Chip {
         self.state_epoch += 1;
     }
 
-    /// The armed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
-    }
-
     /// Mutable access to the armed fault plan (the simulator advances
     /// droop excursions and samples PMU glitches through this).
     pub fn fault_plan_mut(&mut self) -> Option<&mut FaultPlan> {

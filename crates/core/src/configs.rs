@@ -37,8 +37,8 @@ impl EvalConfig {
     ];
 
     /// Builds the driver implementing this configuration for `chip`.
-    /// The driver is `Send` so cluster-level callers (avfs-fleet) can
-    /// step nodes from a scoped worker pool.
+    /// The box is `Send`, so a caller may move the driver to another
+    /// thread.
     pub fn driver(self, chip: &Chip) -> Box<dyn Driver + Send> {
         self.driver_with_observer(chip, Telemetry::null())
     }

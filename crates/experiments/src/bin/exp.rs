@@ -11,13 +11,13 @@
 //!
 //! Artifact ids: `table1 table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
 //! fig11 fig12 fig14 fig15 table3 table4 ablations resilience fleet
-//! fleet-resilience characterize`.
+//! characterize`.
 //!
 //! `all` intentionally excludes the slow ids — `ablations`,
-//! `resilience`, `fleet`, `fleet-resilience`, and `characterize` —
-//! which run long sweeps, whole-cluster simulations, or measurement
-//! campaigns; request those explicitly. Unknown ids are rejected before
-//! anything runs, with a nonzero exit and the closest matches.
+//! `resilience`, `fleet`, and `characterize` — which run long sweeps,
+//! whole-cluster simulations, or measurement campaigns; request those
+//! explicitly. Unknown ids are rejected before anything runs, with a
+//! nonzero exit and the closest matches.
 //!
 //! `--smoke` implies `--quick` and trims the resilience sweep to its
 //! rate-0 anchor plus the 5% acceptance point on one machine; the
@@ -37,15 +37,15 @@
 //! across identical seeded invocations — and appends the `telemetry
 //! summary` tables (action mix, per-interval monitor summary,
 //! fault/recovery timeline) to the output. For `fleet` the journal is
-//! the energy-aware run's merged, node-tagged cluster journal; for
-//! `fleet-resilience` it is the crash drill's. With several traced ids,
-//! the last one's journal wins the file; trace one id per invocation.
+//! the energy-aware run's merged, node-tagged cluster journal. With
+//! several traced ids, the last one's journal wins the file; trace one
+//! id per invocation.
 
 use avfs_chip::vmin::DroopClass;
 use avfs_experiments::report::Table;
 use avfs_experiments::{
-    ablations, characterization, characterize, droops, energy, factors, fleet, fleet_resilience,
-    perfchar, resilience, server_eval, tables, telemetry_report, Machine, Scale,
+    ablations, characterization, characterize, droops, energy, factors, fleet, perfchar,
+    resilience, server_eval, tables, telemetry_report, Machine, Scale,
 };
 use avfs_telemetry::Telemetry;
 use std::path::PathBuf;
@@ -67,13 +67,7 @@ const ALL_IDS: [&str; 16] = [
 
 /// Ids `all` deliberately leaves out: long sweeps and whole-cluster
 /// simulations that would dominate an `exp all` run.
-const SLOW_IDS: [&str; 5] = [
-    "ablations",
-    "resilience",
-    "fleet",
-    "fleet-resilience",
-    "characterize",
-];
+const SLOW_IDS: [&str; 4] = ["ablations", "resilience", "fleet", "characterize"];
 
 /// Levenshtein distance, for `did you mean` suggestions on unknown ids.
 fn edit_distance(a: &str, b: &str) -> usize {
@@ -148,7 +142,7 @@ fn parse_args() -> Result<Options, String> {
                 opts.trace = Some(PathBuf::from(path));
             }
             // `all` is the paper reproduction set only: the slow ids
-            // (ablations, resilience, fleet) must be requested by name.
+            // (`SLOW_IDS`) must be requested by name.
             "all" => opts.ids.extend(ALL_IDS.iter().map(|s| s.to_string())),
             "--help" | "-h" => {
                 println!(
@@ -186,15 +180,7 @@ fn emit(tables: Vec<Table>, csv_dir: &Option<PathBuf>) {
 }
 
 /// Ids that accept a telemetry hub when `--trace` is given.
-const TRACED_IDS: [&str; 7] = [
-    "table3",
-    "table4",
-    "fig14",
-    "fig15",
-    "resilience",
-    "fleet",
-    "fleet-resilience",
-];
+const TRACED_IDS: [&str; 6] = ["table3", "table4", "fig14", "fig15", "resilience", "fleet"];
 
 /// Runs `run` with a hub-backed telemetry handle when `--trace` is set
 /// (null otherwise); afterwards writes the JSONL journal and appends the
@@ -324,34 +310,6 @@ fn run_id(id: &str, opts: &Options) -> Result<Vec<Table>, String> {
                 fleet::policy_table(&results),
                 fleet::node_table(&results),
                 fleet::determinism_table(&results),
-            ]
-        }
-        "fleet-resilience" => {
-            let rates: &[f64] = if opts.smoke {
-                &fleet_resilience::SMOKE_RATES
-            } else {
-                &fleet_resilience::FULL_RATES
-            };
-            let results = fleet_resilience::evaluate(scale, seed, rates);
-            results
-                .validate()
-                .map_err(|e| format!("fleet-resilience acceptance failed: {e}"))?;
-            if let Some(path) = &opts.trace {
-                // The crash drill's merged, node-tagged journal
-                // (byte-identical on a same-seed rerun).
-                let journal = results.drill.journal.clone().unwrap_or_default();
-                std::fs::write(path, &journal)
-                    .map_err(|e| format!("cannot write trace to {}: {e}", path.display()))?;
-                eprintln!(
-                    "fleet-resilience journal: {} events -> {}",
-                    journal.lines().count(),
-                    path.display()
-                );
-            }
-            vec![
-                fleet_resilience::degradation_curve(&results),
-                fleet_resilience::drill_table(&results),
-                fleet_resilience::identity_table(&results),
             ]
         }
         "characterize" => {

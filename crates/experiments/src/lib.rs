@@ -15,7 +15,6 @@
 //! | [`ablations`] | beyond-paper sweeps: fail-safe off, classification threshold, guardband width, migration cost |
 //! | [`characterize`] | beyond-paper measured-margin campaigns: reclaimed savings vs a conservative preset, mid-run drift drill, stale-table degradation curve |
 //! | [`resilience`] | beyond-paper fault-injection sweep: savings-vs-fault-rate degradation curve and recovery counters |
-//! | [`fleet_resilience`] | beyond-paper cluster fault tolerance: node-failure degradation curve, crash drill, bit-identity gates |
 //! | [`telemetry_report`] | beyond-paper: `--trace` journal and metrics rendered as summary tables |
 //!
 //! Every harness takes a [`Scale`] so integration tests can run the same
@@ -29,7 +28,6 @@ pub mod droops;
 pub mod energy;
 pub mod factors;
 pub mod fleet;
-pub mod fleet_resilience;
 mod json;
 pub mod perfchar;
 pub mod report;

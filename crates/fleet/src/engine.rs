@@ -1,10 +1,10 @@
 //! The fleet engine: epoch-synchronized execution over N nodes with a
-//! bounded-admission front door and a fault-tolerant routing loop.
+//! bounded-admission front door.
 //!
 //! # Execution
 //!
 //! Everything runs on the coordinator thread. Between boundaries the
-//! coordinator steps every live node to the next boundary in `NodeId`
+//! coordinator steps every node to the next boundary in `NodeId`
 //! order. An epoch holds only microseconds of node work, less than the
 //! cost of handing nodes to other threads and waiting for them, so
 //! threaded stepping measures slower than this loop (DESIGN.md §10 has
@@ -25,31 +25,13 @@
 //! 3. **Merging is ordered.** Summaries and the fleet journal are
 //!    assembled in `NodeId` order once every node has drained;
 //!    timestamps are simulation-time only.
-//! 4. **Faults are coordinator-side.** The [`NodeFaultPlan`] is sampled
-//!    on the coordinator at boundaries (fixed draw count per node per
-//!    epoch), health observation and re-dispatch run sequentially there
-//!    too, and a node's dead/stalled flags only change at boundaries —
-//!    so the failure schedule, the fencing sequence, and every
-//!    re-dispatch decision depend on the seed alone.
-//!
-//! # Boundary order
-//!
-//! At each epoch boundary the coordinator runs, in this order: health
-//! observation (heartbeats from the step that just ended, fencing and
-//! draining dead nodes), fault firing (new crashes/stalls/degrades),
-//! re-dispatch of drained jobs, then new arrivals. A run with no fault
-//! plan (or an all-zero one) takes exactly the pre-resilience path:
-//! every resilience hook is a no-op and the results are bit-identical.
 
-use crate::health::{HealthConfig, HealthState, HealthTransition, NodeFaultKind, NodeFaultPlan};
 use crate::node::{Node, NodeConfig, NodeId, NodeSummary, NodeView};
-use crate::redispatch::{CompletionLedger, JobId, RedispatchQueue, RedispatchStats, TrackedJob};
-use crate::routing::{HealthGated, JobView, RoutingPolicy};
+use crate::routing::{JobView, RoutingPolicy};
 use avfs_core::daemon::DaemonStats;
 use avfs_sim::time::{SimDuration, SimTime};
 use avfs_telemetry::{Telemetry, TraceKind, Value};
 use avfs_workloads::{IntensityClass, WorkloadTrace};
-use std::collections::BTreeSet;
 
 /// Fleet-wide configuration.
 #[derive(Debug, Clone)]
@@ -62,31 +44,15 @@ pub struct FleetConfig {
     /// When true, the coordinator and every node get a telemetry hub and
     /// the run exports a merged fleet journal.
     pub telemetry: bool,
-    /// Node-failure schedule; `None` (or an all-zero plan) reproduces
-    /// the failure-free engine bit for bit.
-    pub fault_plan: Option<NodeFaultPlan>,
-    /// Thresholds of the per-node health machine.
-    pub health: HealthConfig,
-    /// Boundaries a drained job may fail to find a node before it is
-    /// shed as exhausted.
-    pub retry_budget: u32,
-    /// When true, the run records an [`EpochAudit`] at every boundary
-    /// (the per-epoch conservation ledger the proptests assert).
-    pub audit: bool,
 }
 
 impl FleetConfig {
-    /// A fleet over the given nodes with 1 s epochs, telemetry off, and
-    /// no fault injection.
+    /// A fleet over the given nodes with 1 s epochs and telemetry off.
     pub fn new(nodes: Vec<NodeConfig>) -> Self {
         FleetConfig {
             nodes,
             epoch: SimDuration::from_secs(1),
             telemetry: false,
-            fault_plan: None,
-            health: HealthConfig::default(),
-            retry_budget: 3,
-            audit: false,
         }
     }
 }
@@ -101,8 +67,7 @@ pub struct AdmissionStats {
     /// Jobs shed because the chosen node (or every node) was at its
     /// admission bound.
     pub shed_full: u64,
-    /// Jobs shed because the policy declined or named an unknown,
-    /// fenced, or excluded node.
+    /// Jobs shed because the policy declined or named an unknown node.
     pub shed_unroutable: u64,
 }
 
@@ -119,8 +84,6 @@ enum ShedReason {
     Declined,
     UnknownNode,
     Full,
-    Fenced,
-    Origin,
 }
 
 impl ShedReason {
@@ -129,59 +92,7 @@ impl ShedReason {
             ShedReason::Declined => "declined",
             ShedReason::UnknownNode => "unknown-node",
             ShedReason::Full => "full",
-            ShedReason::Fenced => "fenced",
-            ShedReason::Origin => "origin",
         }
-    }
-}
-
-/// Node-fault events the engine actually applied (the plan may emit
-/// events for already-dead nodes; those are ignored and not counted).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AppliedFaults {
-    /// Nodes crashed (permanently dead).
-    pub crashes: u64,
-    /// Stall windows opened.
-    pub stalls: u64,
-    /// Nodes degraded (chip pessimized, descriptor re-characterized).
-    pub degrades: u64,
-}
-
-impl AppliedFaults {
-    /// Total applied fault events.
-    pub fn total(&self) -> u64 {
-        self.crashes + self.stalls + self.degrades
-    }
-}
-
-/// One epoch boundary's conservation ledger, recorded when
-/// [`FleetConfig::audit`] is on — after routing, before stepping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochAudit {
-    /// Which boundary.
-    pub epoch: u64,
-    /// Front-door jobs submitted so far.
-    pub submitted: u64,
-    /// Front-door jobs admitted so far.
-    pub admitted: u64,
-    /// Front-door jobs shed so far.
-    pub shed: u64,
-    /// Jobs completed on some node so far.
-    pub completed: u64,
-    /// Jobs currently live on nodes (stranded jobs on a drained dead
-    /// node are counted in `queued` instead).
-    pub live_on_nodes: u64,
-    /// Jobs awaiting re-dispatch.
-    pub queued: u64,
-    /// Drained jobs shed as exhausted so far.
-    pub exhausted: u64,
-}
-
-impl EpochAudit {
-    /// The per-epoch conservation invariant: every admitted job is
-    /// completed, live somewhere, queued for re-dispatch, or exhausted.
-    pub fn holds(&self) -> bool {
-        self.admitted == self.completed + self.live_on_nodes + self.queued + self.exhausted
     }
 }
 
@@ -191,20 +102,9 @@ pub struct Fleet {
     nodes: Vec<Node>,
     epoch: SimDuration,
     telemetry: Telemetry,
-    plan: Option<NodeFaultPlan>,
-    health_cfg: HealthConfig,
-    retry_budget: u32,
-    audit: bool,
-    queue: RedispatchQueue,
-    redispatch: RedispatchStats,
-    faults: AppliedFaults,
-    admitted_ids: BTreeSet<u64>,
-    exhausted_ids: BTreeSet<u64>,
-    next_job: u64,
-    audits: Vec<EpochAudit>,
-    /// Reused routing-view buffer: `try_place` runs once per routed job
-    /// (plus once per queued job per boundary), so the view set is
-    /// rebuilt in place instead of collected fresh each time.
+    /// Reused routing-view buffer: `try_place` runs once per routed
+    /// job, so the view set is rebuilt in place instead of collected
+    /// fresh each time.
     view_scratch: Vec<NodeView>,
 }
 
@@ -253,17 +153,6 @@ impl Fleet {
             nodes,
             epoch: config.epoch,
             telemetry: coordinator,
-            plan: config.fault_plan.clone(),
-            health_cfg: config.health,
-            retry_budget: config.retry_budget,
-            audit: config.audit,
-            queue: RedispatchQueue::new(),
-            redispatch: RedispatchStats::default(),
-            faults: AppliedFaults::default(),
-            admitted_ids: BTreeSet::new(),
-            exhausted_ids: BTreeSet::new(),
-            next_job: 0,
-            audits: Vec::new(),
             view_scratch: Vec::new(),
         }
     }
@@ -284,51 +173,35 @@ impl Fleet {
     ///
     /// Arrivals are admitted at the first epoch boundary at or after
     /// their trace timestamp, in trace order; between boundaries every
-    /// live node advances to the next boundary, stepped in `NodeId`
-    /// order on the calling thread. The run ends once all arrivals are
-    /// routed, the re-dispatch queue is empty, and no failed node still
-    /// holds undrained or parked work; surviving nodes then drain to
-    /// idle.
+    /// node advances to the next boundary, stepped in `NodeId` order on
+    /// the calling thread. Once every arrival is routed, the nodes drain
+    /// to idle.
     pub fn run(mut self, trace: &WorkloadTrace, policy: &mut dyn RoutingPolicy) -> FleetSummary {
-        let mut gate = HealthGated::new(policy);
         let mut stats = AdmissionStats::default();
         let mut now = SimTime::ZERO;
         let mut next = 0usize;
-        let mut epoch_no: u64 = 0;
 
         loop {
-            self.observe_health(epoch_no);
-            self.fire_faults(epoch_no);
-            self.drain_redispatch(&mut gate);
-
             // Route everything due at this boundary, in trace order.
             while next < trace.arrivals.len() && trace.arrivals[next].at <= now {
                 let a = &trace.arrivals[next];
                 next += 1;
-                let id = JobId(self.next_job);
-                self.next_job += 1;
-                self.route_one(
-                    JobView::of(id, a.bench, a.threads, a.scale),
-                    &mut gate,
-                    &mut stats,
-                );
+                self.route_one(JobView::of(a.bench, a.threads, a.scale), policy, &mut stats);
             }
-            if self.audit {
-                self.record_audit(epoch_no, &stats);
-            }
-            if next >= trace.arrivals.len() && self.queue.is_empty() && !self.any_pending() {
+            if next >= trace.arrivals.len() {
                 break;
             }
             now += self.epoch;
-            epoch_no += 1;
-            self.step_nodes(now);
+            for n in &mut self.nodes {
+                n.step_to(now);
+            }
         }
 
-        // All work routed or accounted: drain surviving nodes to idle.
-        self.drain_nodes();
-        let policy_name = gate.name();
-        let routed_to_fenced = gate.rejections();
-        self.finish(policy_name, routed_to_fenced, stats)
+        // All work routed: drain every node to idle.
+        for n in &mut self.nodes {
+            n.drain();
+        }
+        self.finish(policy.name(), stats)
     }
 
     /// One front-door routing decision: place, admit, and trace — or
@@ -336,24 +209,14 @@ impl Fleet {
     fn route_one(
         &mut self,
         job: JobView,
-        gate: &mut HealthGated<&mut dyn RoutingPolicy>,
+        policy: &mut dyn RoutingPolicy,
         stats: &mut AdmissionStats,
     ) {
         stats.submitted += 1;
-        match self.try_place(&job, None, gate) {
+        match self.try_place(&job, policy) {
             Ok(id) => {
-                let tracked = TrackedJob {
-                    id: job.id,
-                    bench: job.bench,
-                    threads: job.threads,
-                    scale: job.scale,
-                    generation: 0,
-                    retries_left: self.retry_budget,
-                    origin: None,
-                };
-                self.admit(id, &job, tracked);
+                self.admit(id, &job);
                 stats.admitted += 1;
-                self.admitted_ids.insert(job.id.0);
                 let class_label = class_label(job.class);
                 self.telemetry.trace(TraceKind::FleetRoute, || {
                     vec![
@@ -368,69 +231,46 @@ impl Fleet {
         }
     }
 
-    /// Consults the gated policy against the (optionally
-    /// origin-excluded) view set and validates the choice. Pure with
-    /// respect to admission: the caller admits or sheds.
+    /// Consults the policy against every node's view and validates the
+    /// choice. Pure with respect to admission: the caller admits or
+    /// sheds.
     fn try_place(
         &mut self,
         job: &JobView,
-        exclude: Option<NodeId>,
-        gate: &mut HealthGated<&mut dyn RoutingPolicy>,
+        policy: &mut dyn RoutingPolicy,
     ) -> Result<NodeId, ShedReason> {
         let mut views = std::mem::take(&mut self.view_scratch);
         views.clear();
-        views.extend(
-            self.nodes
-                .iter()
-                .filter(|n| Some(n.id) != exclude)
-                .map(Node::view),
-        );
-        let placed = Self::place_against(&self.nodes, job, exclude, gate, &views);
-        self.view_scratch = views;
-        placed
-    }
-
-    /// The routing decision proper, against a prepared view set.
-    fn place_against(
-        nodes: &[Node],
-        job: &JobView,
-        exclude: Option<NodeId>,
-        gate: &mut HealthGated<&mut dyn RoutingPolicy>,
-        views: &[NodeView],
-    ) -> Result<NodeId, ShedReason> {
-        match gate.route(job, views) {
+        views.extend(self.nodes.iter().map(Node::view));
+        // Views are in `NodeId` order and ids are dense, so an id indexes
+        // its view.
+        let placed = match policy.route(job, &views) {
             None => Err(ShedReason::Declined),
-            Some(id) if id.index() >= nodes.len() => Err(ShedReason::UnknownNode),
-            Some(id) if Some(id) == exclude => Err(ShedReason::Origin),
-            Some(id) => match views.iter().find(|v| v.id == id) {
-                // The gate re-picks fenced choices; this only fires for a
-                // policy that names a fenced node against a fenced-free
-                // view set — never admitted, always counted.
-                Some(v) if !v.routable() => Err(ShedReason::Fenced),
+            Some(id) => match views.get(id.index()) {
                 Some(v) if v.has_space() => Ok(id),
                 Some(_) => Err(ShedReason::Full),
                 None => Err(ShedReason::UnknownNode),
             },
-        }
+        };
+        self.view_scratch = views;
+        placed
     }
 
-    /// Admits one tracked job to `id`: injects the arrival and records
-    /// the pid → job mapping the exactly-once ledger closes over.
-    fn admit(&mut self, id: NodeId, job: &JobView, tracked: TrackedJob) {
+    /// Admits one job to `id` by injecting its arrival.
+    fn admit(&mut self, id: NodeId, job: &JobView) {
         let node = &mut self.nodes[id.index()];
-        let pid = node.system.inject_arrival(
+        node.system.inject_arrival(
             &mut node.st,
             node.driver.as_dyn_mut(),
-            tracked.bench,
-            tracked.threads,
-            tracked.scale,
+            job.bench,
+            job.threads,
+            job.scale,
         );
         node.admitted += 1;
         match job.class {
             IntensityClass::CpuIntensive => node.cpu_jobs += 1,
             IntensityClass::MemoryIntensive => node.mem_jobs += 1,
         }
-        node.jobs.insert(pid, tracked);
     }
 
     /// The *single* front-door shed path: the counter bump and the
@@ -452,229 +292,8 @@ impl Fleet {
         });
     }
 
-    /// Feeds every node's heartbeat (did it step through the epoch that
-    /// just ended?) to its health machine; fencing a *dead* node drains
-    /// its stranded jobs into the re-dispatch queue.
-    fn observe_health(&mut self, epoch: u64) {
-        if epoch == 0 {
-            // No epoch has elapsed yet: nothing to observe.
-            return;
-        }
-        for i in 0..self.nodes.len() {
-            let beat = !self.nodes[i].missed_last;
-            let nid = u64::from(self.nodes[i].id.0);
-            match self.nodes[i].health.observe(beat, &self.health_cfg) {
-                Some(HealthTransition::Fenced) => {
-                    self.telemetry.trace(TraceKind::NodeFenced, || {
-                        vec![("node", Value::U64(nid)), ("epoch", Value::U64(epoch))]
-                    });
-                }
-                Some(HealthTransition::Recovered) => {
-                    self.telemetry.trace(TraceKind::NodeRecovered, || {
-                        vec![("node", Value::U64(nid)), ("epoch", Value::U64(epoch))]
-                    });
-                }
-                _ => {}
-            }
-            // Keyed on the *state*, not the Fenced transition: a node
-            // that crashes while already fenced (e.g. mid-stall) never
-            // re-fires the transition but still has to drain.
-            if self.nodes[i].dead
-                && !self.nodes[i].drained
-                && self.nodes[i].health.state() == HealthState::Fenced
-            {
-                let stranded = self.nodes[i].stranded_jobs(self.retry_budget);
-                self.nodes[i].drained = true;
-                self.nodes[i].drained_count = stranded.len() as u64;
-                for tracked in stranded {
-                    self.redispatch.drained += 1;
-                    let jid = tracked.id.0;
-                    let generation = u64::from(tracked.generation);
-                    self.telemetry.trace(TraceKind::JobRedispatch, || {
-                        vec![
-                            ("job", Value::U64(jid)),
-                            ("from", Value::U64(nid)),
-                            ("generation", Value::U64(generation)),
-                            ("outcome", Value::Str("drained")),
-                        ]
-                    });
-                    self.queue.push(tracked);
-                }
-            }
-        }
-    }
-
-    /// Fires this boundary's node-fault events. Events for already-dead
-    /// nodes are ignored; repeat stalls/degrades on the same node are
-    /// idempotent.
-    fn fire_faults(&mut self, epoch: u64) {
-        let Some(plan) = self.plan.as_mut() else {
-            return;
-        };
-        let events = plan.events_at(epoch, self.nodes.len());
-        for (id, kind) in events {
-            if self.nodes[id.index()].dead {
-                continue;
-            }
-            match kind {
-                NodeFaultKind::Crash => {
-                    self.nodes[id.index()].dead = true;
-                    self.faults.crashes += 1;
-                }
-                NodeFaultKind::Stall { epochs } => {
-                    if self.nodes[id.index()].stall_remaining == 0 {
-                        self.nodes[id.index()].stall_remaining = epochs;
-                        self.faults.stalls += 1;
-                    }
-                }
-                NodeFaultKind::Degrade => {
-                    if !self.nodes[id.index()].degraded {
-                        self.nodes[id.index()].apply_degrade();
-                        self.faults.degrades += 1;
-                        let nid = u64::from(id.0);
-                        self.telemetry.trace(TraceKind::NodeDegraded, || {
-                            vec![("node", Value::U64(nid)), ("epoch", Value::U64(epoch))]
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Attempts to re-place every drained job, excluding its failed
-    /// origin. Placement failures burn one retry; at zero the job is
-    /// shed as exhausted (counted and traced, never silently dropped).
-    fn drain_redispatch(&mut self, gate: &mut HealthGated<&mut dyn RoutingPolicy>) {
-        if self.queue.is_empty() {
-            return;
-        }
-        for mut tracked in self.queue.take_all() {
-            let job = JobView::of(tracked.id, tracked.bench, tracked.threads, tracked.scale);
-            match self.try_place(&job, tracked.origin, gate) {
-                Ok(id) => {
-                    tracked.generation += 1;
-                    self.redispatch.reassigned += 1;
-                    self.redispatch.max_generation =
-                        self.redispatch.max_generation.max(tracked.generation);
-                    let jid = tracked.id.0;
-                    let from = tracked.origin.map_or(u64::MAX, |o| u64::from(o.0));
-                    let to = u64::from(id.0);
-                    let generation = u64::from(tracked.generation);
-                    self.admit(id, &job, tracked);
-                    self.telemetry.trace(TraceKind::JobRedispatch, || {
-                        vec![
-                            ("job", Value::U64(jid)),
-                            ("from", Value::U64(from)),
-                            ("to", Value::U64(to)),
-                            ("generation", Value::U64(generation)),
-                            ("outcome", Value::Str("reassigned")),
-                        ]
-                    });
-                }
-                Err(_) if tracked.retries_left == 0 => {
-                    self.redispatch.exhausted += 1;
-                    self.exhausted_ids.insert(tracked.id.0);
-                    let jid = tracked.id.0;
-                    let generation = u64::from(tracked.generation);
-                    self.telemetry.trace(TraceKind::JobRedispatch, || {
-                        vec![
-                            ("job", Value::U64(jid)),
-                            ("generation", Value::U64(generation)),
-                            ("outcome", Value::Str("exhausted")),
-                        ]
-                    });
-                }
-                Err(_) => {
-                    tracked.retries_left -= 1;
-                    self.queue.push(tracked);
-                }
-            }
-        }
-    }
-
-    /// Whether some failed node still holds work the run must wait for:
-    /// a dead node not yet fenced-and-drained, or a stalled node whose
-    /// parked jobs will complete once it returns.
-    fn any_pending(&self) -> bool {
-        self.nodes.iter().any(|n| {
-            if n.dead {
-                !n.drained && n.has_stranded()
-            } else if n.stall_remaining > 0 {
-                n.has_stranded()
-            } else {
-                false
-            }
-        })
-    }
-
-    /// Records this boundary's conservation ledger.
-    fn record_audit(&mut self, epoch: u64, stats: &AdmissionStats) {
-        let completed: u64 = self
-            .nodes
-            .iter()
-            .map(|n| n.st.metrics().completed.len() as u64)
-            .sum();
-        let live_on_nodes: u64 = self
-            .nodes
-            .iter()
-            .map(|n| {
-                if n.dead && n.drained {
-                    // Stranded jobs moved to the queue; the frozen
-                    // simulator still reports them live.
-                    0
-                } else {
-                    n.live_jobs() as u64
-                }
-            })
-            .sum();
-        self.audits.push(EpochAudit {
-            epoch,
-            submitted: stats.submitted,
-            admitted: stats.admitted,
-            shed: stats.shed(),
-            completed,
-            live_on_nodes,
-            queued: self.queue.len() as u64,
-            exhausted: self.redispatch.exhausted,
-        });
-    }
-
-    /// Steps every live node to `horizon`, in `NodeId` order. Dead and
-    /// stalled nodes miss the step — the heartbeat signal the
-    /// coordinator's health machine consumes.
-    fn step_nodes(&mut self, horizon: SimTime) {
-        for n in &mut self.nodes {
-            if n.dead {
-                n.missed_last = true;
-            } else if n.stall_remaining > 0 {
-                n.stall_remaining -= 1;
-                n.missed_last = true;
-            } else {
-                n.step_to(horizon);
-                n.missed_last = false;
-            }
-        }
-    }
-
-    /// Drains every surviving node to idle. Dead nodes stay frozen; a
-    /// node still inside a stall window here has no live jobs (the run
-    /// loop waits otherwise) and stays parked.
-    fn drain_nodes(&mut self) {
-        for n in &mut self.nodes {
-            if !n.dead && n.stall_remaining == 0 {
-                n.drain();
-            }
-        }
-    }
-
-    /// Finalizes node metrics, closes the exactly-once ledger, and
-    /// assembles the summary in id order.
-    fn finish(
-        self,
-        policy: &'static str,
-        routed_to_fenced: u64,
-        stats: AdmissionStats,
-    ) -> FleetSummary {
+    /// Finalizes node metrics and assembles the summary in id order.
+    fn finish(self, policy: &'static str, stats: AdmissionStats) -> FleetSummary {
         let mut summary = FleetSummary {
             policy,
             admission: stats,
@@ -688,25 +307,11 @@ impl Fleet {
             daemon: DaemonStats::default(),
             nodes: Vec::with_capacity(self.nodes.len()),
             journal: None,
-            routed_to_fenced,
-            redispatch: self.redispatch,
-            faults: self.faults,
-            duplicate_completions: 0,
-            lost_jobs: 0,
-            audits: self.audits,
         };
-        let mut ledger = CompletionLedger::new();
-        let admitted_ids = self.admitted_ids;
-        let exhausted_ids = self.exhausted_ids;
         let mut journal = String::new();
         let coordinator_journal = self.telemetry.export_jsonl();
         for mut node in self.nodes {
             let metrics = node.system.finish_run(node.st);
-            for rec in &metrics.completed {
-                if let Some(tracked) = node.jobs.get(&rec.pid) {
-                    ledger.record(tracked.id);
-                }
-            }
             summary.completed += metrics.completed.len() as u64;
             summary.cluster_energy_j += metrics.energy_j;
             summary.cluster_makespan = summary.cluster_makespan.max(metrics.makespan);
@@ -734,15 +339,8 @@ impl Fleet {
                 mem_jobs: node.mem_jobs,
                 metrics,
                 daemon,
-                health: node.health.state(),
-                fenced_epochs: node.health.fenced_epochs(),
-                dead: node.dead,
-                degraded: node.degraded,
-                drained_jobs: node.drained_count,
             });
         }
-        summary.duplicate_completions = ledger.duplicates();
-        summary.lost_jobs = ledger.lost(&admitted_ids, &exhausted_ids);
         if let Some(cj) = coordinator_journal {
             summary.journal = Some(format!("{cj}{journal}"));
         }
@@ -753,7 +351,7 @@ impl Fleet {
 /// Builder for [`Fleet`] — the single blessed construction path.
 ///
 /// Starts from [`FleetConfig::new`]'s defaults (1 s epochs, telemetry
-/// off, no faults); every knob has a setter, and
+/// off); every knob has a setter, and
 /// [`config`](FleetBuilder::config) swaps in a prepared configuration
 /// wholesale.
 #[derive(Debug, Clone)]
@@ -795,34 +393,6 @@ impl FleetBuilder {
     #[must_use]
     pub fn telemetry(mut self, on: bool) -> Self {
         self.config.telemetry = on;
-        self
-    }
-
-    /// Installs a node-failure schedule.
-    #[must_use]
-    pub fn fault_plan(mut self, plan: NodeFaultPlan) -> Self {
-        self.config.fault_plan = Some(plan);
-        self
-    }
-
-    /// Sets the per-node health-machine thresholds.
-    #[must_use]
-    pub fn health(mut self, health: HealthConfig) -> Self {
-        self.config.health = health;
-        self
-    }
-
-    /// Sets the re-dispatch retry budget.
-    #[must_use]
-    pub fn retry_budget(mut self, budget: u32) -> Self {
-        self.config.retry_budget = budget;
-        self
-    }
-
-    /// Enables or disables per-epoch conservation audits.
-    #[must_use]
-    pub fn audit(mut self, on: bool) -> Self {
-        self.config.audit = on;
         self
     }
 
@@ -894,44 +464,18 @@ pub struct FleetSummary {
     /// Merged fleet journal (coordinator first, then nodes in id order,
     /// each line tagged `"node":<id>`); `None` when telemetry was off.
     pub journal: Option<String>,
-    /// Fenced-node choices the [`HealthGated`] circuit breaker rejected
-    /// (typed [`crate::FleetError::RoutedToFencedNode`]) and re-picked.
-    pub routed_to_fenced: u64,
-    /// Re-dispatch counters (drained / reassigned / exhausted /
-    /// max generation).
-    pub redispatch: RedispatchStats,
-    /// Node-fault events the engine applied.
-    pub faults: AppliedFaults,
-    /// Completions beyond the first of any JobId (must be zero:
-    /// exactly-once).
-    pub duplicate_completions: u64,
-    /// Admitted jobs that neither completed nor exhausted their retry
-    /// budget (must be zero: nothing is ever silently lost).
-    pub lost_jobs: u64,
-    /// Per-epoch conservation ledgers (empty unless
-    /// [`FleetConfig::audit`] was on).
-    pub audits: Vec<EpochAudit>,
 }
 
 impl FleetSummary {
     /// Conservation check: every submitted job is accounted for — shed
-    /// at the front door, completed exactly once somewhere, or shed as
-    /// exhausted after its failed node was drained. Re-dispatched jobs
-    /// are admitted once per generation at node level, which the
-    /// `reassigned` counter reconciles.
+    /// at the front door or admitted to exactly one node — and every
+    /// admitted job completed once the nodes drained.
     pub fn conserves_jobs(&self) -> bool {
         let a = &self.admission;
         let node_admitted: u64 = self.nodes.iter().map(|n| n.admitted).sum();
         a.submitted == a.admitted + a.shed()
-            && node_admitted == a.admitted + self.redispatch.reassigned
-            && a.admitted == self.completed + self.redispatch.exhausted
-            && self.lost_jobs == 0
-            && self.duplicate_completions == 0
-    }
-
-    /// Every recorded epoch audit that fails its conservation invariant.
-    pub fn failed_audits(&self) -> Vec<EpochAudit> {
-        self.audits.iter().filter(|a| !a.holds()).copied().collect()
+            && node_admitted == a.admitted
+            && a.admitted == self.completed
     }
 
     /// Cluster energy savings vs a baseline run, percent.
@@ -959,15 +503,11 @@ impl FleetSummary {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(256 + 160 * self.nodes.len());
         let a = &self.admission;
-        let r = &self.redispatch;
-        let f = &self.faults;
         let _ = write!(
             out,
             "policy={} submitted={} admitted={} shed_full={} shed_unroutable={} \
              completed={} energy={:016x} makespan_ns={} migrations={} vchanges={} \
-             failures={} unsafe={:016x} daemon=[{}] fenced_picks={} drained={} \
-             reassigned={} exhausted={} maxgen={} crashes={} stalls={} degrades={} \
-             lost={} dups={}",
+             failures={} unsafe={:016x} daemon=[{}]",
             self.policy,
             a.submitted,
             a.admitted,
@@ -981,23 +521,12 @@ impl FleetSummary {
             self.failures,
             self.unsafe_time_s.to_bits(),
             self.daemon,
-            self.routed_to_fenced,
-            r.drained,
-            r.reassigned,
-            r.exhausted,
-            r.max_generation,
-            f.crashes,
-            f.stalls,
-            f.degrades,
-            self.lost_jobs,
-            self.duplicate_completions,
         );
         for n in &self.nodes {
             let _ = write!(
                 out,
                 "\n{} kind={} admitted={} completed={} cpu={} mem={} energy={:016x} \
-                 makespan_ns={} migrations={} vchanges={} unsafe={:016x} health={} \
-                 fenced_epochs={} dead={} degraded={} drained={}",
+                 makespan_ns={} migrations={} vchanges={} unsafe={:016x}",
                 n.id,
                 n.kind,
                 n.admitted,
@@ -1009,11 +538,6 @@ impl FleetSummary {
                 n.metrics.migrations,
                 n.metrics.voltage_changes,
                 n.metrics.unsafe_time_s.to_bits(),
-                n.health,
-                n.fenced_epochs,
-                n.dead,
-                n.degraded,
-                n.drained_jobs,
             );
         }
         out

@@ -21,42 +21,15 @@
 //! same seed** — see the determinism rules on [`engine`]. Cluster results aggregate into a [`FleetSummary`]
 //! (energy, makespan, admission/shedding counters, daemon recovery
 //! stats, per-node metrics) with a [`FleetSummary::fingerprint`] digest
-//! and an optional merged telemetry journal.
-//!
-//! # Fleet resilience
-//!
-//! Nodes are mortal. A seeded [`NodeFaultPlan`] injects node-scoped
-//! failures at epoch boundaries — crash, stall, degrade — and the
-//! engine degrades gracefully instead of stranding work:
-//!
-//! * **Health-gated routing** ([`health`]): a per-node heartbeat-driven
-//!   state machine (Healthy → Suspect → Fenced, Probation on return)
-//!   mirrors avfs-core's recovery machine at cluster scope; fenced
-//!   nodes receive zero new work, enforced for *every* policy by the
-//!   [`HealthGated`] circuit breaker (typed
-//!   [`FleetError::RoutedToFencedNode`] rejections, counted and
-//!   re-picked).
-//! * **Exactly-once re-dispatch** ([`redispatch`]): when a crashed node
-//!   is fenced, its queued and stranded-running jobs drain into a
-//!   re-dispatch queue with bounded retry budgets and generation tags —
-//!   never lost, never double-completed, never re-routed to the failed
-//!   origin. [`FleetSummary::conserves_jobs`] proves the accounting.
+//! and an optional merged telemetry journal. Nodes never fail: the
+//! cluster models placement only, and [`FleetSummary::conserves_jobs`]
+//! checks that every submitted job is shed at the front door or
+//! completed.
 
 pub mod engine;
-pub mod health;
 pub mod node;
-pub mod redispatch;
 pub mod routing;
 
-pub use engine::{
-    AdmissionStats, AppliedFaults, EpochAudit, Fleet, FleetBuilder, FleetConfig, FleetSummary,
-};
-pub use health::{
-    HealthConfig, HealthState, HealthTracker, HealthTransition, NodeFaultKind, NodeFaultPlan,
-    NodeFaultRates, NodeFaultStats, ScriptedFault,
-};
+pub use engine::{AdmissionStats, Fleet, FleetBuilder, FleetConfig, FleetSummary};
 pub use node::{EnergyDescriptor, NodeConfig, NodeId, NodeKind, NodeSummary, NodeView};
-pub use redispatch::{CompletionLedger, JobId, RedispatchQueue, RedispatchStats, TrackedJob};
-pub use routing::{
-    EnergyAware, FleetError, HealthGated, JobView, LeastQueued, RoundRobin, RoutingPolicy,
-};
+pub use routing::{EnergyAware, JobView, LeastQueued, RoundRobin, RoutingPolicy};

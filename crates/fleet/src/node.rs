@@ -9,10 +9,7 @@
 //! and reference per-job energy costs) so the energy-aware policy can
 //! rank heterogeneous machines without touching simulator state.
 
-use crate::health::{HealthState, HealthTracker};
-use crate::redispatch::TrackedJob;
 use avfs_chip::chip::Chip;
-use avfs_chip::fault::{FaultPlan, FaultRates};
 use avfs_chip::freq::{FreqStep, FrequencyMhz};
 use avfs_chip::power::{PmdLoad, PowerInputs};
 use avfs_chip::presets;
@@ -23,11 +20,9 @@ use avfs_core::daemon::{Daemon, DaemonStats};
 use avfs_sched::driver::{DefaultPolicy, Driver};
 use avfs_sched::metrics::RunMetrics;
 use avfs_sched::system::{RunState, System, SystemConfig};
-use avfs_sched::Pid;
 use avfs_sim::time::SimTime;
 use avfs_telemetry::Telemetry;
 use avfs_workloads::{Benchmark, PerfModel};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Identifies one node within a fleet. Assigned densely from zero in
@@ -123,25 +118,6 @@ impl EnergyDescriptor {
     /// probe is built from the preset builder with its default seeds.
     pub fn characterize(kind: NodeKind) -> Self {
         let mut probe = kind.build_chip();
-        Self::characterize_probe(&mut probe, kind)
-    }
-
-    /// Characterizes a *degraded* chip of the given kind: the probe
-    /// carries an active droop excursion (the worst silicon the node can
-    /// now be), so the effective safe Vmin is the excursion guard higher
-    /// everywhere — less undervolt headroom and costlier reference jobs.
-    /// Deterministic like [`Self::characterize`].
-    pub fn characterize_degraded(kind: NodeKind) -> Self {
-        let mut probe = kind.build_chip();
-        probe.set_fault_plan(Some(degrade_plan(0)));
-        if let Some(plan) = probe.fault_plan_mut() {
-            // Open the excursion so every Vmin query sees the guard.
-            plan.droop_check();
-        }
-        Self::characterize_probe(&mut probe, kind)
-    }
-
-    fn characterize_probe(probe: &mut Chip, kind: NodeKind) -> Self {
         let perf = kind.perf_model();
         let spec = probe.spec().clone();
         let all_cores = CoreSet::first_n(spec.cores);
@@ -152,7 +128,7 @@ impl EnergyDescriptor {
         let v_cpu = probe.current_safe_vmin(all_cores);
         let cpu_profile = Benchmark::SpecNamd.profile();
         let t_cpu = perf.solo_time_s(&cpu_profile, fmax.as_mhz());
-        let p_cpu = marginal_power_w(probe, fmax, v_cpu, cpu_profile.activity, 0.05);
+        let p_cpu = marginal_power_w(&probe, fmax, v_cpu, cpu_profile.activity, 0.05);
 
         // Memory-bound reference point: divided clock, divided-class Vmin.
         probe.set_all_freq_steps(FreqStep::MIN);
@@ -160,7 +136,7 @@ impl EnergyDescriptor {
         let f_div = FreqStep::MIN.frequency(fmax);
         let mem_profile = Benchmark::SpecMilc.profile();
         let t_mem = perf.solo_time_s(&mem_profile, f_div.as_mhz());
-        let p_mem = marginal_power_w(probe, f_div, v_mem, mem_profile.activity, 0.6);
+        let p_mem = marginal_power_w(&probe, f_div, v_mem, mem_profile.activity, 0.6);
 
         EnergyDescriptor {
             undervolt_headroom_mv: nominal.as_mv().saturating_sub(v_cpu.as_mv()),
@@ -200,20 +176,6 @@ fn marginal_power_w(
     let busy = chip.power_model().power_w(&inputs);
     let idle = chip.power_model().idle_power_w(rail, pmds);
     (busy - idle).max(0.0)
-}
-
-/// The chip-level plan a fleet "degrade" fault arms: droop excursions on
-/// every check, nothing else. The daemon's droop guard then holds its
-/// emergency guardband essentially forever — the pessimized operating
-/// point the re-characterized [`EnergyDescriptor`] prices in.
-pub(crate) fn degrade_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(
-        seed,
-        FaultRates {
-            droop: 1.0,
-            ..FaultRates::ZERO
-        },
-    )
 }
 
 /// Configuration of one fleet node.
@@ -282,15 +244,13 @@ impl NodeDriver {
     }
 }
 
-/// One live node: simulator, driver, run bookkeeping, the front door's
-/// admission accounting, and the resilience-layer state the coordinator
-/// maintains (fault flags, health machine, pid → job ledger).
+/// One live node: simulator, driver, run bookkeeping, and the front
+/// door's admission accounting.
 #[derive(Debug)]
 pub(crate) struct Node {
     pub(crate) id: NodeId,
     pub(crate) kind: NodeKind,
     pub(crate) capacity: usize,
-    pub(crate) seed: u64,
     pub(crate) system: System,
     pub(crate) driver: NodeDriver,
     pub(crate) st: RunState,
@@ -299,24 +259,6 @@ pub(crate) struct Node {
     pub(crate) admitted: u64,
     pub(crate) cpu_jobs: u64,
     pub(crate) mem_jobs: u64,
-    /// Ground truth injected by the fault plan (the health machine only
-    /// ever sees the heartbeat shadow of these).
-    pub(crate) dead: bool,
-    /// Epoch steps this node will still miss before returning.
-    pub(crate) stall_remaining: u32,
-    /// Whether the node missed the step that just ended (the heartbeat
-    /// signal the coordinator's health machine consumes).
-    pub(crate) missed_last: bool,
-    /// Whether a degrade fault pessimized the chip.
-    pub(crate) degraded: bool,
-    /// Whether a dead node's stranded jobs were already drained.
-    pub(crate) drained: bool,
-    /// How many stranded jobs were drained off this node.
-    pub(crate) drained_count: u64,
-    /// Coordinator-side health machine.
-    pub(crate) health: HealthTracker,
-    /// Fleet-level identity of every job admitted here, by node pid.
-    pub(crate) jobs: BTreeMap<Pid, TrackedJob>,
 }
 
 impl Node {
@@ -338,7 +280,6 @@ impl Node {
             id,
             kind: cfg.kind,
             capacity: cfg.admit_capacity,
-            seed: cfg.seed,
             system,
             driver,
             st,
@@ -347,20 +288,7 @@ impl Node {
             admitted: 0,
             cpu_jobs: 0,
             mem_jobs: 0,
-            dead: false,
-            stall_remaining: 0,
-            missed_last: false,
-            degraded: false,
-            drained: false,
-            drained_count: 0,
-            health: HealthTracker::new(),
-            jobs: BTreeMap::new(),
         }
-    }
-
-    /// Live (queued + running) jobs on this node.
-    pub(crate) fn live_jobs(&self) -> usize {
-        self.system.live_processes()
     }
 
     /// Advances the node's simulation to `horizon`.
@@ -375,59 +303,16 @@ impl Node {
             .run_to_completion(&mut self.st, self.driver.as_dyn_mut());
     }
 
-    /// Applies a degrade fault: arms the chip-level droop plan (seeded
-    /// from the node's own seed so the run stays deterministic) and
-    /// re-characterizes the energy descriptors the router ranks this
-    /// node by.
-    pub(crate) fn apply_degrade(&mut self) {
-        self.system
-            .chip_mut()
-            .set_fault_plan(Some(degrade_plan(self.seed)));
-        self.degraded = true;
-        self.descriptor = EnergyDescriptor::characterize_degraded(self.kind);
-    }
-
-    /// Fleet jobs admitted here that will never complete here (the node
-    /// is dead): everything in the pid ledger without a completion
-    /// record. Retry budgets are reset to `budget` and the origin is
-    /// stamped so routing excludes this node.
-    pub(crate) fn stranded_jobs(&self, budget: u32) -> Vec<TrackedJob> {
-        let completed: BTreeSet<Pid> = self
-            .st
-            .metrics()
-            .completed
-            .iter()
-            .map(|rec| rec.pid)
-            .collect();
-        self.jobs
-            .iter()
-            .filter(|(pid, _)| !completed.contains(pid))
-            .map(|(_, tj)| TrackedJob {
-                retries_left: budget,
-                origin: Some(self.id),
-                ..*tj
-            })
-            .collect()
-    }
-
-    /// Whether any admitted job is still live here (stranded, for a dead
-    /// node).
-    pub(crate) fn has_stranded(&self) -> bool {
-        self.live_jobs() > 0
-    }
-
     /// The sanitized snapshot routing policies rank.
     pub(crate) fn view(&self) -> NodeView {
         NodeView {
             id: self.id,
             kind: self.kind,
             cores: self.kind.cores(),
-            live_jobs: self.live_jobs(),
+            live_jobs: self.system.live_processes(),
             live_threads: self.system.live_threads(),
             admit_capacity: self.capacity,
             descriptor: self.descriptor,
-            health: self.health.state(),
-            degraded: self.degraded,
         }
     }
 }
@@ -447,28 +332,14 @@ pub struct NodeView {
     pub live_threads: usize,
     /// Bounded-admission capacity, in jobs.
     pub admit_capacity: usize,
-    /// Static energy descriptors (see [`EnergyDescriptor`]);
-    /// re-characterized (pessimized) once a degrade fault lands.
+    /// Static energy descriptors (see [`EnergyDescriptor`]).
     pub descriptor: EnergyDescriptor,
-    /// What the coordinator's health machine currently believes about
-    /// this node. A crashed-but-undetected node still reads Healthy —
-    /// the view is the coordinator's knowledge, not ground truth.
-    pub health: HealthState,
-    /// Whether a degrade fault pessimized this node's chip (and its
-    /// descriptor above was re-characterized).
-    pub degraded: bool,
 }
 
 impl NodeView {
     /// Whether the front door may admit one more job here.
     pub fn has_space(&self) -> bool {
         self.live_jobs < self.admit_capacity
-    }
-
-    /// Whether the health machine allows new work here (everything but
-    /// Fenced; Suspect and Probation nodes serve while being watched).
-    pub fn routable(&self) -> bool {
-        self.health != HealthState::Fenced
     }
 
     /// Live threads per core — the congestion signal load-balancing
@@ -510,14 +381,4 @@ pub struct NodeSummary {
     pub metrics: RunMetrics,
     /// Daemon recovery/decision counters (None for baseline nodes).
     pub daemon: Option<DaemonStats>,
-    /// Final health-machine state.
-    pub health: HealthState,
-    /// Epochs the node spent fenced.
-    pub fenced_epochs: u64,
-    /// Whether a crash fault killed the node.
-    pub dead: bool,
-    /// Whether a degrade fault pessimized the node's chip.
-    pub degraded: bool,
-    /// Stranded jobs drained off this node for re-dispatch.
-    pub drained_jobs: u64,
 }

@@ -18,25 +18,13 @@
 //!   the node with the cheapest undervolted full-clock energy and
 //!   memory-intensive work to the node with the cheapest divided-clock
 //!   energy, inflated by a congestion term so load still spreads.
-//!
-//! All built-ins additionally skip nodes whose health machine has
-//! fenced them ([`NodeView::routable`]). The engine composes *every*
-//! policy — built-in or user-supplied — with the [`HealthGated`]
-//! circuit breaker, so even a policy that ignores health cannot place
-//! work on a fenced node: the choice is rejected as a typed
-//! [`FleetError::RoutedToFencedNode`], counted, and re-picked against
-//! the fenced-free view set.
 
 use crate::node::{NodeId, NodeView};
-use crate::redispatch::JobId;
 use avfs_workloads::{classify, Benchmark, IntensityClass};
-use std::fmt;
 
 /// What a routing policy sees of one arriving job.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobView {
-    /// Fleet-wide job identity (stable across re-dispatch).
-    pub id: JobId,
     /// The benchmark the job runs.
     pub bench: Benchmark,
     /// Thread count requested.
@@ -52,10 +40,9 @@ pub struct JobView {
 impl JobView {
     /// Builds the view for an arriving job, classifying it by the same
     /// L3-rate threshold the per-node daemons use.
-    pub fn of(id: JobId, bench: Benchmark, threads: usize, scale: f64) -> Self {
+    pub fn of(bench: Benchmark, threads: usize, scale: f64) -> Self {
         let profile = bench.profile();
         JobView {
-            id,
             bench,
             threads,
             scale,
@@ -64,32 +51,6 @@ impl JobView {
         }
     }
 }
-
-/// A typed routing-layer failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum FleetError {
-    /// A policy named a node the health machine has fenced. The gate
-    /// rejects the choice and re-picks instead of silently shedding.
-    RoutedToFencedNode {
-        /// The fenced node the policy chose.
-        node: NodeId,
-        /// The job being routed.
-        job: JobId,
-    },
-}
-
-impl fmt::Display for FleetError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FleetError::RoutedToFencedNode { node, job } => {
-                write!(f, "policy routed {job} to fenced {node}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FleetError {}
 
 /// A cluster admission/placement policy.
 pub trait RoutingPolicy {
@@ -100,78 +61,6 @@ pub trait RoutingPolicy {
     /// node's sanitized view, in `NodeId` order. Returning a full or
     /// unknown node also sheds the job (counted separately).
     fn route(&mut self, job: &JobView, nodes: &[NodeView]) -> Option<NodeId>;
-}
-
-impl<P: RoutingPolicy + ?Sized> RoutingPolicy for &mut P {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn route(&mut self, job: &JobView, nodes: &[NodeView]) -> Option<NodeId> {
-        (**self).route(job, nodes)
-    }
-}
-
-/// The circuit breaker every policy composes with: if the inner policy
-/// names a fenced node, the choice is rejected as a typed
-/// [`FleetError::RoutedToFencedNode`], the rejection is counted, and
-/// the inner policy is re-consulted against only the routable views.
-/// Fenced nodes therefore receive zero new work no matter what the
-/// inner policy does.
-#[derive(Debug)]
-pub struct HealthGated<P> {
-    inner: P,
-    rejections: u64,
-}
-
-impl<P: RoutingPolicy> HealthGated<P> {
-    /// Wraps `inner` with the fenced-node gate.
-    pub fn new(inner: P) -> Self {
-        HealthGated {
-            inner,
-            rejections: 0,
-        }
-    }
-
-    /// How many fenced-node choices the gate has rejected and re-picked.
-    pub fn rejections(&self) -> u64 {
-        self.rejections
-    }
-
-    /// One gated routing decision, surfacing the typed error instead of
-    /// re-picking (the [`RoutingPolicy`] impl re-picks on `Err`).
-    pub fn try_route(
-        &mut self,
-        job: &JobView,
-        nodes: &[NodeView],
-    ) -> Result<Option<NodeId>, FleetError> {
-        match self.inner.route(job, nodes) {
-            Some(id) if nodes.iter().any(|n| n.id == id && !n.routable()) => {
-                self.rejections += 1;
-                Err(FleetError::RoutedToFencedNode {
-                    node: id,
-                    job: job.id,
-                })
-            }
-            choice => Ok(choice),
-        }
-    }
-}
-
-impl<P: RoutingPolicy> RoutingPolicy for HealthGated<P> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn route(&mut self, job: &JobView, nodes: &[NodeView]) -> Option<NodeId> {
-        match self.try_route(job, nodes) {
-            Ok(choice) => choice,
-            Err(FleetError::RoutedToFencedNode { .. }) => {
-                let open: Vec<NodeView> = nodes.iter().filter(|n| n.routable()).copied().collect();
-                self.inner.route(job, &open)
-            }
-        }
-    }
 }
 
 /// Cycles through nodes in id order, skipping nodes without admission
@@ -199,7 +88,7 @@ impl RoutingPolicy for RoundRobin {
         }
         for offset in 0..nodes.len() {
             let i = (self.cursor + offset) % nodes.len();
-            if nodes[i].has_space() && nodes[i].routable() {
+            if nodes[i].has_space() {
                 self.cursor = (i + 1) % nodes.len();
                 return Some(nodes[i].id);
             }
@@ -227,7 +116,7 @@ impl RoutingPolicy for LeastQueued {
 
     fn route(&mut self, _job: &JobView, nodes: &[NodeView]) -> Option<NodeId> {
         let mut best: Option<(f64, NodeId)> = None;
-        for n in nodes.iter().filter(|n| n.has_space() && n.routable()) {
+        for n in nodes.iter().filter(|n| n.has_space()) {
             let load = n.load_ratio();
             // Strict `<` keeps ties on the lowest id (iteration order).
             if best.is_none_or(|(b, _)| load < b) {
@@ -243,10 +132,7 @@ impl RoutingPolicy for LeastQueued {
 /// the undervolted full-clock energy is cheapest, memory-intensive jobs
 /// where the divided-clock energy is cheapest. A multiplicative
 /// congestion factor `1 + weight * projected_load` spreads load once the
-/// preferred machines fill up, bounding the makespan cost. Degraded
-/// nodes are not excluded — their re-characterized descriptors carry the
-/// pessimized costs, so the policy demotes them by exactly the energy
-/// they now waste.
+/// preferred machines fill up, bounding the makespan cost.
 #[derive(Debug, Clone, Copy)]
 pub struct EnergyAware {
     /// Congestion weight: 0 routes purely on energy; larger values
@@ -276,7 +162,7 @@ impl RoutingPolicy for EnergyAware {
 
     fn route(&mut self, job: &JobView, nodes: &[NodeView]) -> Option<NodeId> {
         let mut best: Option<(f64, NodeId)> = None;
-        for n in nodes.iter().filter(|n| n.has_space() && n.routable()) {
+        for n in nodes.iter().filter(|n| n.has_space()) {
             let base = match job.class {
                 IntensityClass::CpuIntensive => n.descriptor.cpu_job_cost_j,
                 IntensityClass::MemoryIntensive => n.descriptor.mem_job_cost_j,

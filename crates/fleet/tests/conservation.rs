@@ -1,7 +1,8 @@
 //! Job conservation under shedding: with tiny admission bounds the
 //! front door must shed, and every submitted job still has to be
 //! accounted for — submitted = admitted + shed, and every admitted job
-//! completes once the fleet drains.
+//! completes once the fleet drains. The journal and the summary must
+//! also agree about what was shed.
 
 use avfs_fleet::{
     EnergyAware, Fleet, FleetConfig, LeastQueued, NodeConfig, NodeKind, RoundRobin, RoutingPolicy,
@@ -65,4 +66,38 @@ proptest! {
             prop_assert!(a.shed_full + a.shed_unroutable > 0, "expected shedding at capacity 1");
         }
     }
+}
+
+/// The journal and the summary must agree about shedding — every shed
+/// increments a counter AND emits a FleetShed trace, so the two counts
+/// are equal by construction.
+#[test]
+fn shed_counter_and_journal_agree() {
+    let mut nodes = vec![
+        NodeConfig::new(NodeKind::XGene2, 11),
+        NodeConfig::new(NodeKind::XGene2, 12),
+    ];
+    for n in &mut nodes {
+        n.admit_capacity = 1; // force heavy shedding
+    }
+    let mut cfg = FleetConfig::new(nodes);
+    cfg.telemetry = true;
+    let mut dense = GeneratorConfig::paper_default(32, 5);
+    dense.duration = SimDuration::from_secs(30);
+    dense.job_scale = 0.6;
+    let summary = Fleet::builder()
+        .config(cfg)
+        .build()
+        .run(&WorkloadTrace::generate(&dense), &mut RoundRobin::new());
+    let shed = summary.admission.shed();
+    assert!(shed > 0, "capacity-1 cluster did not shed");
+    let journal = summary.journal.as_deref().unwrap_or("");
+    let traced = journal
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"fleet_shed\""))
+        .count() as u64;
+    assert_eq!(
+        traced, shed,
+        "journal saw {traced} sheds, summary counted {shed}"
+    );
 }

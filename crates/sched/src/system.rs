@@ -408,20 +408,6 @@ impl System {
         &self.chip
     }
 
-    /// Mutable access to the chip under simulation — the seam
-    /// coordinator-level fault injection uses to arm a [`FaultPlan`]
-    /// mid-run (e.g. a fleet "degrade" event pessimizing one node).
-    ///
-    /// [`FaultPlan`]: avfs_chip::fault::FaultPlan
-    /// Direct V/F mutation through this handle bypasses the driver and
-    /// is on the caller.
-    pub fn chip_mut(&mut self) -> &mut Chip {
-        // External mutation may change anything; drop the slice memo so
-        // the next slice re-derives power and safety from scratch.
-        self.scratch.slice.valid = false;
-        &mut self.chip
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now

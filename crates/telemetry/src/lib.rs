@@ -182,15 +182,6 @@ pub enum TraceKind {
     FleetRoute,
     /// The fleet front door shed a job (no node could admit it).
     FleetShed,
-    /// A fleet node's health machine fenced it (no new work routed).
-    NodeFenced,
-    /// A fenced fleet node passed probation and rejoined the routable set.
-    NodeRecovered,
-    /// A fleet node's chip was pessimized by an injected degrade fault.
-    NodeDegraded,
-    /// A job drained from a failed node was re-dispatched (or exhausted
-    /// its retry budget).
-    JobRedispatch,
     /// A characterization campaign accepted one measured margin-map cell.
     CampaignCell,
     /// A scripted aging/temperature drift shifted the chip's true Vmin.
@@ -217,10 +208,6 @@ impl TraceKind {
             TraceKind::Watchdog => "watchdog",
             TraceKind::FleetRoute => "fleet_route",
             TraceKind::FleetShed => "fleet_shed",
-            TraceKind::NodeFenced => "node_fenced",
-            TraceKind::NodeRecovered => "node_recovered",
-            TraceKind::NodeDegraded => "node_degraded",
-            TraceKind::JobRedispatch => "job_redispatch",
             TraceKind::CampaignCell => "campaign_cell",
             TraceKind::DriftEvent => "drift_event",
             TraceKind::TableSwap => "table_swap",

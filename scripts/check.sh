@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, clippy, rustdoc, the avfs-analyze checks
-# (domain invariants, source lints, bounded model checking, the
-# policy-domain proof, the measured-margin audit, race exploration), the
-# test suite, the experiment smokes, and the two hot-path correctness
-# gates (null observer overhead; allocations in steady state and on
-# churn traffic).
+# (one `avfs-analyze all` run: domain invariants, source lints, both race
+# campaigns, the fleet checks, bounded model checking, the policy-domain
+# proof and the measured-margin audit), the test suite, the experiment
+# smokes, trace determinism, and the two hot-path correctness gates (null
+# observer overhead; allocations in steady state and on churn traffic).
 # Speed is measured by the perfbench benchmark (see BENCHMARK.json), not
 # here.
 # Mirrors what CI would run; exits nonzero on the first failure.
@@ -30,29 +30,8 @@ cargo clippy -q --all-targets \
 echo "==> cargo doc (warnings are errors: no broken or private doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
-echo "==> avfs-analyze invariants"
-cargo run -q -p avfs-analyze -- invariants
-
-echo "==> avfs-analyze lint"
-cargo run -q -p avfs-analyze -- lint
-
-echo "==> avfs-analyze model (exhaustive bounded check, depth 6)"
-cargo run -q --release -p avfs-analyze -- model --depth 6
-
-echo "==> avfs-analyze prove-policy (exhaustive policy-domain proof)"
-cargo run -q --release -p avfs-analyze -- prove-policy
-
-echo "==> avfs-analyze check-margins (measured tables vs hidden ground truth + full-domain proof)"
-cargo run -q --release -p avfs-analyze -- check-margins
-
-echo "==> avfs-analyze race (160 schedules, fault-free)"
-cargo run -q -p avfs-analyze -- race --schedules 160
-
-echo "==> avfs-analyze race (96 schedules, 10% fault rate)"
-cargo run -q -p avfs-analyze -- race --schedules 96 --seed 4195287042 --fault-rate 0.10
-
-echo "==> avfs-analyze fleet (cluster invariants, fencing, exactly-once, same-seed determinism)"
-cargo run -q --release -p avfs-analyze -- fleet
+echo "==> avfs-analyze all (invariants, lint, race x2, fleet, model --depth 6, prove-policy, check-margins)"
+cargo run -q --release -p avfs-analyze -- all
 
 echo "==> cargo test"
 cargo test -q --workspace
@@ -62,9 +41,6 @@ cargo run -q --release -p avfs-experiments --bin exp -- resilience --smoke > /de
 
 echo "==> fleet smoke (cluster eval acceptance + same-seed rerun determinism gate)"
 cargo run -q --release -p avfs-experiments --bin exp -- fleet --smoke > /dev/null
-
-echo "==> fleet-resilience smoke (node failures: rate-0 bit-identity, crash drill, exactly-once)"
-cargo run -q --release -p avfs-experiments --bin exp -- fleet-resilience --smoke > /dev/null
 
 echo "==> characterize smoke (measured-margin reclaim, drift drill, degradation curve)"
 cargo run -q --release -p avfs-experiments --bin exp -- characterize --smoke > /dev/null
