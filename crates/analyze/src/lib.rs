@@ -20,10 +20,11 @@
 //!   allowlist, so existing debt is frozen and new debt fails the build.
 //! * [`race`] — a deterministic interleaving walk that feeds seeded
 //!   event schedules to the model checker's [`statespace::World`], which
-//!   applies the daemon's actions one atomic step at a time and asserts
-//!   the shared-state invariants (no torn V/F pair, no mid-migration
-//!   mask, rail in range) after every step — the property the fail-safe
-//!   ordering exists to maintain.
+//!   runs the simulator's kernel (`avfs_sched::kernel`), applies the
+//!   daemon's actions one atomic step at a time and asserts the
+//!   shared-state invariants (no torn V/F pair, no mid-migration mask,
+//!   rail in range) after every step and every kernel admission — the
+//!   property the fail-safe ordering exists to maintain.
 //! * [`fleet`] — cluster-level checks over `avfs-fleet`: job
 //!   conservation through admission/shedding/drain, per-node safety
 //!   under cluster-induced load, aggregate consistency, and the

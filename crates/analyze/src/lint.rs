@@ -204,13 +204,15 @@ fn is_determinism_sensitive_path(path: &str) -> bool {
 }
 
 /// Hot-path modules, which run at every change point: the sched step
-/// loop, the core daemon and monitor, and the layout planner every
-/// replan runs. The counting-allocator bench gate measures the composed
-/// loop on a steady-state window and on churn traffic; this lint keeps
-/// fresh `Vec::new()` sites from creeping back in between gate runs.
+/// loop and the kernel side of its change points, the core daemon and
+/// monitor, and the layout planner every replan runs. The
+/// counting-allocator bench gate measures the composed loop on a
+/// steady-state window and on churn traffic; this lint keeps fresh
+/// `Vec::new()` sites from creeping back in between gate runs.
 fn is_hot_path(path: &str) -> bool {
     [
         "crates/sched/src/system.rs",
+        "crates/sched/src/kernel.rs",
         "crates/core/src/daemon.rs",
         "crates/core/src/monitor.rs",
         "crates/core/src/allocation.rs",
@@ -611,6 +613,7 @@ mod tests {
         let src = "fn f() {\n    let v: Vec<u32> = Vec::new();\n}\n";
         for hot in [
             "crates/sched/src/system.rs",
+            "crates/sched/src/kernel.rs",
             "crates/core/src/daemon.rs",
             "crates/core/src/monitor.rs",
             "crates/core/src/allocation.rs",

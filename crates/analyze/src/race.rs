@@ -10,10 +10,12 @@
 //!
 //! [`explore`] walks seeded random event schedules (arrivals, finishes,
 //! re-classifications, monitor ticks, in permuted orders) through the
-//! model checker's [`World`]: a real [`Daemon`] driving a real chip, its
-//! plans applied **one atomic action at a time**, with the shared-state
-//! invariants evaluated at every step boundary — exactly the points a
-//! concurrent monitor-sample could land on:
+//! model checker's [`World`]: a real [`Daemon`] driving a real chip
+//! through the simulator's own kernel, its plans applied **one atomic
+//! action at a time** and kernel admission run after arrivals and
+//! finishes, with the shared-state invariants evaluated at every
+//! boundary — exactly the points a concurrent monitor-sample could land
+//! on:
 //!
 //! * **no torn V/F pair** — `chip.is_voltage_safe_for(busy)` holds
 //!   between every pair of actions, not just at the end of a plan;
@@ -62,7 +64,7 @@ pub struct RaceReport {
     /// Atomic actions applied.
     pub actions: u64,
     /// Invariant evaluations (one before each plan, one after every
-    /// atomic action).
+    /// atomic action, one after every kernel admission).
     pub checks: u64,
     /// Mailbox faults injected (0 unless exploring with faults).
     pub faults: u64,
@@ -280,7 +282,7 @@ mod tests {
         let r = explore(160, 24, 0xA5F5_0001);
         assert_eq!(
             (r.schedules, r.events, r.actions, r.checks, r.faults),
-            (160, 4000, 12_319, 16_319, 0)
+            (160, 4000, 12_306, 16_323, 0)
         );
         assert!(r.is_clean(), "violations: {:#?}", r.violations);
     }
@@ -290,26 +292,38 @@ mod tests {
         let r = explore_with_faults(96, 24, FAULTED_CAMPAIGN_SEED, 0.10);
         assert_eq!(
             (r.schedules, r.events, r.actions, r.checks, r.faults),
-            (96, 2400, 7584, 10_158, 174)
+            (96, 2400, 7575, 10_169, 173)
         );
         assert!(r.is_clean(), "violations: {:#?}", r.violations);
     }
 
-    /// The deferred-pin window of ROADMAP item 1, reached by the walk:
-    /// longer schedules from seed 99 leave the rail under the cores a
-    /// deferred pin left behind, once on X-Gene 2 and twice on X-Gene 3.
-    /// This pins a known bug, not wanted behaviour: the fix for item 1
-    /// must flip this campaign to clean.
+    /// Both windows of ROADMAP item 1, reached by the walk. Longer
+    /// schedules from seed 99 leave the rail under the cores a deferred
+    /// pin left behind, once on X-Gene 2 (seed 216) and twice on X-Gene 3
+    /// (seed 245). At seed 125 (X-Gene 3) the daemon leaves two arrivals
+    /// waiting, kernel admission starts them on idle-clocked cores the
+    /// daemon did not pick, and a later finish lowers the rail below the
+    /// safe Vmin of the cores they hold: the admission window, three
+    /// times. This pins known bugs, not wanted behaviour: the fix for
+    /// item 1 must flip this campaign to clean.
     #[test]
     fn long_schedules_reach_the_deferred_pin_window() {
         let r = explore(200, 40, 99);
         assert_eq!(
             (r.schedules, r.events, r.actions, r.checks, r.faults),
-            (200, 8200, 24_178, 32_378, 0)
+            (200, 8200, 24_097, 32_397, 0)
         );
-        let [xg2, xg3_after, xg3_before] = r.violations.as_slice() else {
-            panic!("expected 3 violations: {:#?}", r.violations);
+        let [admission @ .., xg2, xg3_after, xg3_before] = r.violations.as_slice() else {
+            panic!("expected 6 violations: {:#?}", r.violations);
         };
+        assert_eq!(admission.len(), 3, "{:#?}", r.violations);
+        for v in admission {
+            assert!(v.starts_with("seed 125: "), "{v}");
+            assert!(
+                v.ends_with("806mV below safe Vmin 812mV for busy cores {0,2,3,26,28,30}"),
+                "{v}"
+            );
+        }
         assert!(xg2.starts_with("seed 216: "), "{xg2}");
         assert!(
             xg2.ends_with("877mV below safe Vmin 904mV for busy cores {0,5,6}"),

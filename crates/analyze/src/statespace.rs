@@ -9,10 +9,13 @@
 //!   and class flips address processes by *slot* (arrival order), not
 //!   pid, so a schedule prefix fully determines what each event means
 //!   and any subsequence of a schedule is itself a schedule.
-//! * [`World`] — the mirrored system (a real [`Chip`], a real [`Daemon`],
-//!   the live process set) with deterministic event application. Every
-//!   action of the daemon's plan is applied one atomic write at a time
-//!   and the three torn-state properties are evaluated at every boundary.
+//! * [`World`] — a real [`Chip`] and a real [`Daemon`] behind the
+//!   simulator's own change point, [`Kernel`]: the same view, action
+//!   application, pin validation, fault-feedback rounds, admission and
+//!   governor the simulator runs, with a zero migration pause (events
+//!   are instantaneous). The three torn-state properties are evaluated
+//!   at every atomic boundary the kernel reports to its [`Hook`]: after
+//!   the driver answers, after each action, after each admission.
 //! * [`World::fingerprint`] — the state-hash the checker's cache and the
 //!   DPOR commutation check key on: rail mV, per-PMD frequency program,
 //!   masks, governor, and the daemon's control state (recovery machine,
@@ -25,22 +28,18 @@
 //! the event sequence.
 
 use avfs_chip::chip::Chip;
-use avfs_chip::error::ChipError;
-use avfs_chip::freq::FreqStep;
 use avfs_chip::topology::CoreSet;
 use avfs_core::daemon::Daemon;
-use avfs_sched::driver::{Action, Driver, FaultNotice, ProcessView, SysEvent, SystemView};
+use avfs_sched::driver::{Action, SysEvent};
 use avfs_sched::governor::GovernorMode;
+use avfs_sched::kernel::{Boundary, Hook, Kernel, Outcome};
 use avfs_sched::process::{Pid, ProcessState};
 use avfs_sim::rng::{fnv1a_fold, FNV_OFFSET_BASIS};
-use avfs_sim::time::SimTime;
-use avfs_workloads::classify::IntensityClass;
+use avfs_sim::time::SimDuration;
+use avfs_workloads::catalog::Benchmark;
+use avfs_workloads::classify::{IntensityClass, L3C_THRESHOLD_PER_MCYCLE};
+use avfs_workloads::perf::ThreadWork;
 use std::fmt;
-
-/// Bound on synchronous fault→retry rounds per event (mirrors the
-/// scheduler's own dispatch bound; without an armed fault plan the loop
-/// runs exactly once).
-const FAULT_ROUNDS: usize = 8;
 
 /// One symbolic event in the model's alphabet. The vocabulary is
 /// self-contained — no pids, no seeds — so any schedule (a `Vec` of
@@ -109,34 +108,19 @@ impl fmt::Display for ModelEvent {
     }
 }
 
-/// One live process in the world's mirror of the system.
-#[derive(Debug, Clone)]
-struct Proc {
-    pid: Pid,
-    threads: usize,
-    state: ProcessState,
-    assigned: CoreSet,
-    class: IntensityClass,
+/// The L3-access rate the kernel's PMU sampler reports for a process of
+/// `class` (the daemon's 3000-accesses threshold, hysteresis band
+/// included, sits between the two).
+fn l3_rate(class: IntensityClass) -> f64 {
+    match class {
+        IntensityClass::CpuIntensive => 200.0,
+        IntensityClass::MemoryIntensive => 15_000.0,
+    }
 }
 
-impl Proc {
-    fn view(&self) -> ProcessView {
-        ProcessView {
-            pid: self.pid,
-            threads: self.threads,
-            state: self.state,
-            assigned: self.assigned,
-            // The kernel sampler reports an L3 rate consistent with the
-            // class (the daemon's 3000-accesses threshold sits between).
-            l3c_per_mcycle: Some(match self.class {
-                IntensityClass::CpuIntensive => 200.0,
-                IntensityClass::MemoryIntensive => 15_000.0,
-            }),
-            class: Some(self.class),
-            arrived_at: SimTime::ZERO,
-            stalled_until: None,
-        }
-    }
+/// A process's bit in a footprint's pid mask.
+fn pid_bit(pid: Pid) -> u64 {
+    1u64 << (pid.0 % 64)
 }
 
 /// What one event application did: check/action accounting, any
@@ -146,7 +130,8 @@ impl Proc {
 pub struct StepReport {
     /// Atomic actions applied.
     pub actions: u64,
-    /// Invariant evaluations (one before the plan, one per action).
+    /// Invariant evaluations (one before each plan, one per action, one
+    /// per kernel admission).
     pub checks: u64,
     /// Mailbox faults the chip's fault plan injected (each one fed back
     /// to the daemon as a fault notice, not counted as a violation).
@@ -161,11 +146,12 @@ pub struct StepReport {
     pub wrote_governor: bool,
     /// Bitmask of PMD indices whose frequency step was written.
     pub pmd_mask: u64,
-    /// Union of core bits written by pins plus the prior masks of every
-    /// pinned or removed process.
+    /// Union of core bits written by pins and admissions plus the prior
+    /// masks of every pinned or removed process.
     pub core_mask: u64,
-    /// Bitmask (pid mod 64) of processes created, removed, pinned, or
-    /// re-classified. Pids stay far below 64 within any explored bound.
+    /// Bitmask (pid mod 64) of processes created, removed, pinned,
+    /// admitted, or re-classified. Pids stay far below 64 within any
+    /// explored bound.
     pub pid_mask: u64,
     /// The step allocated a fresh pid (arrivals order-conflict with each
     /// other: pid labels differ across orders).
@@ -186,18 +172,111 @@ impl StepReport {
             && self.pid_mask & other.pid_mask == 0
             && !(self.arrived && other.arrived)
     }
+
+    /// The three torn-state properties, evaluated at one interleaving
+    /// boundary; `at` names it in any violation.
+    fn check(&mut self, kernel: &Kernel, at: impl Fn() -> String) {
+        self.checks += 1;
+        let chip = kernel.chip();
+
+        // Rail within its regulated window.
+        let v = chip.voltage();
+        let (floor, nominal) = (chip.spec().vreg_floor_mv, chip.spec().nominal_mv);
+        if v.as_mv() < floor || v.as_mv() > nominal {
+            self.violations.push(format!(
+                "{}: rail {v} outside [{floor}mV, {nominal}mV]",
+                at()
+            ));
+        }
+
+        // No torn V/F pair: the rail covers the safe Vmin of what is
+        // running right now at the frequency program right now.
+        let busy = kernel.busy_cores();
+        if !chip.is_voltage_safe_for(busy) {
+            self.violations.push(format!(
+                "{}: torn V/F state — {v} below safe Vmin {} for busy cores {busy}",
+                at(),
+                chip.current_safe_vmin(busy)
+            ));
+        }
+
+        // No mid-migration mask: running masks are thread-sized and
+        // pairwise disjoint.
+        let mut seen = CoreSet::EMPTY;
+        for p in kernel.processes().filter(|p| p.is_running()) {
+            if p.assigned.len() != p.threads {
+                self.violations.push(format!(
+                    "{}: {} holds {} cores for {} threads",
+                    at(),
+                    p.pid,
+                    p.assigned.len(),
+                    p.threads
+                ));
+            }
+            if !seen.intersection(p.assigned).is_empty() {
+                self.violations.push(format!(
+                    "{}: {} mask {} overlaps another process",
+                    at(),
+                    p.pid,
+                    p.assigned
+                ));
+            }
+            seen = seen.union(p.assigned);
+        }
+    }
 }
 
-/// The mirrored system the checker explores: a real chip, a real daemon,
-/// and the live process set. Cloning a `World` clones the whole state,
-/// so exploration can branch freely.
+/// The checker's hook: every atomic boundary of the kernel's change
+/// point is checked and its write recorded in the footprint. A rejected
+/// action is a violation too: the daemon asked for a pin, step or
+/// voltage the kernel could not apply.
+impl Hook for StepReport {
+    fn at(&mut self, kernel: &Kernel, boundary: Boundary) {
+        match boundary {
+            Boundary::Planned(_) => self.check(kernel, || "before plan".to_string()),
+            Boundary::Acted {
+                event,
+                index,
+                action,
+                outcome,
+            } => {
+                self.actions += 1;
+                match action {
+                    Action::SetVoltage(_) => self.wrote_voltage = true,
+                    Action::SetPmdStep(pmd, _) => self.pmd_mask |= 1u64 << (pmd.index() % 64),
+                    Action::PinProcess(pid, cores) => {
+                        self.pid_mask |= pid_bit(pid);
+                        self.core_mask |= cores.bits();
+                    }
+                    Action::SetGovernor(_) => self.wrote_governor = true,
+                }
+                let at = || format!("after {event:?} action {index} ({action:?})");
+                match outcome {
+                    Outcome::Applied => {}
+                    Outcome::Pinned { from } => self.core_mask |= from.bits(),
+                    Outcome::Faulted(_) => self.faults += 1,
+                    Outcome::Rejected => self
+                        .violations
+                        .push(format!("{}: the kernel rejected it", at())),
+                }
+                self.check(kernel, at);
+            }
+            Boundary::Admitted { pid, cores } => {
+                self.pid_mask |= pid_bit(pid);
+                self.core_mask |= cores.bits();
+                self.check(kernel, || format!("after admitting {pid} onto {cores}"));
+            }
+        }
+    }
+}
+
+/// The system the checker explores: a real chip and a real daemon behind
+/// the simulator's kernel. Cloning a `World` clones the whole state, so
+/// exploration can branch freely.
 #[derive(Clone)]
 pub struct World {
-    chip: Chip,
+    kernel: Kernel,
     daemon: Daemon,
-    procs: Vec<Proc>,
-    governor: GovernorMode,
-    next_pid: u64,
     max_procs: usize,
 }
 
@@ -206,52 +285,26 @@ impl World {
     /// `max_procs` concurrent processes (the branching bound).
     pub fn new(chip: Chip, daemon: Daemon, max_procs: usize) -> Self {
         World {
-            chip,
+            kernel: Kernel::new(chip, SimDuration::ZERO, L3C_THRESHOLD_PER_MCYCLE),
             daemon,
-            procs: Vec::new(),
-            governor: GovernorMode::Ondemand,
-            next_pid: 1,
             max_procs,
         }
     }
 
     /// The chip under control (read-only).
     pub fn chip(&self) -> &Chip {
-        &self.chip
+        self.kernel.chip()
     }
 
     /// Number of live processes.
     pub fn live_procs(&self) -> usize {
-        self.procs.len()
+        self.kernel.live().count()
     }
 
     /// Threads across all live processes (arrivals fit while this stays
     /// within the chip's core count).
     pub fn live_threads(&self) -> usize {
-        self.procs.iter().map(|p| p.threads).sum()
-    }
-
-    fn view(&self) -> SystemView {
-        let spec = self.chip.spec();
-        SystemView {
-            now: SimTime::ZERO,
-            spec: spec.clone(),
-            voltage: self.chip.voltage(),
-            pmd_steps: spec
-                .all_pmds()
-                .map(|p| self.chip.pmd_freq_step(p).unwrap_or(FreqStep::MAX))
-                .collect(),
-            governor: self.governor,
-            droop_alert: self.chip.droop_excursion_active(),
-            processes: self.procs.iter().map(Proc::view).collect(),
-        }
-    }
-
-    fn busy_cores(&self) -> CoreSet {
-        self.procs
-            .iter()
-            .filter(|p| p.state == ProcessState::Running)
-            .fold(CoreSet::EMPTY, |acc, p| acc.union(p.assigned))
+        self.kernel.live().map(|p| p.threads).sum()
     }
 
     /// The events enabled in this state, in a fixed deterministic order:
@@ -260,9 +313,10 @@ impl World {
     /// bound.
     pub fn enabled_events(&self) -> Vec<ModelEvent> {
         let mut events = vec![ModelEvent::Tick];
+        let live = self.live_procs();
         let total_threads = self.live_threads();
-        let capacity = self.chip.spec().cores as usize;
-        if self.procs.len() < self.max_procs {
+        let capacity = self.chip().spec().cores as usize;
+        if live < self.max_procs {
             for threads in [1usize, 2] {
                 if total_threads + threads <= capacity {
                     events.push(ModelEvent::Arrive {
@@ -276,209 +330,91 @@ impl World {
                 }
             }
         }
-        for slot in 0..self.procs.len() {
+        for slot in 0..live {
             events.push(ModelEvent::Finish { slot });
         }
-        for slot in 0..self.procs.len() {
+        for slot in 0..live {
             events.push(ModelEvent::Flip { slot });
         }
         events
     }
 
-    /// Applies one symbolic event: updates the mirror, delivers the
-    /// corresponding [`SysEvent`] to the daemon, and applies the plan one
-    /// atomic action at a time with the torn-state properties evaluated
-    /// at every boundary. Returns `None` when the event is not
-    /// applicable in this state (out-of-range slot, no capacity) — the
-    /// shrinker uses this to discard invalid schedule subsequences.
+    /// Applies one symbolic event through the kernel's change point for
+    /// it, with the torn-state properties evaluated at every atomic
+    /// boundary. Returns `None` when the event is not applicable in this
+    /// state (out-of-range slot, no capacity) — the shrinker uses this to
+    /// discard invalid schedule subsequences.
     pub fn apply_event(&mut self, event: ModelEvent) -> Option<StepReport> {
         let mut report = StepReport::default();
-        let sys_event = match event {
-            ModelEvent::Tick => SysEvent::MonitorTick,
+        match event {
+            ModelEvent::Tick => {
+                self.kernel
+                    .dispatch(&mut self.daemon, &mut report, SysEvent::MonitorTick);
+                self.kernel.apply_governor();
+            }
             ModelEvent::Arrive { threads, class } => {
-                let capacity = self.chip.spec().cores as usize;
-                if self.procs.len() >= self.max_procs || self.live_threads() + threads > capacity {
+                let capacity = self.chip().spec().cores as usize;
+                if self.live_procs() >= self.max_procs || self.live_threads() + threads > capacity {
                     return None;
                 }
-                let pid = Pid(self.next_pid);
-                self.next_pid += 1;
-                self.procs.push(Proc {
-                    pid,
-                    threads,
-                    state: ProcessState::Waiting,
-                    assigned: CoreSet::EMPTY,
-                    class,
-                });
+                // The checker never integrates progress: the program and
+                // its work only label the process.
+                let no_work = ThreadWork {
+                    core_gcycles: 0.0,
+                    mem_s: 0.0,
+                };
+                let pid = self
+                    .kernel
+                    .submit(Benchmark::SpecNamd, threads, 1.0, no_work);
+                self.kernel.observe_l3_rate(pid, l3_rate(class));
                 report.arrived = true;
-                report.pid_mask |= 1u64 << (pid.0 % 64);
-                SysEvent::ProcessArrived(pid)
+                report.pid_mask |= pid_bit(pid);
+                self.kernel.arrive(&mut self.daemon, &mut report, pid);
             }
             ModelEvent::Finish { slot } => {
-                if slot >= self.procs.len() {
-                    return None;
-                }
-                let p = self.procs.remove(slot);
-                report.pid_mask |= 1u64 << (p.pid.0 % 64);
+                let p = self.kernel.live().nth(slot)?;
+                let pid = p.pid;
+                report.pid_mask |= pid_bit(pid);
                 report.core_mask |= p.assigned.bits();
-                SysEvent::ProcessFinished(p.pid)
+                self.kernel.finish(&mut self.daemon, &mut report, pid);
             }
             ModelEvent::Flip { slot } => {
-                let p = self.procs.get_mut(slot)?;
-                p.class = match p.class {
+                let pid = self.kernel.live().nth(slot)?.pid;
+                let class = match self.kernel.class(pid)? {
                     IntensityClass::CpuIntensive => IntensityClass::MemoryIntensive,
                     IntensityClass::MemoryIntensive => IntensityClass::CpuIntensive,
                 };
-                report.pid_mask |= 1u64 << (p.pid.0 % 64);
-                let (pid, class) = (p.pid, p.class);
-                SysEvent::ClassChanged(pid, class)
+                self.kernel.observe_l3_rate(pid, l3_rate(class));
+                report.pid_mask |= pid_bit(pid);
+                self.kernel.dispatch(
+                    &mut self.daemon,
+                    &mut report,
+                    SysEvent::ClassChanged(pid, class),
+                );
+                self.kernel.apply_governor();
             }
-        };
-        self.deliver(sys_event, &mut report);
+        }
         Some(report)
-    }
-
-    /// Delivers one event to the daemon and applies its plan under
-    /// interleaved checks, feeding fault notices back for a bounded
-    /// number of recovery rounds (inert unless a fault plan is armed).
-    fn deliver(&mut self, event: SysEvent, report: &mut StepReport) {
-        let mut event = event;
-        for _round in 0..=FAULT_ROUNDS {
-            let view = self.view();
-            let actions = self.daemon.on_event(&view, &event);
-            self.check_invariants("before plan", report);
-            let mut notice = None;
-            for (i, action) in actions.into_iter().enumerate() {
-                let outcome = self.apply_action(action, report);
-                let at = format!("after {event:?} action {i} ({action:?})");
-                self.check_invariants(&at, report);
-                if outcome.is_some() {
-                    notice = outcome;
-                    break;
-                }
-            }
-            match notice {
-                Some(n) => event = SysEvent::OperationFault(n),
-                None => break,
-            }
-        }
-    }
-
-    /// Applies one atomic action — one mailbox/CPPC/affinity write —
-    /// recording its write footprint.
-    fn apply_action(&mut self, action: Action, report: &mut StepReport) -> Option<FaultNotice> {
-        report.actions += 1;
-        match action {
-            Action::SetVoltage(mv) => {
-                report.wrote_voltage = true;
-                let notice = match self.chip.set_voltage(mv) {
-                    Ok(()) => return None,
-                    Err(ChipError::MailboxRefused { .. }) => FaultNotice::VoltageRefused(mv),
-                    Err(ChipError::MailboxDropped) => FaultNotice::VoltageDropped(mv),
-                    Err(e) => {
-                        report
-                            .violations
-                            .push(format!("daemon requested an unprogrammable voltage: {e}"));
-                        return None;
-                    }
-                };
-                report.faults += 1;
-                Some(notice)
-            }
-            Action::SetPmdStep(pmd, step) => {
-                report.pmd_mask |= 1u64 << (pmd.index() % 64);
-                if self.governor == GovernorMode::Userspace {
-                    if let Err(e) = self.chip.set_pmd_freq_step(pmd, step) {
-                        report
-                            .violations
-                            .push(format!("daemon requested an invalid step: {e}"));
-                    }
-                }
-                None
-            }
-            Action::PinProcess(pid, cores) => {
-                report.pid_mask |= 1u64 << (pid.0 % 64);
-                report.core_mask |= cores.bits();
-                if let Some(p) = self.procs.iter_mut().find(|p| p.pid == pid) {
-                    report.core_mask |= p.assigned.bits();
-                    p.assigned = cores;
-                    p.state = ProcessState::Running;
-                }
-                None
-            }
-            Action::SetGovernor(mode) => {
-                report.wrote_governor = true;
-                self.governor = mode;
-                None
-            }
-        }
-    }
-
-    /// The three torn-state properties, evaluated at one interleaving
-    /// boundary.
-    fn check_invariants(&self, at: &str, report: &mut StepReport) {
-        report.checks += 1;
-
-        // Rail within its regulated window.
-        let v = self.chip.voltage();
-        let (floor, nominal) = (self.chip.spec().vreg_floor_mv, self.chip.spec().nominal_mv);
-        if v.as_mv() < floor || v.as_mv() > nominal {
-            report
-                .violations
-                .push(format!("{at}: rail {v} outside [{floor}mV, {nominal}mV]"));
-        }
-
-        // No torn V/F pair: the rail covers the safe Vmin of what is
-        // running right now at the frequency program right now.
-        let busy = self.busy_cores();
-        if !self.chip.is_voltage_safe_for(busy) {
-            report.violations.push(format!(
-                "{at}: torn V/F state — {v} below safe Vmin {} for busy cores {busy}",
-                self.chip.current_safe_vmin(busy)
-            ));
-        }
-
-        // No mid-migration mask: running masks are thread-sized and
-        // pairwise disjoint.
-        let mut seen = CoreSet::EMPTY;
-        for p in self
-            .procs
-            .iter()
-            .filter(|p| p.state == ProcessState::Running)
-        {
-            if p.assigned.len() != p.threads {
-                report.violations.push(format!(
-                    "{at}: {} holds {} cores for {} threads",
-                    p.pid,
-                    p.assigned.len(),
-                    p.threads
-                ));
-            }
-            if !seen.intersection(p.assigned).is_empty() {
-                report.violations.push(format!(
-                    "{at}: {} mask {} overlaps another process",
-                    p.pid, p.assigned
-                ));
-            }
-            seen = seen.union(p.assigned);
-        }
     }
 
     /// The state-hash the checker's cache keys on: chip control state
     /// (rail, frequency program, droop flag), governor, pid allocator,
-    /// every live process, and the daemon's control fingerprint.
+    /// every live process (state, mask, stall end, class), and the
+    /// daemon's control fingerprint.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv1a_fold(FNV_OFFSET_BASIS, self.chip.state_digest());
+        let kernel = &self.kernel;
+        let mut h = fnv1a_fold(FNV_OFFSET_BASIS, kernel.chip().state_digest());
         h = fnv1a_fold(
             h,
-            match self.governor {
+            match kernel.governor() {
                 GovernorMode::Ondemand => 0,
                 GovernorMode::Performance => 1,
                 GovernorMode::Powersave => 2,
                 GovernorMode::Userspace => 3,
             },
         );
-        h = fnv1a_fold(h, self.next_pid);
-        for p in &self.procs {
+        h = fnv1a_fold(h, kernel.next_pid().0);
+        for p in kernel.live() {
             h = fnv1a_fold(h, p.pid.0);
             h = fnv1a_fold(h, p.threads as u64);
             h = fnv1a_fold(
@@ -490,11 +426,13 @@ impl World {
                 },
             );
             h = fnv1a_fold(h, p.assigned.bits());
+            h = fnv1a_fold(h, p.stalled_until.as_nanos());
             h = fnv1a_fold(
                 h,
-                match p.class {
-                    IntensityClass::CpuIntensive => 0,
-                    IntensityClass::MemoryIntensive => 1,
+                match kernel.class(p.pid) {
+                    Some(IntensityClass::CpuIntensive) => 0,
+                    Some(IntensityClass::MemoryIntensive) => 1,
+                    None => 2,
                 },
             );
         }
@@ -506,6 +444,7 @@ impl World {
 mod tests {
     use super::*;
     use avfs_chip::presets;
+    use avfs_chip::topology::CoreId;
 
     fn world() -> World {
         let chip = presets::xgene2().build();
@@ -588,6 +527,39 @@ mod tests {
                 assert!(r.violations.is_empty(), "{ev}: {:?}", r.violations);
             }
         }
+    }
+
+    /// Kernel admission runs inside the checked change point. With three
+    /// processes on X-Gene 2 the daemon leaves the third arrival waiting
+    /// and the kernel starts it on default placement: core 1, the first
+    /// free core of the first PMD at the lowest occupancy. That start is
+    /// an atomic boundary of its own, checked and in the step's footprint.
+    #[test]
+    fn admission_is_a_checked_boundary_in_the_footprint() {
+        let chip = presets::xgene2().build();
+        let daemon = Daemon::optimal(&chip);
+        let mut w = World::new(chip, daemon, 3);
+        let arrive = |threads, class| ModelEvent::Arrive { threads, class };
+        for ev in [
+            arrive(2, IntensityClass::MemoryIntensive),
+            arrive(2, IntensityClass::MemoryIntensive),
+        ] {
+            let step = w.apply_event(ev).expect("capacity");
+            assert!(step.violations.is_empty(), "{ev}: {:?}", step.violations);
+        }
+        let step = w
+            .apply_event(arrive(1, IntensityClass::CpuIntensive))
+            .expect("capacity for a third process");
+        assert!(step.violations.is_empty(), "{:?}", step.violations);
+        assert_eq!(step.faults, 0);
+        // One check before the plan, one per action, one at admission.
+        assert_eq!(step.checks, step.actions + 2, "{step:?}");
+        let admitted = w.kernel.process(Pid(3)).expect("pid 3 is live");
+        assert_eq!(admitted.state, ProcessState::Running);
+        let core_1: CoreSet = std::iter::once(CoreId::new(1)).collect();
+        assert_eq!(admitted.assigned, core_1);
+        assert_eq!(step.core_mask & core_1.bits(), core_1.bits(), "{step:?}");
+        assert_ne!(step.pid_mask & pid_bit(Pid(3)), 0, "{step:?}");
     }
 
     #[test]

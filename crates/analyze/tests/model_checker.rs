@@ -87,9 +87,11 @@ fn broken_ordering_yields_a_short_replayable_counterexample() {
 
 /// The deferred-pin window of ROADMAP item 1, pinned against the
 /// current daemon the way the ablated ordering is pinned above. At depth
-/// 7 with three live processes, X-Gene 2 stays clean, but on X-Gene 3 a
-/// pin the daemon defers leaves its process on cores the final voltage
-/// does not count, and the counterexample shrinks from 7 to 6 events.
+/// 7 with three live processes, X-Gene 2 stays clean (its 749 states
+/// include the arrivals the daemon leaves waiting and kernel admission
+/// then starts), but on X-Gene 3 a pin the daemon defers leaves its
+/// process on cores the final voltage does not count, and the
+/// counterexample shrinks from 7 to 6 events.
 /// This pins a known bug, not wanted behaviour: the fix for item 1 must
 /// flip this test to clean on both presets.
 #[test]
@@ -103,7 +105,7 @@ fn depth_seven_reaches_the_deferred_pin_window() {
         panic!("expected two presets: {report:?}");
     };
     assert!(xg2.is_clean(), "{xg2}");
-    assert_eq!(xg2.states, 740, "{xg2}");
+    assert_eq!(xg2.states, 749, "{xg2}");
     assert!(xg3.registry_violations.is_empty(), "{xg3}");
     let cx = xg3
         .counterexample

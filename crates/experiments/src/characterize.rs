@@ -651,7 +651,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn xgene2_evaluates_clean_and_tables_roundtrip() {
+    fn xgene2_evaluates_clean() {
         let results = evaluate(&[Machine::XGene2], 2024).expect("campaigns run");
         results.validate().expect("acceptance");
         let drill = &results.drills[0];
@@ -665,14 +665,6 @@ mod tests {
             .expect("a window swapped");
         assert_eq!(swap_window.phase, "drifted");
         assert!(!swap_window.busy);
-        for t in [
-            reclaim_table(&results),
-            drill_table(drill),
-            curve_table(&results.curves[0]),
-        ] {
-            let parsed = Table::from_json(&t.to_json()).expect("parses");
-            assert_eq!(parsed, t);
-        }
     }
 
     #[test]

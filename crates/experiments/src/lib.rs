@@ -28,7 +28,6 @@ pub mod droops;
 pub mod energy;
 pub mod factors;
 pub mod fleet;
-mod json;
 pub mod perfchar;
 pub mod report;
 pub mod resilience;

@@ -1,9 +1,7 @@
 //! Result tables: the common output format of every experiment harness.
 
-use crate::json::{self, Json};
+use avfs_telemetry::write_json_escaped;
 use std::fmt;
-
-pub use crate::json::JsonError;
 use std::io::Write as _;
 use std::path::Path;
 
@@ -42,9 +40,9 @@ impl Cell {
     fn json_into(&self, out: &mut String) {
         match self {
             Cell::Text(s) => {
-                out.push_str("{ \"Text\": ");
-                json::escape_into(out, s);
-                out.push_str(" }");
+                out.push_str("{ \"Text\": \"");
+                write_json_escaped(out, s);
+                out.push_str("\" }");
             }
             Cell::Int(v) => {
                 out.push_str(&format!("{{ \"Int\": {v} }}"));
@@ -59,33 +57,6 @@ impl Cell {
                 out.push_str(&format!(", \"precision\": {precision} }} }}"));
             }
         }
-    }
-
-    /// Reads a cell back from its externally-tagged JSON form.
-    fn from_json_value(v: &Json) -> Result<Cell, JsonError> {
-        let shape_err = || JsonError {
-            msg: "expected a Text/Int/Float cell object".to_string(),
-            offset: 0,
-        };
-        if let Some(s) = v.get("Text").and_then(Json::as_str) {
-            return Ok(Cell::Text(s.to_string()));
-        }
-        if let Some(i) = v.get("Int").and_then(Json::as_i64) {
-            return Ok(Cell::Int(i));
-        }
-        if let Some(f) = v.get("Float") {
-            let value = f
-                .get("value")
-                .and_then(Json::as_f64)
-                .ok_or_else(shape_err)?;
-            let precision = f
-                .get("precision")
-                .and_then(Json::as_i64)
-                .and_then(|p| u8::try_from(p).ok())
-                .ok_or_else(shape_err)?;
-            return Ok(Cell::Float { value, precision });
-        }
-        Err(shape_err())
     }
 }
 
@@ -270,18 +241,20 @@ impl Table {
     /// pretty-printed JSON — the machine-readable companion to the CSV.
     ///
     /// Cells use an externally-tagged enum shape (`{"Int": 3}`,
-    /// `{"Float": {"value": 0.5, "precision": 2}}`), so artifacts
-    /// written by earlier revisions parse identically. Non-finite
-    /// floats, which JSON cannot represent, serialize as `null` values.
+    /// `{"Float": {"value": 0.5, "precision": 2}}`), the shape earlier
+    /// revisions wrote. Non-finite floats, which JSON cannot represent,
+    /// serialize as `null` values. Strings go through the workspace's one
+    /// escaper, [`write_json_escaped`].
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"id\": ");
-        json::escape_into(&mut out, &self.id);
-        out.push_str(",\n  \"title\": ");
-        json::escape_into(&mut out, &self.title);
-        out.push_str(",\n  \"headers\": [");
+        let mut out = String::from("{\n  \"id\": \"");
+        write_json_escaped(&mut out, &self.id);
+        out.push_str("\",\n  \"title\": \"");
+        write_json_escaped(&mut out, &self.title);
+        out.push_str("\",\n  \"headers\": [");
         for (i, h) in self.headers.iter().enumerate() {
-            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            json::escape_into(&mut out, h);
+            out.push_str(if i == 0 { "\n    \"" } else { ",\n    \"" });
+            write_json_escaped(&mut out, h);
+            out.push('"');
         }
         out.push_str("\n  ],\n  \"rows\": [");
         for (i, row) in self.rows.iter().enumerate() {
@@ -305,60 +278,6 @@ impl Table {
         std::fs::create_dir_all(dir)?;
         let mut f = std::fs::File::create(dir.join(format!("{}.json", self.id)))?;
         f.write_all(self.to_json().as_bytes())
-    }
-
-    /// Parses a table back from its JSON rendering.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] when the input is not well-formed JSON
-    /// or does not have the table shape.
-    pub fn from_json(input: &str) -> Result<Table, JsonError> {
-        let doc = json::parse(input)?;
-        let field_err = |what: &str| JsonError {
-            msg: format!("table JSON is missing or mistypes `{what}`"),
-            offset: 0,
-        };
-        let id = doc
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| field_err("id"))?
-            .to_string();
-        let title = doc
-            .get("title")
-            .and_then(Json::as_str)
-            .ok_or_else(|| field_err("title"))?
-            .to_string();
-        let headers = doc
-            .get("headers")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| field_err("headers"))?
-            .iter()
-            .map(|h| {
-                h.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| field_err("headers"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let rows = doc
-            .get("rows")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| field_err("rows"))?
-            .iter()
-            .map(|row| {
-                row.as_arr()
-                    .ok_or_else(|| field_err("rows"))?
-                    .iter()
-                    .map(Cell::from_json_value)
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Table {
-            id,
-            title,
-            headers,
-            rows,
-        })
     }
 }
 
@@ -413,12 +332,31 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_typed_cells() {
-        let t = sample();
-        let back = Table::from_json(&t.to_json()).expect("roundtrip");
-        assert_eq!(t, back);
-        // Typed cells survive (not stringified).
-        assert_eq!(back.value("alpha", "pct"), Some(12.345));
+    fn json_rendering_matches_the_golden_text() {
+        // Typed cells, not stringified: floats keep their full value
+        // beside the display precision.
+        let golden = r#"{
+  "id": "t1",
+  "title": "Sample",
+  "headers": [
+    "name",
+    "value",
+    "pct"
+  ],
+  "rows": [
+    [
+      { "Text": "alpha" },
+      { "Int": 3 },
+      { "Float": { "value": 12.345, "precision": 1 } }
+    ],
+    [
+      { "Text": "beta" },
+      { "Int": -1 },
+      { "Float": { "value": 0.5, "precision": 2 } }
+    ]
+  ]
+}"#;
+        assert_eq!(sample().to_json(), golden);
     }
 
     #[test]

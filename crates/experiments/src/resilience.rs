@@ -319,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_deterministic_and_tables_roundtrip() {
+    fn sweep_is_deterministic_and_tabulates_each_rate() {
         let a = sweep(Machine::XGene2, Scale::Quick, 11, &[0.05]);
         let b = sweep(Machine::XGene2, Scale::Quick, 11, &[0.05]);
         assert_eq!(
@@ -333,11 +333,5 @@ mod tests {
         let recovery = recovery_stats(&a);
         assert_eq!(curve.rows.len(), 1);
         assert_eq!(recovery.rows.len(), 1);
-        // The JSON export of the recovery stats round-trips through the
-        // shared report schema.
-        for t in [&curve, &recovery] {
-            let parsed = Table::from_json(&t.to_json()).expect("parses");
-            assert_eq!(&parsed, t);
-        }
     }
 }

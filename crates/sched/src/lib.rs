@@ -9,7 +9,10 @@
 //! into a deterministic discrete-event simulation that replays a
 //! [`avfs_workloads::WorkloadTrace`] under a pluggable placement
 //! [`driver::Driver`] — the hook the paper's daemon (crate `avfs-core`)
-//! plugs into.
+//! plugs into. The kernel side of each change point (the driver's view,
+//! action application, admission, the governor) is one unit,
+//! [`kernel::Kernel`], which the simulator and the analyzer's model
+//! checker both drive.
 //!
 //! # Example
 //!
@@ -35,6 +38,7 @@
 
 pub mod driver;
 pub mod governor;
+pub mod kernel;
 pub mod metrics;
 pub mod process;
 pub mod system;

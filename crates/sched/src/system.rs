@@ -19,27 +19,24 @@
 //! Events: job arrivals (from a [`WorkloadTrace`]), process completions,
 //! monitoring windows (classification), trace sampling, and migration
 //! stalls ending. On arrival / completion / class-change events the
-//! configured [`Driver`] is consulted and its [`Action`]s applied —
-//! including the paper's fail-safe ordering, because actions apply in
-//! order within one event.
+//! [`Kernel`] consults the configured [`Driver`] and applies its
+//! [`Action`](crate::driver::Action)s — including the paper's fail-safe
+//! ordering, because actions apply in order within one event.
 
-use crate::driver::{Action, Driver, FaultNotice, ProcessView, SysEvent, SystemView};
-use crate::governor::GovernorMode;
+use crate::driver::{Driver, SysEvent};
+use crate::kernel::Kernel;
 use crate::metrics::{ProcessRecord, RunMetrics};
-use crate::process::{Pid, Process, ProcessState};
+use crate::process::{Pid, Process};
 use avfs_chip::chip::Chip;
-use avfs_chip::error::ChipError;
 use avfs_chip::power::{PmdLoad, PowerInputs};
-use avfs_chip::topology::{ChipSpec, CoreId, CoreSet, PmdId};
-use avfs_chip::FreqStep;
+use avfs_chip::topology::{CoreId, CoreSet, PmdId};
 use avfs_sim::time::{SimDuration, SimTime};
 use avfs_sim::RngStream;
 use avfs_telemetry::{Telemetry, TraceKind, Value};
-use avfs_workloads::classify::{HysteresisClassifier, IntensityClass};
+use avfs_workloads::classify::IntensityClass;
 use avfs_workloads::generator::WorkloadTrace;
 use avfs_workloads::perf::PerfModel;
 use avfs_workloads::phases;
-use std::collections::VecDeque;
 
 /// Simulator configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,18 +59,6 @@ pub struct SystemConfig {
     /// 3000 by default; ablations sweep it).
     pub l3c_threshold: f64,
 }
-
-/// How long a hung migration stalls if nothing rescues it. Far beyond
-/// any watchdog threshold, but finite so an undefended run still
-/// terminates (monitor ticks keep the event loop alive meanwhile).
-const HANG_STALL: SimDuration = SimDuration::from_secs(3_600);
-
-/// Bound on synchronous fault-feedback rounds per event: each round
-/// re-consults the driver with the [`SysEvent::OperationFault`]s its
-/// previous actions provoked. Deep enough for a retry ladder to reach
-/// safe mode, shallow enough to guarantee termination even against a
-/// driver that retries forever at a 100% fault rate.
-const FAULT_FEEDBACK_ROUNDS: usize = 8;
 
 impl Default for SystemConfig {
     fn default() -> Self {
@@ -114,32 +99,6 @@ struct SigEntry {
     stalled: bool,
 }
 
-/// Kernel-like placement of `threads` threads around `busy`: free cores
-/// ordered by their PMD's occupancy, then PMD index, then core index,
-/// so idle PMDs fill first. `None` when too few cores are free.
-fn default_placement(spec: &ChipSpec, busy: CoreSet, threads: usize) -> Option<CoreSet> {
-    let free = CoreSet::first_n(spec.cores).difference(busy);
-    if free.len() < threads {
-        return None;
-    }
-    let mut chosen = CoreSet::EMPTY;
-    for occupancy in 0..=spec.cores_per_pmd as usize {
-        for pmd in spec.all_pmds() {
-            let cores = spec.cores_of(pmd);
-            if cores.intersection(busy).len() != occupancy {
-                continue;
-            }
-            for core in cores.difference(busy).iter() {
-                if chosen.len() == threads {
-                    return Some(chosen);
-                }
-                chosen.insert(core);
-            }
-        }
-    }
-    Some(chosen)
-}
-
 /// Slice-invariant quantities memoized between change points: power and
 /// safety. Valid only while the signature (process set, placement,
 /// phases, stalls), the chip's state epoch, and the droop alert all
@@ -177,23 +136,20 @@ struct PmuMemoEntry {
 /// event observably, so dropping the whole struct between any two events
 /// would not change a single output byte. (The [`SliceCache`] inside is
 /// a pure memo with the same property: every cached value is recomputed
-/// bit-identically on a miss.)
+/// bit-identically on a miss.) The change point's own buffers live in
+/// the [`Kernel`].
 #[derive(Debug, Default)]
 struct Scratch {
     /// Pid-sorted per-process conditions for the current instant.
     conds: Vec<(Pid, Cond)>,
     /// Core-index → owning pid, for L2-partner lookups.
     owner: Vec<Option<Pid>>,
-    /// Recycled driver snapshot (its vecs keep their capacity).
-    view: Option<SystemView>,
     /// Pids finishing at the current instant.
     finished: Vec<Pid>,
     /// Per-PMD load accumulator for power evaluation.
     loads: Vec<PmdLoad>,
     /// Per-PMD activity accumulator for power evaluation.
     act_sum: Vec<f64>,
-    /// Governor frequency-step decisions staged before application.
-    steps: Vec<(PmdId, FreqStep)>,
     /// Signature the slice cache was computed under.
     sig: Vec<SigEntry>,
     /// Signature being probed this iteration (swapped with `sig`).
@@ -202,51 +158,22 @@ struct Scratch {
     slice: SliceCache,
     /// Per-process L3-rate memo (aligned with `conds`).
     pmu_memo: Vec<PmuMemoEntry>,
-    /// Fault notices produced by the current action batch.
-    notices: Vec<FaultNotice>,
-    /// Fault notices accumulating for the next feedback round.
-    notices_next: Vec<FaultNotice>,
     /// Class changes from the monitoring window being closed.
     class_changes: Vec<(Pid, IntensityClass)>,
-}
-
-/// Per-process monitoring state.
-#[derive(Debug, Clone)]
-struct MonitorState {
-    classifier: HysteresisClassifier,
-    window_start_cycles: u64,
-    window_start_l3: u64,
-    last_rate: Option<f64>,
-}
-
-/// One row of the process table: a process and its monitoring window.
-#[derive(Debug, Clone)]
-struct Entry {
-    process: Process,
-    monitor: MonitorState,
 }
 
 /// The full-system simulator.
 #[derive(Debug)]
 pub struct System {
-    chip: Chip,
+    /// The chip, process table, run queue and governor, and the change
+    /// point that drives them.
+    kernel: Kernel,
     perf: PerfModel,
     config: SystemConfig,
-    now: SimTime,
-    /// The process table, pid-sorted. Pids are issued in increasing
-    /// order, so a submit appends; a process leaves the table once its
-    /// completion has been dispatched.
-    procs: Vec<Entry>,
-    queue: VecDeque<Pid>,
-    governor: GovernorMode,
-    next_pid: u64,
     energy_j: f64,
     failure_rng: RngStream,
     unsafe_time_s: f64,
     failures: u64,
-    migrations: u64,
-    rejected_actions: u64,
-    telemetry: Telemetry,
     scratch: Scratch,
     /// When true (the default), power/safety quantities are evaluated
     /// only at change points and reused across the piecewise-constant
@@ -293,9 +220,8 @@ impl RunState {
     }
 }
 
-/// Builder for [`System`] — chip, performance model, configuration,
-/// seed, and observer in one fluent construction path (see
-/// [`System::builder`]).
+/// Builder for [`System`] — chip, performance model, configuration, and
+/// observer in one fluent construction path (see [`System::builder`]).
 #[derive(Debug)]
 pub struct SystemBuilder {
     chip: Chip,
@@ -308,13 +234,6 @@ impl SystemBuilder {
     /// Replaces the whole simulator configuration.
     pub fn config(mut self, config: SystemConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Sets the root seed for sub-Vmin failure sampling (overrides the
-    /// seed inside any [`Self::config`] given earlier).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
         self
     }
 
@@ -346,23 +265,14 @@ impl System {
     /// by default), so a pre-instrumented chip keeps reporting.
     pub fn new(chip: Chip, perf: PerfModel, config: SystemConfig) -> Self {
         let failure_rng = RngStream::from_root(config.seed, "system-failures");
-        let telemetry = chip.telemetry().clone();
         System {
-            chip,
+            kernel: Kernel::new(chip, config.migration_pause, config.l3c_threshold),
             perf,
             config,
-            now: SimTime::ZERO,
-            procs: Vec::new(),
-            queue: VecDeque::new(),
-            governor: GovernorMode::Ondemand,
-            next_pid: 1,
             energy_j: 0.0,
             failure_rng,
             unsafe_time_s: 0.0,
             failures: 0,
-            migrations: 0,
-            rejected_actions: 0,
-            telemetry,
             scratch: Scratch::default(),
             change_point_integration: true,
         }
@@ -385,8 +295,10 @@ impl System {
     /// use avfs_workloads::PerfModel;
     ///
     /// let sys = System::builder(presets::xgene2().build(), PerfModel::xgene2())
-    ///     .config(SystemConfig::default())
-    ///     .seed(42)
+    ///     .config(SystemConfig {
+    ///         seed: 42,
+    ///         ..SystemConfig::default()
+    ///     })
     ///     .build();
     /// ```
     pub fn builder(chip: Chip, perf: PerfModel) -> SystemBuilder {
@@ -400,83 +312,47 @@ impl System {
 
     /// The telemetry handle this system reports through.
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.kernel.telemetry
     }
 
     /// The chip under simulation.
     pub fn chip(&self) -> &Chip {
-        &self.chip
+        self.kernel.chip()
     }
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.kernel.now
     }
 
     /// Live (waiting or running) process count.
     pub fn live_processes(&self) -> usize {
-        self.processes()
-            .filter(|p| p.state != ProcessState::Finished)
-            .count()
+        self.kernel.live().count()
     }
 
     /// Total threads across live (waiting or running) processes — the
     /// load signal cluster-level routing policies balance on.
     pub fn live_threads(&self) -> usize {
-        self.processes()
-            .filter(|p| p.state != ProcessState::Finished)
-            .map(|p| p.threads)
-            .sum()
+        self.kernel.live().map(|p| p.threads).sum()
     }
 
     /// Cores currently assigned to running processes.
     pub fn busy_cores(&self) -> CoreSet {
-        self.running()
-            .fold(CoreSet::EMPTY, |acc, p| acc.union(p.assigned))
-    }
-
-    /// The process table in pid order.
-    fn processes(&self) -> impl Iterator<Item = &Process> {
-        self.procs.iter().map(|e| &e.process)
+        self.kernel.busy_cores()
     }
 
     /// Running processes in pid order.
     fn running(&self) -> impl Iterator<Item = &Process> {
-        self.processes().filter(|p| p.is_running())
-    }
-
-    /// Table index of `pid`, if it is in the table.
-    fn slot(&self, pid: Pid) -> Option<usize> {
-        self.procs
-            .binary_search_by_key(&pid, |e| e.process.pid)
-            .ok()
-    }
-
-    /// The process `pid`, if it is in the table.
-    fn process(&self, pid: Pid) -> Option<&Process> {
-        self.slot(pid).map(|i| &self.procs[i].process)
+        self.kernel.running()
     }
 
     /// Submits a job directly (outside a trace); returns its pid.
     pub fn submit(&mut self, bench: avfs_workloads::Benchmark, threads: usize, scale: f64) -> Pid {
-        let pid = Pid(self.next_pid);
-        self.next_pid += 1;
-        let profile = bench.profile();
-        let work = self.perf.thread_work(&profile, threads).scaled(scale);
-        self.procs.push(Entry {
-            process: Process::new(pid, bench, threads, scale, work, self.now),
-            monitor: MonitorState {
-                classifier: HysteresisClassifier::new(
-                    self.config.l3c_threshold,
-                    0.1 * self.config.l3c_threshold,
-                ),
-                window_start_cycles: 0,
-                window_start_l3: 0,
-                last_rate: None,
-            },
-        });
-        self.queue.push_back(pid);
-        pid
+        let work = self
+            .perf
+            .thread_work(&bench.profile(), threads)
+            .scaled(scale);
+        self.kernel.submit(bench, threads, scale, work)
     }
 
     /// Replays a workload trace to completion under `driver`, returning
@@ -494,10 +370,10 @@ impl System {
         let mut st = self.begin_run(driver);
         let mut arrivals = trace.arrivals.iter().peekable();
         while let Some(a) = arrivals.peek() {
-            let t = a.at.max(self.now);
+            let t = a.at.max(self.now());
             self.step_until(&mut st, driver, t);
             while let Some(a) = arrivals.peek() {
-                if a.at <= self.now {
+                if a.at <= self.now() {
                     let a = arrivals.next().expect("peeked");
                     self.inject_arrival(&mut st, driver, a.bench, a.threads, a.scale);
                 } else {
@@ -521,15 +397,16 @@ impl System {
             self.live_processes() == 0,
             "begin_run() requires a fresh system; use a new System per run"
         );
+        let now = self.now();
         let st = RunState {
             metrics: RunMetrics::default(),
-            next_monitor: self.now + self.config.monitor_interval,
-            next_sample: self.now,
-            last_finish: self.now,
+            next_monitor: now + self.config.monitor_interval,
+            next_sample: now,
+            last_finish: now,
             iterations: 0,
         };
-        self.dispatch(driver, SysEvent::MonitorTick);
-        self.apply_governor();
+        self.kernel.dispatch(driver, &mut (), SysEvent::MonitorTick);
+        self.kernel.apply_governor();
         st
     }
 
@@ -547,9 +424,7 @@ impl System {
         scale: f64,
     ) -> Pid {
         let pid = self.submit(bench, threads, scale);
-        self.dispatch(driver, SysEvent::ProcessArrived(pid));
-        self.try_admit();
-        self.apply_governor();
+        self.kernel.arrive(driver, &mut (), pid);
         pid
     }
 
@@ -562,7 +437,7 @@ impl System {
     /// epoch-driven coordinators a deterministic injection point.
     pub fn step_until(&mut self, st: &mut RunState, driver: &mut dyn Driver, horizon: SimTime) {
         loop {
-            if self.now >= horizon {
+            if self.now() >= horizon {
                 return;
             }
             self.bump_iterations(st);
@@ -576,6 +451,7 @@ impl System {
             let conds = std::mem::take(&mut self.scratch.conds);
 
             // Candidate next event times, capped at the horizon.
+            let now = self.now();
             let mut next = horizon;
             if self.live_processes() > 0 {
                 next = next.min(st.next_monitor).min(st.next_sample);
@@ -584,14 +460,14 @@ impl System {
                 next = next.min(st.next_sample);
             }
             for p in self.running() {
-                if p.stalled_until > self.now {
+                if p.stalled_until > now {
                     next = next.min(p.stalled_until);
                 }
             }
             if let Some(t) = self.earliest_completion(&conds) {
                 next = next.min(t);
             }
-            let next = next.max(self.now);
+            let next = next.max(now);
 
             // Integrate the slice [now, next).
             self.advance_to(next, &conds);
@@ -617,9 +493,10 @@ impl System {
 
             // Candidate next event times (live > 0 here, so the monitor
             // and sampler are always candidates).
+            let now = self.now();
             let mut next = st.next_monitor.min(st.next_sample);
             for p in self.running() {
-                if p.stalled_until > self.now {
+                if p.stalled_until > now {
                     next = next.min(p.stalled_until);
                 }
             }
@@ -627,7 +504,7 @@ impl System {
                 next = next.min(t);
             }
             assert!(next < SimTime::MAX, "simulation stuck with no next event");
-            let next = next.max(self.now);
+            let next = next.max(now);
             self.advance_to(next, &conds);
             self.scratch.conds = conds;
         }
@@ -643,8 +520,8 @@ impl System {
         } else {
             0.0
         };
-        metrics.migrations = self.migrations;
-        metrics.voltage_changes = self.chip.mailbox_stats().voltage_changes;
+        metrics.migrations = self.kernel.migrations;
+        metrics.voltage_changes = self.chip().mailbox_stats().voltage_changes;
         metrics.unsafe_time_s = self.unsafe_time_s;
         metrics.failures = self.failures;
         metrics
@@ -655,6 +532,8 @@ impl System {
     /// sampling. (Arrivals, when due, are dispatched by the caller before
     /// this runs — see [`Self::step_until`].)
     fn process_due(&mut self, st: &mut RunState, driver: &mut dyn Driver) {
+        let now = self.now();
+
         // Completions.
         let mut finished = std::mem::take(&mut self.scratch.finished);
         finished.clear();
@@ -665,47 +544,37 @@ impl System {
         );
         for &pid in &finished {
             // Earlier completions in this batch left the table, so look
-            // the slot up afresh; a finishing pid is always present.
-            let Some(i) = self.slot(pid) else { continue };
-            let p = &mut self.procs[i].process;
-            p.state = ProcessState::Finished;
-            p.finished_at = Some(self.now);
-            p.assigned = CoreSet::EMPTY;
+            // the process up afresh; a finishing pid is always present.
+            let Some(p) = self.kernel.process(pid) else {
+                continue;
+            };
             st.metrics.completed.push(ProcessRecord {
                 pid,
                 arrived_at: p.arrived_at,
-                finished_at: self.now,
+                finished_at: now,
                 threads: p.threads,
                 migrations: p.migrations,
             });
-            st.last_finish = self.now;
-            self.dispatch(driver, SysEvent::ProcessFinished(pid));
-            self.try_admit();
-            self.apply_governor();
-            // Every observer filters on the Finished state, so dropping
-            // the entry now is invisible — and keeps the process table
-            // (scanned per slice) from growing with run length.
-            if let Some(i) = self.slot(pid) {
-                self.procs.remove(i);
-            }
+            st.last_finish = now;
+            self.kernel.finish(driver, &mut (), pid);
         }
         self.scratch.finished = finished;
 
         // Monitoring window.
-        if self.now >= st.next_monitor {
-            st.next_monitor = self.now + self.config.monitor_interval;
+        if now >= st.next_monitor {
+            st.next_monitor = now + self.config.monitor_interval;
             // Advance droop-excursion state *before* the driver is
             // consulted, so an excursion opening at this boundary is
             // visible (via `droop_alert`) in the very view the driver
             // reacts to — no unsafe window ever elapses in sim time.
-            if let Some(plan) = self.chip.fault_plan_mut() {
+            if let Some(plan) = self.kernel.chip.fault_plan_mut() {
                 plan.droop_check();
             }
             self.close_monitor_windows();
-            self.dispatch(driver, SysEvent::MonitorTick);
+            self.kernel.dispatch(driver, &mut (), SysEvent::MonitorTick);
             let changes = std::mem::take(&mut self.scratch.class_changes);
             for &(pid, class) in &changes {
-                self.telemetry.trace(TraceKind::Classification, || {
+                self.kernel.telemetry.trace(TraceKind::Classification, || {
                     vec![
                         ("pid", Value::U64(pid.0)),
                         (
@@ -717,15 +586,16 @@ impl System {
                         ),
                     ]
                 });
-                self.dispatch(driver, SysEvent::ClassChanged(pid, class));
+                self.kernel
+                    .dispatch(driver, &mut (), SysEvent::ClassChanged(pid, class));
             }
             self.scratch.class_changes = changes;
-            self.apply_governor();
+            self.kernel.apply_governor();
         }
 
         // Trace sampling.
-        if self.now >= st.next_sample {
-            st.next_sample = self.now + self.config.sample_interval;
+        if now >= st.next_sample {
+            st.next_sample = now + self.config.sample_interval;
             self.record_sample(&mut st.metrics);
         }
     }
@@ -736,143 +606,39 @@ impl System {
         assert!(
             st.iterations < 2_000_000,
             "event loop stuck at t={} with {} live processes",
-            self.now,
+            self.now(),
             self.live_processes()
         );
     }
 
     /// Number of driver actions that were rejected as invalid.
     pub fn rejected_actions(&self) -> u64 {
-        self.rejected_actions
+        self.kernel.rejected_actions
     }
 
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
 
-    /// Builds the sanitized snapshot for drivers. Allocates fresh
-    /// buffers, sized for the current chip and process table; the
-    /// dispatch loop recycles one snapshot through [`Self::fill_view`]
-    /// instead.
-    fn view(&self) -> SystemView {
-        let mut view = SystemView {
-            now: self.now,
-            spec: self.chip.spec().clone(),
-            voltage: self.chip.voltage(),
-            pmd_steps: Vec::with_capacity(self.chip.spec().pmds() as usize),
-            governor: self.governor,
-            droop_alert: self.chip.droop_excursion_active(),
-            processes: Vec::with_capacity(self.procs.len()),
-        };
-        self.fill_view(&mut view);
-        view
-    }
-
-    /// Refreshes a previously-built snapshot in place, reusing its
-    /// buffers. Produces exactly the view [`Self::view`] would build.
-    fn fill_view(&self, view: &mut SystemView) {
-        if view.spec != *self.chip.spec() {
-            view.spec = self.chip.spec().clone();
-        }
-        view.now = self.now;
-        view.voltage = self.chip.voltage();
-        view.governor = self.governor;
-        view.droop_alert = self.chip.droop_excursion_active();
-        view.pmd_steps.clear();
-        view.pmd_steps.extend(
-            self.chip
-                .spec()
-                .all_pmds()
-                .map(|p| self.chip.pmd_freq_step(p).expect("valid pmd")),
-        );
-        view.processes.clear();
-        view.processes.extend(
-            self.procs
-                .iter()
-                .filter(|e| e.process.state != ProcessState::Finished)
-                .map(|e| {
-                    let p = &e.process;
-                    ProcessView {
-                        pid: p.pid,
-                        threads: p.threads,
-                        state: p.state,
-                        assigned: p.assigned,
-                        l3c_per_mcycle: e.monitor.last_rate,
-                        class: e.monitor.classifier.current(),
-                        arrived_at: p.arrived_at,
-                        stalled_until: (p.is_running() && p.stalled_until > self.now)
-                            .then_some(p.stalled_until),
-                    }
-                }),
-        );
-    }
-
-    /// Delivers one event to the driver and applies its plan, then feeds
-    /// any transient operation faults back as [`SysEvent::OperationFault`]
-    /// events for a bounded number of rounds — the synchronous
-    /// request/response loop a real daemon runs against the mailbox.
-    /// With no fault plan armed, no notice is ever produced and this is
-    /// exactly the old consult-once path.
-    fn dispatch(&mut self, driver: &mut dyn Driver, event: SysEvent) {
-        self.telemetry.advance_to(self.now);
-        self.telemetry.counter_inc("sched.events");
-        let mut view = match self.scratch.view.take() {
-            Some(mut view) => {
-                self.fill_view(&mut view);
-                view
-            }
-            None => self.view(),
-        };
-        let acts = driver.on_event(&view, &event);
-        self.telemetry
-            .histogram_observe("sched.actions_per_event", acts.len() as u64);
-        let event_label = event.label();
-        let n_acts = acts.len() as u64;
-        self.telemetry.trace(TraceKind::ActionDispatch, || {
-            vec![
-                ("event", Value::Str(event_label)),
-                ("actions", Value::U64(n_acts)),
-            ]
-        });
-        let mut notices = std::mem::take(&mut self.scratch.notices);
-        let mut next = std::mem::take(&mut self.scratch.notices_next);
-        notices.clear();
-        self.apply_actions_into(&acts, &mut notices);
-        for _ in 0..FAULT_FEEDBACK_ROUNDS {
-            if notices.is_empty() {
-                break;
-            }
-            next.clear();
-            for &notice in &notices {
-                self.telemetry.counter_inc("sched.fault_feedback_events");
-                self.fill_view(&mut view);
-                let acts = driver.on_event(&view, &SysEvent::OperationFault(notice));
-                self.apply_actions_into(&acts, &mut next);
-            }
-            std::mem::swap(&mut notices, &mut next);
-        }
-        self.scratch.notices = notices;
-        self.scratch.notices_next = next;
-        self.scratch.view = Some(view);
-    }
-
     /// Validates the slice memo against the current signature (process
     /// placement, phases, stalls), chip state epoch, and droop alert;
     /// recomputes conditions, power, and safety only on mismatch — i.e.
     /// only at change points. After this returns, `scratch.conds` and
-    /// `scratch.slice` describe the slice starting at `self.now`,
+    /// `scratch.slice` describe the slice starting at the current instant,
     /// bit-identically to an unconditional recompute.
     fn refresh_slice(&mut self) {
+        let now = self.now();
         let mut sig_next = std::mem::take(&mut self.scratch.sig_next);
         sig_next.clear();
         sig_next.extend(self.running().map(|p| SigEntry {
             pid: p.pid,
             assigned: p.assigned,
             phase: phases::phase_index(p.bench, p.progress),
-            stalled: p.stalled_until > self.now,
+            stalled: p.stalled_until > now,
         }));
-        let epoch = self.chip.state_epoch();
-        let droop_alert = self.chip.droop_excursion_active();
+        let chip = self.chip();
+        let epoch = chip.state_epoch();
+        let droop_alert = chip.droop_excursion_active();
         let fresh = self.change_point_integration
             && self.scratch.slice.valid
             && self.scratch.slice.chip_epoch == epoch
@@ -895,19 +661,17 @@ impl System {
         let pressure = self.total_pressure();
         self.fill_conditions(pressure, &mut conds, &mut owner);
         let inputs = self.power_inputs_into(pressure, &conds, loads, &mut act_sum);
-        let watts = self.chip.evaluate_power_w(&inputs);
+        let watts = self.kernel.chip.evaluate_power_w(&inputs);
 
+        let chip = self.chip();
         let busy = self.busy_cores();
-        let unsafe_active = !busy.is_empty() && !self.chip.is_voltage_safe_for(busy);
+        let unsafe_active = !busy.is_empty() && !chip.is_voltage_safe_for(busy);
         let mut p_per_run = 0.0;
         if unsafe_active && self.config.inject_failures {
-            let safe = self.chip.current_safe_vmin(busy);
-            let utilized = busy.utilized_pmd_count(self.chip.spec());
-            let class = self.chip.vmin_model().droop_class(utilized);
-            p_per_run = self
-                .chip
-                .failure_model()
-                .pfail(self.chip.voltage(), safe, class);
+            let safe = chip.current_safe_vmin(busy);
+            let utilized = busy.utilized_pmd_count(chip.spec());
+            let class = chip.vmin_model().droop_class(utilized);
+            p_per_run = chip.failure_model().pfail(chip.voltage(), safe, class);
         }
 
         self.scratch.conds = conds;
@@ -927,15 +691,16 @@ impl System {
     /// Aggregate memory pressure of running processes, accounting for
     /// their current (possibly reduced) core clocks.
     fn total_pressure(&self) -> f64 {
-        let fmax = self.chip.spec().fmax_mhz as f64;
+        let chip = self.chip();
+        let fmax = chip.spec().fmax_mhz as f64;
         self.running()
             .map(|p| {
                 let freq = p
                     .assigned
                     .first()
                     .and_then(|c| {
-                        let pmd = self.chip.spec().pmd_of(c);
-                        self.chip.pmd_frequency(pmd).ok()
+                        let pmd = chip.spec().pmd_of(c);
+                        chip.pmd_frequency(pmd).ok()
                     })
                     .map(|f| f.as_mhz() as f64)
                     .unwrap_or(fmax);
@@ -958,6 +723,8 @@ impl System {
     ) {
         conds.clear();
         owner.clear();
+        let chip = self.chip();
+        let now = self.now();
         let base_mult = self.perf.mem_contention_mult(pressure);
         for p in self.running() {
             for c in p.assigned.iter() {
@@ -972,9 +739,8 @@ impl System {
             let mut min_freq = u32::MAX;
             let mut worst_mult = base_mult;
             for core in p.assigned.iter() {
-                let pmd = self.chip.spec().pmd_of(core);
-                let freq = self
-                    .chip
+                let pmd = chip.spec().pmd_of(core);
+                let freq = chip
                     .pmd_frequency(pmd)
                     .expect("assigned core on valid pmd")
                     .as_mhz();
@@ -990,7 +756,7 @@ impl System {
             if p.assigned.is_empty() {
                 continue;
             }
-            let stalled = p.stalled_until > self.now;
+            let stalled = p.stalled_until > now;
             conds.push((
                 p.pid,
                 (if stalled { 0.0 } else { worst_rate }, min_freq, worst_mult),
@@ -1001,28 +767,29 @@ impl System {
     /// Memory intensity of the process on the other core of `core`'s PMD,
     /// if that core is busy with a *different* thread.
     fn l2_partner_mem(&self, core: CoreId, owner: &[Option<Pid>]) -> Option<f64> {
-        let spec = self.chip.spec();
+        let spec = self.chip().spec();
         let pmd = spec.pmd_of(core);
         spec.cores_of(pmd)
             .iter()
             .filter(|&c| c != core)
             .find_map(|c| owner.get(c.index()).copied().flatten())
-            .and_then(|pid| self.process(pid))
+            .and_then(|pid| self.kernel.process(pid))
             .map(|q| phases::effective_profile(q.bench, q.progress).mem_fraction)
     }
 
     /// The earliest running-process completion time, if any, given the
     /// current conditions.
     fn earliest_completion(&self, conds: &[(Pid, Cond)]) -> Option<SimTime> {
+        let now = self.now();
         let mut earliest: Option<SimTime> = None;
         // `conds` is a pid-ordered subsequence of the table: one merge
         // pass pairs each condition with its process.
-        let mut table = self.processes();
+        let mut table = self.kernel.processes();
         for &(pid, (rate, _, _)) in conds {
             let Some(p) = table.find(|p| p.pid == pid) else {
                 break;
             };
-            if p.stalled_until > self.now {
+            if p.stalled_until > now {
                 // Resumes later; completion considered after resume.
                 continue;
             }
@@ -1031,7 +798,7 @@ impl System {
             }
             // At least 1 ns in the future so the event loop always
             // advances.
-            let t = self.now + SimDuration::from_secs_f64((p.remaining() / rate).max(1e-9));
+            let t = now + SimDuration::from_secs_f64((p.remaining() / rate).max(1e-9));
             earliest = Some(match earliest {
                 None => t,
                 Some(e) => e.min(t),
@@ -1043,10 +810,11 @@ impl System {
     /// Integrates state forward to `target` (progress, energy, the
     /// per-process cycle and L3 counters, safety accounting).
     fn advance_to(&mut self, target: SimTime, conds: &[(Pid, Cond)]) {
-        if target <= self.now {
+        let now = self.now();
+        if target <= now {
             return;
         }
-        let dt = (target - self.now).as_secs_f64();
+        let dt = (target - now).as_secs_f64();
 
         // Power for this slice: piecewise constant, so the value the
         // slice memo captured at the last change point is *the* value
@@ -1068,12 +836,12 @@ impl System {
         // table, so one merge pass pairs each condition with its process.
         let use_memo = self.change_point_integration;
         let mut memo = std::mem::take(&mut self.scratch.pmu_memo);
-        let mut table = self.procs.iter_mut().map(|e| &mut e.process);
+        let mut table = self.kernel.procs.iter_mut().map(|e| &mut e.process);
         for (i, &(pid, (rate, freq, mult))) in conds.iter().enumerate() {
             let Some(p) = table.find(|p| p.pid == pid) else {
                 break;
             };
-            let run_dt = if p.stalled_until > self.now {
+            let run_dt = if p.stalled_until > now {
                 // Stall may end inside the slice (slice boundaries include
                 // stall ends, so this is exact, not an approximation).
                 let resume = p.stalled_until.min(target);
@@ -1129,7 +897,7 @@ impl System {
         }
         self.scratch.pmu_memo = memo;
 
-        self.now = target;
+        self.kernel.now = target;
     }
 
     /// Builds the chip power inputs for the current instant. `loads`
@@ -1143,7 +911,8 @@ impl System {
         mut loads: Vec<PmdLoad>,
         act_sum: &mut Vec<f64>,
     ) -> PowerInputs {
-        let spec = self.chip.spec();
+        let chip = self.chip();
+        let spec = chip.spec();
         loads.clear();
         loads.resize(spec.pmds() as usize, PmdLoad::IDLE);
         act_sum.clear();
@@ -1162,8 +931,7 @@ impl System {
         }
         for (i, load) in loads.iter_mut().enumerate() {
             if load.active_cores > 0 {
-                load.freq_mhz = self
-                    .chip
+                load.freq_mhz = chip
                     .pmd_frequency(PmdId::new(i as u16))
                     .expect("valid pmd")
                     .as_mhz();
@@ -1171,180 +939,10 @@ impl System {
             }
         }
         PowerInputs {
-            voltage: self.chip.voltage(),
+            voltage: chip.voltage(),
             pmd_loads: loads,
             mem_traffic: (pressure / self.perf.mem_capacity).min(1.0),
         }
-    }
-
-    /// Applies driver actions in order, appending the transient faults
-    /// they hit to `notices` (a caller-recycled buffer). A failed voltage
-    /// write aborts the remainder of the batch — the daemon's mailbox
-    /// write is synchronous, so a raise that never landed must gate the
-    /// reconfiguration it was meant to cover (the fail-safe ordering
-    /// survives injected faults precisely because of this cut).
-    fn apply_actions_into(&mut self, actions: &[Action], notices: &mut Vec<FaultNotice>) {
-        for action in actions {
-            match *action {
-                Action::PinProcess(pid, cores) => {
-                    if self.pin_process(pid, cores) {
-                        self.note_action_applied();
-                    } else {
-                        self.note_action_rejected();
-                    }
-                }
-                Action::SetPmdStep(pmd, step) => {
-                    if self.governor == GovernorMode::Userspace {
-                        if self.chip.set_pmd_freq_step(pmd, step).is_err() {
-                            self.note_action_rejected();
-                        } else {
-                            self.note_action_applied();
-                        }
-                    } else {
-                        // Kernel governors own the frequency; refuse.
-                        self.note_action_rejected();
-                    }
-                }
-                Action::SetVoltage(mv) => match self.chip.set_voltage(mv) {
-                    Ok(()) => self.note_action_applied(),
-                    Err(ChipError::MailboxRefused { .. }) => {
-                        self.telemetry.counter_inc("sched.fault_notices");
-                        notices.push(FaultNotice::VoltageRefused(mv));
-                        break;
-                    }
-                    Err(ChipError::MailboxDropped) => {
-                        self.telemetry.counter_inc("sched.fault_notices");
-                        notices.push(FaultNotice::VoltageDropped(mv));
-                        break;
-                    }
-                    Err(_) => self.note_action_rejected(),
-                },
-                Action::SetGovernor(mode) => {
-                    self.governor = mode;
-                    self.apply_governor();
-                    self.note_action_applied();
-                }
-            }
-        }
-    }
-
-    fn note_action_applied(&mut self) {
-        self.telemetry.counter_inc("sched.actions.applied");
-    }
-
-    fn note_action_rejected(&mut self) {
-        self.rejected_actions += 1;
-        self.telemetry.counter_inc("sched.actions.rejected");
-    }
-
-    /// Pins (places or migrates) a process; returns false when invalid.
-    fn pin_process(&mut self, pid: Pid, cores: CoreSet) -> bool {
-        // Validate the target cores exist.
-        if cores.iter().any(|c| !self.chip.spec().contains_core(c)) {
-            return false;
-        }
-        let Some(i) = self.slot(pid) else {
-            return false;
-        };
-        let p = &self.procs[i].process;
-        if p.state == ProcessState::Finished || cores.len() != p.threads {
-            return false;
-        }
-        let migrating = p.state == ProcessState::Running && p.assigned != cores;
-        // Target cores must be free or already ours.
-        let others = self
-            .running()
-            .filter(|q| q.pid != pid)
-            .fold(CoreSet::EMPTY, |acc, q| acc.union(q.assigned));
-        if !cores.intersection(others).is_empty() {
-            return false;
-        }
-        let now = self.now;
-        let pause = self.config.migration_pause;
-        // A daemon-driven migration may hang mid-flight (injected fault).
-        // Initial placement of a waiting process never hangs — only the
-        // teardown/rebuild of a running process's mapping is at risk.
-        let hangs = migrating
-            && self
-                .chip
-                .fault_plan_mut()
-                .is_some_and(|f| f.sample_migration_hang());
-        let p = &mut self.procs[i].process;
-        match p.state {
-            ProcessState::Waiting => {
-                p.state = ProcessState::Running;
-                p.started_at = Some(now);
-                p.assigned = cores;
-                self.queue.retain(|&q| q != pid);
-            }
-            ProcessState::Running => {
-                if p.assigned != cores {
-                    p.assigned = cores;
-                    p.stalled_until = now + if hangs { HANG_STALL } else { pause };
-                    p.migrations += 1;
-                    self.migrations += 1;
-                } else if p.stalled_until.saturating_since(now) > pause {
-                    // Re-pinning a hung process onto the cores it already
-                    // holds cancels the stalled migration: the watchdog's
-                    // rescue path. The normal migration pause still
-                    // applies to the restart.
-                    p.stalled_until = now + pause;
-                }
-            }
-            ProcessState::Finished => return false,
-        }
-        true
-    }
-
-    /// Default (kernel-like) placement for still-waiting processes:
-    /// spread across PMDs, preferring idle PMDs — the CFS load-balancing
-    /// behaviour the paper's Baseline runs under.
-    fn try_admit(&mut self) {
-        loop {
-            let Some(&pid) = self.queue.front() else {
-                return;
-            };
-            let waiting = self
-                .process(pid)
-                .filter(|p| p.state == ProcessState::Waiting);
-            let Some(p) = waiting else {
-                self.queue.pop_front();
-                continue;
-            };
-            let Some(chosen) = default_placement(self.chip.spec(), self.busy_cores(), p.threads)
-            else {
-                return; // head-of-line blocks until cores free up
-            };
-            // pin_process transitions the process to Running and removes
-            // it from the queue itself.
-            let ok = self.pin_process(pid, chosen);
-            debug_assert!(ok, "default placement must be valid");
-        }
-    }
-
-    /// Re-asserts the kernel governor's frequency choices.
-    fn apply_governor(&mut self) {
-        if self.governor == GovernorMode::Userspace {
-            return;
-        }
-        let busy = self.busy_cores();
-        let mut steps = std::mem::take(&mut self.scratch.steps);
-        steps.clear();
-        {
-            let spec = self.chip.spec();
-            for pmd in spec.all_pmds() {
-                let pmd_busy = !spec.cores_of(pmd).intersection(busy).is_empty();
-                if let Some(step) = self.governor.desired_step(pmd_busy) {
-                    steps.push((pmd, step));
-                }
-            }
-        }
-        for &(pmd, step) in &steps {
-            self.chip
-                .set_pmd_freq_step(pmd, step)
-                .expect("governor uses valid pmds");
-        }
-        self.scratch.steps = steps;
     }
 
     /// Closes monitoring windows; processes whose class flipped are left
@@ -1352,7 +950,7 @@ impl System {
     fn close_monitor_windows(&mut self) {
         let mut changes = std::mem::take(&mut self.scratch.class_changes);
         changes.clear();
-        for e in &mut self.procs {
+        for e in &mut self.kernel.procs {
             let (p, mon) = (&e.process, &mut e.monitor);
             if !p.is_running() {
                 continue;
@@ -1369,19 +967,13 @@ impl System {
             // hysteresis is the daemon's defence against the resulting
             // churn.
             let (cycles, l3) = self
+                .kernel
                 .chip
                 .fault_plan_mut()
                 .and_then(|f| f.sample_pmu_glitch(cycles, l3))
                 .unwrap_or((cycles, l3));
-            let rate = l3 as f64 * 1e6 / cycles as f64;
-            mon.last_rate = Some(rate);
-            let before = mon.classifier.current();
-            let after = mon.classifier.observe(rate);
-            // The first classification is a change too — the daemon
-            // treats unmeasured processes as CPU-intensive, so learning
-            // otherwise must trigger a replan.
-            if before != Some(after) {
-                changes.push((p.pid, after));
+            if let Some(class) = mon.observe(l3 as f64 * 1e6 / cycles as f64) {
+                changes.push((p.pid, class));
             }
         }
         self.scratch.class_changes = changes;
@@ -1390,35 +982,39 @@ impl System {
     /// Records one trace sample (Figures 14/15).
     fn record_sample(&mut self, metrics: &mut RunMetrics) {
         self.refresh_slice();
+        let now = self.now();
         let watts = self.scratch.slice.watts;
-        metrics.power_trace.push(self.now, watts);
+        metrics.power_trace.push(now, watts);
         let (mut running_threads, mut cpu, mut mem) = (0usize, 0u32, 0u32);
-        for e in self.procs.iter().filter(|e| e.process.is_running()) {
+        for e in self.kernel.procs.iter().filter(|e| e.process.is_running()) {
             running_threads += e.process.threads;
             match e.monitor.classifier.current() {
                 Some(IntensityClass::MemoryIntensive) => mem += 1,
                 Some(IntensityClass::CpuIntensive) | None => cpu += 1,
             }
         }
-        self.telemetry.advance_to(self.now);
-        let voltage_mv = self.chip.voltage().as_mv();
-        self.telemetry.trace(TraceKind::MonitorSample, || {
+        let voltage_mv = self.chip().voltage().as_mv();
+        let telemetry = &self.kernel.telemetry;
+        telemetry.advance_to(now);
+        telemetry.trace(TraceKind::MonitorSample, || {
             vec![
                 ("power_w", Value::F64(watts)),
                 ("voltage_mv", Value::U64(u64::from(voltage_mv))),
                 ("running_threads", Value::U64(running_threads as u64)),
             ]
         });
-        metrics.load_trace.push(self.now, running_threads as f64);
-        metrics.cpu_class_trace.push(self.now, cpu as f64);
-        metrics.mem_class_trace.push(self.now, mem as f64);
+        metrics.load_trace.push(now, running_threads as f64);
+        metrics.cpu_class_trace.push(now, cpu as f64);
+        metrics.mem_class_trace.push(now, mem as f64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::DefaultPolicy;
+    use crate::driver::{Action, DefaultPolicy};
+    use crate::governor::GovernorMode;
+    use crate::kernel::FAULT_FEEDBACK_ROUNDS;
     use avfs_chip::droop::DroopCounts;
     use avfs_chip::presets;
     use avfs_workloads::catalog::Benchmark;
@@ -1920,7 +1516,7 @@ mod tests {
     fn voltage_faults_feed_back_as_operation_fault_events() {
         use avfs_chip::fault::{FaultPlan, FaultRates};
         let mut sys = xgene2_system();
-        sys.chip.set_fault_plan(Some(FaultPlan::new(
+        sys.kernel.chip.set_fault_plan(Some(FaultPlan::new(
             4,
             FaultRates {
                 mailbox: 1.0,
@@ -1946,7 +1542,7 @@ mod tests {
     fn fault_feedback_terminates_against_an_unbounded_retrier() {
         use avfs_chip::fault::{FaultPlan, FaultRates};
         let mut sys = xgene2_system();
-        sys.chip.set_fault_plan(Some(FaultPlan::new(
+        sys.kernel.chip.set_fault_plan(Some(FaultPlan::new(
             4,
             FaultRates {
                 mailbox: 1.0,
@@ -1972,8 +1568,8 @@ mod tests {
         let pid = sys.submit(Benchmark::SpecNamd, 1, 0.5);
         let first: CoreSet = [0u16].iter().map(|&i| CoreId::new(i)).collect();
         let second: CoreSet = [2u16].iter().map(|&i| CoreId::new(i)).collect();
-        assert!(sys.pin_process(pid, first));
-        sys.chip.set_fault_plan(Some(FaultPlan::new(
+        assert!(sys.kernel.pin_process(pid, first).is_some());
+        sys.kernel.chip.set_fault_plan(Some(FaultPlan::new(
             3,
             FaultRates {
                 migration: 1.0,
@@ -1982,24 +1578,24 @@ mod tests {
         )));
         // The migration hangs: the stall end sits far in the future and
         // the driver view surfaces it.
-        assert!(sys.pin_process(pid, second));
-        let stall = sys.process(pid).unwrap().stalled_until;
-        assert!(stall.saturating_since(sys.now) > SimDuration::from_secs(1_000));
-        let view = sys.view();
+        assert!(sys.kernel.pin_process(pid, second).is_some());
+        let stall = sys.kernel.process(pid).unwrap().stalled_until;
+        assert!(stall.saturating_since(sys.now()) > SimDuration::from_secs(1_000));
+        let view = sys.kernel.view();
         assert_eq!(view.process(pid).and_then(|p| p.stalled_until), Some(stall));
         assert_eq!(sys.chip().fault_stats().migration_hangs, 1);
         // Re-pinning the same cores (the watchdog's rescue) restarts the
         // migration with the normal pause.
-        assert!(sys.pin_process(pid, second));
-        let rescued = sys.process(pid).unwrap().stalled_until;
-        assert!(rescued.saturating_since(sys.now) <= sys.config.migration_pause);
+        assert!(sys.kernel.pin_process(pid, second).is_some());
+        let rescued = sys.kernel.process(pid).unwrap().stalled_until;
+        assert!(rescued.saturating_since(sys.now()) <= sys.config.migration_pause);
     }
 
     #[test]
     fn initial_placement_never_hangs() {
         use avfs_chip::fault::{FaultPlan, FaultRates};
         let mut sys = xgene2_system();
-        sys.chip.set_fault_plan(Some(FaultPlan::new(
+        sys.kernel.chip.set_fault_plan(Some(FaultPlan::new(
             3,
             FaultRates {
                 migration: 1.0,
@@ -2021,6 +1617,7 @@ mod tests {
         let plain = xgene2_system().run(&trace, &mut DefaultPolicy::ondemand());
         let mut armed_sys = xgene2_system();
         armed_sys
+            .kernel
             .chip
             .set_fault_plan(Some(FaultPlan::uniform(99, 0.0)));
         let armed = armed_sys.run(&trace, &mut DefaultPolicy::ondemand());
