@@ -1,10 +1,9 @@
-//! `avfs-analyze` — invariant checker, domain lints, race explorer,
+//! `avfs-analyze` — invariant checker, domain lints, fleet checks,
 //! bounded model checker, and policy-domain prover.
 //!
 //! ```text
 //! cargo run -p avfs-analyze -- invariants
 //! cargo run -p avfs-analyze -- lint [--update-allowlist]
-//! cargo run -p avfs-analyze -- race [--schedules N] [--events N] [--seed S] [--fault-rate F]
 //! cargo run -p avfs-analyze -- fleet [--seed S]
 //! cargo run -p avfs-analyze -- model [--depth N] [--max-procs N]
 //! cargo run -p avfs-analyze -- prove-policy [--measured] [--seed S]
@@ -20,7 +19,7 @@
 
 use avfs_analyze::invariant::{check_all, registry};
 use avfs_analyze::jsonout::{string, string_array};
-use avfs_analyze::{fleet, lint, margins, model, proof, race};
+use avfs_analyze::{fleet, lint, margins, model, proof};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -41,11 +40,9 @@ fn usage() {
          subcommands:\n\
          \x20 invariants                 evaluate the domain-invariant registry on both presets\n\
          \x20 lint [--update-allowlist]  ratcheted source lints over crates/*/src\n\
-         \x20 race [--schedules N] [--events N] [--seed S] [--fault-rate F]\n\
-         \x20                            seeded interleaving exploration\n\
          \x20 fleet [--seed S]           cluster-level conservation/safety checks\n\
          \x20 model [--depth N] [--max-procs N]\n\
-         \x20                            exhaustive bounded model checking with DPOR\n\
+         \x20                            breadth-first bounded model checking\n\
          \x20 prove-policy [--measured] [--seed S]\n\
          \x20                            enumerate the full voltage-policy domain\n\
          \x20                            (--measured proves campaign-compiled tables)\n\
@@ -106,15 +103,6 @@ fn get_usize(
 }
 
 fn get_u64(flags: &BTreeMap<String, String>, flag: &str, default: u64) -> Result<u64, String> {
-    match flags.get(flag) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("flag {flag}: invalid value {v:?}")),
-    }
-}
-
-fn get_f64(flags: &BTreeMap<String, String>, flag: &str, default: f64) -> Result<f64, String> {
     match flags.get(flag) {
         None => Ok(default),
         Some(v) => v
@@ -249,35 +237,6 @@ fn run_lint(format: Format, update_allowlist: bool) -> Outcome {
     }
 }
 
-fn run_race(
-    format: Format,
-    schedules: usize,
-    events: usize,
-    seed: u64,
-    fault_rate: f64,
-) -> Outcome {
-    let report = race::explore_with_faults(schedules, events, seed, fault_rate);
-    if format == Format::Text {
-        println!("{report}");
-        for v in &report.violations {
-            println!("  {v}");
-        }
-    }
-    let clean = report.is_clean();
-    Outcome {
-        clean,
-        json: format!(
-            "{{\"command\":\"race\",\"schedules\":{},\"events\":{},\"actions\":{},\"checks\":{},\"faults\":{},\"violations\":{},\"clean\":{clean}}}",
-            report.schedules,
-            report.events,
-            report.actions,
-            report.checks,
-            report.faults,
-            string_array(&report.violations)
-        ),
-    }
-}
-
 fn run_fleet(format: Format, seed: u64) -> Outcome {
     let report = fleet::explore(seed);
     let violations: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
@@ -303,28 +262,22 @@ fn run_fleet(format: Format, seed: u64) -> Outcome {
 fn counterexample_json(cx: &model::Counterexample) -> String {
     let labels: Vec<String> = cx.schedule.iter().map(|e| e.label()).collect();
     format!(
-        "{{\"original_len\":{},\"schedule\":{},\"violations\":{}}}",
-        cx.original_len,
+        "{{\"schedule\":{},\"violations\":{}}}",
         string_array(&labels),
         string_array(&cx.violations)
     )
 }
 
 fn run_model(format: Format, depth: usize, max_procs: usize) -> Outcome {
-    let opts = model::ModelOptions {
-        depth,
-        max_procs,
-        dpor: true,
-    };
-    let report = model::check(&opts);
+    let report = model::check(&model::ModelOptions { depth, max_procs });
     if format == Format::Text {
-        println!("bounded model check, depth {}:", report.depth);
+        println!(
+            "bounded model check, depth {}, at most {} processes:",
+            report.depth, report.max_procs
+        );
         for p in &report.presets {
             println!("  {p}");
-            for v in &p.registry_violations {
-                println!("    registry: {v}");
-            }
-            if let Some(cx) = &p.counterexample {
+            for cx in &p.counterexamples {
                 print!("{cx}");
             }
         }
@@ -333,21 +286,19 @@ fn run_model(format: Format, depth: usize, max_procs: usize) -> Outcome {
         .presets
         .iter()
         .map(|p| {
+            let counterexamples: Vec<String> =
+                p.counterexamples.iter().map(counterexample_json).collect();
             format!(
-                "{{\"name\":{},\"states\":{},\"transitions\":{},\"cache_hits\":{},\"dpor_skips\":{},\"dpor_pairs\":{},\"reduction_factor\":{:.3},\"bound_hits\":{},\"checks\":{},\"registry_violations\":{},\"counterexample\":{}}}",
+                "{{\"name\":{},\"states\":{},\"degraded\":{},\"transitions\":{},\"revisits\":{},\"checks\":{},\"frontier\":{},\"closed\":{},\"counterexamples\":[{}]}}",
                 string(&p.name),
                 p.states,
+                p.degraded,
                 p.transitions,
-                p.cache_hits,
-                p.dpor_skips,
-                p.dpor_pairs,
-                p.reduction_factor(),
-                p.bound_hits,
+                p.revisits,
                 p.checks,
-                string_array(&p.registry_violations),
-                p.counterexample
-                    .as_ref()
-                    .map_or_else(|| "null".to_string(), counterexample_json)
+                p.frontier,
+                p.closed(),
+                counterexamples.join(",")
             )
         })
         .collect();
@@ -355,8 +306,9 @@ fn run_model(format: Format, depth: usize, max_procs: usize) -> Outcome {
     Outcome {
         clean,
         json: format!(
-            "{{\"command\":\"model\",\"depth\":{},\"presets\":[{}],\"clean\":{clean}}}",
+            "{{\"command\":\"model\",\"depth\":{},\"max_procs\":{},\"presets\":[{}],\"clean\":{clean}}}",
             report.depth,
+            report.max_procs,
             presets_json.join(",")
         ),
     }
@@ -452,30 +404,6 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(Format, Outcome), String> {
                 run_lint(format, flags.contains_key("--update-allowlist")),
             ))
         }
-        "race" => {
-            let flags = parse_args(
-                rest,
-                &[
-                    "--format",
-                    "--schedules",
-                    "--events",
-                    "--seed",
-                    "--fault-rate",
-                ],
-                &[],
-            )?;
-            let format = get_format(&flags)?;
-            Ok((
-                format,
-                run_race(
-                    format,
-                    get_usize(&flags, "--schedules", 160)?,
-                    get_usize(&flags, "--events", 24)?,
-                    get_u64(&flags, "--seed", 0xA5F5_0001)?,
-                    get_f64(&flags, "--fault-rate", 0.0)?,
-                ),
-            ))
-        }
         "fleet" => {
             let flags = parse_args(rest, &["--format", "--seed"], &[])?;
             let format = get_format(&flags)?;
@@ -522,8 +450,6 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(Format, Outcome), String> {
             let outcomes = vec![
                 run_invariants(format),
                 run_lint(format, false),
-                run_race(format, 160, 24, 0xA5F5_0001, 0.0),
-                run_race(format, 96, 24, race::FAULTED_CAMPAIGN_SEED, 0.10),
                 run_fleet(format, 0xF1EE_7001),
                 run_model(format, 6, 2),
                 run_prove_policy(format, false, margins::DEFAULT_SEED),

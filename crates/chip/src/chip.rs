@@ -124,6 +124,11 @@ impl Chip {
         self.state_epoch += 1;
     }
 
+    /// The armed fault plan, if any.
+    pub fn fault_plan(&self) -> Option<&FaultPlan> {
+        self.fault.as_ref()
+    }
+
     /// Mutable access to the armed fault plan (the simulator advances
     /// droop excursions and samples PMU glitches through this).
     pub fn fault_plan_mut(&mut self) -> Option<&mut FaultPlan> {
@@ -152,10 +157,12 @@ impl Chip {
     }
 
     /// A cheap, deterministic digest of the chip's *mutable control
-    /// state*: rail millivolts, the per-PMD frequency program, and the
-    /// droop-excursion flag. Calibrated models and the spec are
-    /// construction-time constants and deliberately excluded, as are the
-    /// mailbox statistics (observational, not control state).
+    /// state*: rail millivolts, the per-PMD frequency program, the
+    /// droop-excursion flag and the pending scripted mailbox faults.
+    /// Calibrated models and the spec are construction-time constants
+    /// and deliberately excluded, as are the mailbox statistics
+    /// (observational, not control state) and the fault plan's random
+    /// stream (the model checker arms only zero-rate plans).
     /// Used by `avfs-analyze`'s model checker to fingerprint explored
     /// states.
     pub fn state_digest(&self) -> u64 {
@@ -163,7 +170,21 @@ impl Chip {
         for step in &self.pmd_steps {
             h = fnv1a_fold(h, u64::from(step.numerator()));
         }
-        fnv1a_fold(h, u64::from(self.droop_excursion_active()))
+        h = fnv1a_fold(h, u64::from(self.droop_excursion_active()));
+        let scripted = self
+            .fault_plan()
+            .map_or(&[][..], FaultPlan::scripted_mailbox);
+        for &fault in scripted {
+            h = fnv1a_fold(
+                h,
+                match fault {
+                    MailboxFault::Refuse => 1,
+                    MailboxFault::Drop => 2,
+                    MailboxFault::LatencySpike => 3,
+                },
+            );
+        }
+        h
     }
 
     /// The CPPC firmware behaviour of this part.

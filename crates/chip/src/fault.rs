@@ -13,6 +13,13 @@
 //! even one whose rates are all zero — cannot perturb an existing run.
 //! A chip without a plan ([`crate::chip::Chip::set_fault_plan`] never
 //! called) behaves exactly as before this layer existed.
+//!
+//! A plan can also carry *scripted* mailbox faults
+//! ([`FaultPlan::script_mailbox`]): a queue the next mailbox requests
+//! consume, in order, before any random draw. A zero-rate plan with a
+//! script injects exactly the scripted faults, so a caller that chooses
+//! them (the model checker's event alphabet) keeps the chip a pure
+//! function of its inputs.
 
 use crate::voltage::Millivolts;
 use avfs_sim::RngStream;
@@ -99,6 +106,12 @@ impl FaultStats {
     }
 }
 
+/// Most scripted mailbox faults a plan holds at once: enough for one
+/// voltage write to run the daemon's whole retry ladder into safe mode,
+/// which its default recovery configuration enters on the third
+/// consecutive fault.
+pub const SCRIPT_CAPACITY: usize = 3;
+
 /// How many consecutive droop checks an excursion spans (two monitor
 /// ticks ≈ 800 ms, the order of a thermal/load transient).
 const EXCURSION_LEN_CHECKS: u32 = 2;
@@ -114,6 +127,11 @@ pub struct FaultPlan {
     stats: FaultStats,
     /// Remaining droop checks of the currently active excursion.
     excursion_checks_left: u32,
+    /// Scripted mailbox faults, consumed front first; only the first
+    /// `scripted_len` slots are pending. Held inline, so arming a plan
+    /// costs no allocation and cloning one stays a copy.
+    scripted: [MailboxFault; SCRIPT_CAPACITY],
+    scripted_len: u8,
 }
 
 impl FaultPlan {
@@ -124,6 +142,8 @@ impl FaultPlan {
             rng: RngStream::from_root(seed, "fault-plan"),
             stats: FaultStats::default(),
             excursion_checks_left: 0,
+            scripted: [MailboxFault::Refuse; SCRIPT_CAPACITY],
+            scripted_len: 0,
         }
     }
 
@@ -142,17 +162,42 @@ impl FaultPlan {
         self.stats
     }
 
-    /// Samples the fate of one mailbox request. Refusals and drops are
-    /// twice as likely as latency spikes (refuse 40% / drop 40% /
-    /// spike 20% of injected faults).
+    /// Queues `fault` behind any already scripted: a later mailbox
+    /// request meets it instead of a random draw. Returns false, and
+    /// queues nothing, when [`SCRIPT_CAPACITY`] faults are pending.
+    #[must_use]
+    pub fn script_mailbox(&mut self, fault: MailboxFault) -> bool {
+        let Some(slot) = self.scripted.get_mut(usize::from(self.scripted_len)) else {
+            return false;
+        };
+        *slot = fault;
+        self.scripted_len += 1;
+        true
+    }
+
+    /// The scripted mailbox faults still pending, next first.
+    pub fn scripted_mailbox(&self) -> &[MailboxFault] {
+        &self.scripted[..usize::from(self.scripted_len)]
+    }
+
+    /// Samples the fate of one mailbox request: the next scripted fault
+    /// if one is pending, otherwise a random draw. Drawn refusals and
+    /// drops are twice as likely as latency spikes (refuse 40% / drop
+    /// 40% / spike 20% of injected faults).
     pub fn sample_mailbox(&mut self) -> Option<MailboxFault> {
-        if !self.rng.chance(self.rates.mailbox) {
-            return None;
-        }
-        let kind = match self.rng.next_u64() % 5 {
-            0 | 1 => MailboxFault::Refuse,
-            2 | 3 => MailboxFault::Drop,
-            _ => MailboxFault::LatencySpike,
+        let kind = if let Some(&next) = self.scripted_mailbox().first() {
+            self.scripted.copy_within(1.., 0);
+            self.scripted_len -= 1;
+            next
+        } else {
+            if !self.rng.chance(self.rates.mailbox) {
+                return None;
+            }
+            match self.rng.next_u64() % 5 {
+                0 | 1 => MailboxFault::Refuse,
+                2 | 3 => MailboxFault::Drop,
+                _ => MailboxFault::LatencySpike,
+            }
         };
         match kind {
             MailboxFault::Refuse => self.stats.mailbox_refusals += 1,
@@ -305,6 +350,35 @@ mod tests {
         assert_eq!(plan.effective_vmin(base, nominal), Millivolts::new(860));
         // A base near nominal is capped, not pushed past it.
         assert_eq!(plan.effective_vmin(Millivolts::new(865), nominal), nominal);
+    }
+
+    #[test]
+    fn scripted_faults_precede_random_draws() {
+        let mut scripted = FaultPlan::uniform(11, 0.3);
+        let mut plain = FaultPlan::uniform(11, 0.3);
+        let script = [
+            MailboxFault::LatencySpike,
+            MailboxFault::Refuse,
+            MailboxFault::Drop,
+        ];
+        for fault in script {
+            assert!(scripted.script_mailbox(fault));
+        }
+        assert!(!scripted.script_mailbox(MailboxFault::Refuse), "full");
+        assert_eq!(scripted.scripted_mailbox(), script);
+        for fault in script {
+            assert_eq!(scripted.sample_mailbox(), Some(fault));
+        }
+        assert!(scripted.scripted_mailbox().is_empty());
+        // The script drew nothing from the stream: the random faults that
+        // follow are the unscripted plan's, in order.
+        let draws =
+            |plan: &mut FaultPlan| -> Vec<_> { (0..50).map(|_| plan.sample_mailbox()).collect() };
+        assert_eq!(draws(&mut scripted), draws(&mut plain));
+        assert_eq!(
+            scripted.stats().mailbox_total(),
+            plain.stats().mailbox_total() + 3
+        );
     }
 
     #[test]

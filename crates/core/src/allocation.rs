@@ -275,8 +275,8 @@ pub fn plan_layout_into(spec: &ChipSpec, procs: &[PlanProc], scratch: &mut Layou
 }
 
 /// Structural invariants every layout must satisfy; checked at the end of
-/// [`plan_layout`] in debug builds and re-verified exhaustively by the
-/// `avfs-analyze` invariant registry and race harness.
+/// [`plan_layout`] in debug builds and re-verified by the `avfs-analyze`
+/// invariant registry and model checker.
 fn debug_assert_layout(spec: &ChipSpec, procs: &[PlanProc], layout: &LayoutScratch) {
     if cfg!(debug_assertions) {
         let mut seen = CoreSet::EMPTY;

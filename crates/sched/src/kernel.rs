@@ -16,6 +16,7 @@ use crate::governor::GovernorMode;
 use crate::process::{Pid, Process, ProcessState};
 use avfs_chip::chip::Chip;
 use avfs_chip::error::ChipError;
+use avfs_chip::fault::FaultPlan;
 use avfs_chip::topology::{ChipSpec, CoreSet, PmdId};
 use avfs_chip::FreqStep;
 use avfs_sim::time::{SimDuration, SimTime};
@@ -213,6 +214,12 @@ impl Kernel {
     /// The chip under control.
     pub fn chip(&self) -> &Chip {
         &self.chip
+    }
+
+    /// The chip's armed fault plan, for scripting faults between change
+    /// points.
+    pub fn fault_plan_mut(&mut self) -> Option<&mut FaultPlan> {
+        self.chip.fault_plan_mut()
     }
 
     /// Governor mode in effect.

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, clippy, rustdoc, the avfs-analyze checks
-# (one `avfs-analyze all` run: domain invariants, source lints, both race
-# campaigns, the fleet checks, bounded model checking, the policy-domain
-# proof and the measured-margin audit), the test suite, the experiment
-# smokes, trace determinism, and the two hot-path correctness gates (null
-# observer overhead; allocations in steady state and on churn traffic).
+# (one `avfs-analyze all` run: domain invariants, source lints, the fleet
+# checks, breadth-first bounded model checking with scripted mailbox
+# faults, the policy-domain proof and the measured-margin audit), the
+# test suite, the experiment smokes, trace determinism, and the two
+# hot-path correctness gates (null observer overhead; allocations in
+# steady state and on churn traffic).
 # Speed is measured by the perfbench benchmark (see BENCHMARK.json), not
 # here.
 # Mirrors what CI would run; exits nonzero on the first failure.
@@ -30,7 +31,7 @@ cargo clippy -q --all-targets \
 echo "==> cargo doc (warnings are errors: no broken or private doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
-echo "==> avfs-analyze all (invariants, lint, race x2, fleet, model --depth 6, prove-policy, check-margins)"
+echo "==> avfs-analyze all (invariants, lint, fleet, model --depth 6, prove-policy, check-margins)"
 cargo run -q --release -p avfs-analyze -- all
 
 echo "==> cargo test"
