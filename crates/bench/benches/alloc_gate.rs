@@ -4,9 +4,12 @@
 //! with the Optimal daemon through two measured windows.
 //!
 //! 1. **Steady state.** X-Gene 2 runs six long jobs that neither finish
-//!    nor change class inside the window. Every slice boundary, monitor
-//!    tick, replan and governor pass must run out of recycled buffers:
-//!    the window counts **zero** allocations.
+//!    nor change class inside the window, twice. With a zero-rate fault
+//!    plan armed, the simulator delivers every 50 ms monitor boundary,
+//!    and every boundary, tick, replan and governor pass must run out of
+//!    recycled buffers: the window counts **zero** allocations over more
+//!    than 1,000 events. Without a plan, the inert boundaries are
+//!    elided: still zero allocations, in fewer loop iterations.
 //! 2. **Churn.** X-Gene 3 replays the short-job trace of perfbench's
 //!    churn workload (`paper_default(32, 2024)` at `job_scale` 0.05).
 //!    After a warm-up, at least ten simulated minutes of arrivals,
@@ -26,6 +29,7 @@ use std::iter::Peekable;
 use std::slice;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use avfs_chip::fault::FaultPlan;
 use avfs_chip::presets;
 use avfs_core::daemon::Daemon;
 use avfs_sched::driver::{Action, Driver, SysEvent, SystemView};
@@ -70,13 +74,24 @@ fn allocs() -> u64 {
 }
 
 fn main() {
-    steady_state();
+    let armed = steady_state(true);
+    let plain = steady_state(false);
+    assert!(
+        armed > 1_000,
+        "window too small to be a meaningful gate ({armed} events)"
+    );
+    assert!(
+        plain < armed,
+        "eliding inert boundaries saved no iterations ({plain} vs {armed})"
+    );
     churn();
 }
 
 /// Phase 1: a warmed six-job window in which nothing arrives, exits or
-/// changes class must allocate nothing at all.
-fn steady_state() {
+/// changes class must allocate nothing at all. With `armed`, a zero-rate
+/// fault plan makes the simulator deliver every monitor boundary.
+/// Returns the window's event count.
+fn steady_state(armed: bool) -> u64 {
     // Long-running mixed workload: six jobs spanning both intensity
     // classes, scaled so none finishes inside the measured window.
     let jobs: [(Benchmark, usize); 6] = [
@@ -88,8 +103,11 @@ fn steady_state() {
         (Benchmark::NpbFt, 1),
     ];
 
-    let chip = presets::xgene2().build();
+    let mut chip = presets::xgene2().build();
     let mut daemon = Daemon::optimal(&chip);
+    if armed {
+        chip.set_fault_plan(Some(FaultPlan::uniform(0x57EAD, 0.0)));
+    }
     // A monitor window well below the paper's 400 ms densifies the
     // gated event stream: every tick is a full monitor-refresh +
     // replan + governor pass, the allocation-riskiest event kind.
@@ -117,15 +135,13 @@ fn steady_state() {
     let allocs = allocs() - allocs_before;
     let events = st.iterations() - events_before;
 
-    println!("alloc gate, steady state: {events} events, {allocs} allocations");
-    assert!(
-        events > 1_000,
-        "window too small to be a meaningful gate ({events} events)"
-    );
+    let plan = if armed { "armed" } else { "no plan" };
+    println!("alloc gate, steady state ({plan}): {events} events, {allocs} allocations");
     assert_eq!(
         allocs, 0,
-        "steady-state event loop allocated {allocs} times over {events} events"
+        "steady-state event loop ({plan}) allocated {allocs} times over {events} events"
     );
+    events
 }
 
 /// The daemon, with every call's allocations counted on their own.

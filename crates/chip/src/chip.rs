@@ -19,22 +19,27 @@ use crate::voltage::{Millivolts, VoltageRail};
 use avfs_sim::rng::{fnv1a_fold, FNV_OFFSET_BASIS};
 use avfs_sim::RngStream;
 use avfs_telemetry::{Telemetry, TraceKind, Value};
+use std::sync::Arc;
 
 /// A fully assembled chip instance.
+///
+/// The construction-time models are shared, not copied, between clones:
+/// a clone copies only the mutable control state. Vmin drift replaces
+/// the drifted chip's own Vmin model.
 #[derive(Debug, Clone)]
 pub struct Chip {
-    spec: ChipSpec,
+    spec: Arc<ChipSpec>,
     behavior: CppcBehavior,
     rail: VoltageRail,
     pmd_steps: Vec<FreqStep>,
-    vmin: VminModel,
-    power: PowerModel,
+    vmin: Arc<VminModel>,
+    power: Arc<PowerModel>,
     /// [`PowerLut`] tabulation of `power` over the chip's operating
     /// points; bit-identical to the model and rebuilt only at
     /// construction (the model itself never changes at runtime).
-    power_lut: PowerLut,
-    droop: DroopModel,
-    failure: FailureModel,
+    power_lut: Arc<PowerLut>,
+    droop: Arc<DroopModel>,
+    failure: Arc<FailureModel>,
     mailbox_stats: MailboxStats,
     /// Power reported by the sensor on the last mailbox read, mW.
     last_sensor_mw: u64,
@@ -79,15 +84,15 @@ impl Chip {
             spec.nominal_mv,
         );
         Chip {
-            spec,
+            spec: Arc::new(spec),
             behavior,
             rail,
             pmd_steps: vec![FreqStep::MAX; pmds],
-            vmin,
-            power,
-            power_lut,
-            droop,
-            failure,
+            vmin: Arc::new(vmin),
+            power: Arc::new(power),
+            power_lut: Arc::new(power_lut),
+            droop: Arc::new(droop),
+            failure: Arc::new(failure),
             mailbox_stats: MailboxStats::default(),
             last_sensor_mw: 0,
             fault: None,
@@ -451,7 +456,7 @@ impl Chip {
     /// characterized before the event is now stale. Traced as a
     /// [`TraceKind::DriftEvent`].
     pub fn apply_vmin_drift(&mut self, drift: VminDrift) {
-        self.vmin = self.vmin.with_drift(drift);
+        self.vmin = Arc::new(self.vmin.with_drift(drift));
         self.state_epoch += 1;
         self.telemetry.counter_inc("chip.vmin.drift_events");
         self.telemetry.trace(TraceKind::DriftEvent, || {

@@ -33,6 +33,7 @@ use avfs_sim::rng::{fnv1a_fold, FNV_OFFSET_BASIS};
 use avfs_telemetry::{CounterRegistry, Telemetry, TraceKind, Value};
 use avfs_workloads::classify::IntensityClass;
 use std::fmt;
+use std::sync::Arc;
 
 /// Daemon tuning knobs; the constructors on [`Daemon`] pick the paper's
 /// values per chip.
@@ -199,7 +200,8 @@ impl PlanScratch {
 /// The online monitoring + placement daemon.
 #[derive(Debug, Clone)]
 pub struct Daemon {
-    spec: ChipSpec,
+    /// Shared by clones: the chip description never changes.
+    spec: Arc<ChipSpec>,
     behavior: CppcBehavior,
     table: PolicyTable,
     config: DaemonConfig,
@@ -264,7 +266,7 @@ impl Daemon {
         let recovery = Recovery::new(config.recovery.clone(), 0x0DAE_0501);
         let spec = chip.spec();
         Daemon {
-            spec: spec.clone(),
+            spec: Arc::new(spec.clone()),
             behavior: chip.behavior(),
             table: PolicyTable::from_characterization(chip.vmin_model()),
             config,

@@ -250,7 +250,7 @@ mod tests {
         let documented = [
             (
                 Machine::XGene2,
-                [("Placement", 8.6, 1.07), ("Optimal", 30.1, 1.07)],
+                [("Placement", 8.6, 1.06), ("Optimal", 30.1, 1.06)],
             ),
             (
                 Machine::XGene3,

@@ -32,7 +32,18 @@ pub enum SysEvent {
     ProcessFinished(Pid),
     /// The monitoring window re-classified a process.
     ClassChanged(Pid, IntensityClass),
-    /// Periodic monitoring tick (counter sampling window elapsed).
+    /// A monitoring window closed (counter sampling window elapsed).
+    ///
+    /// Windows close on a fixed grid while work is live, but the
+    /// simulator delivers a boundary only when it can change something:
+    /// it is one of the first two after a change point (an arrival,
+    /// exit, admission, pin, voltage, frequency or governor write, class
+    /// flip, phase boundary or stall edge), a fault plan is armed, or a
+    /// process is stalled. Every other boundary closes a window whose
+    /// rate repeats its predecessor's, so no class can flip, and it is
+    /// skipped. A boundary that falls due while nothing is live fires
+    /// with the next arrival, and the grid restarts there. The run's
+    /// first event is a `MonitorTick` too.
     MonitorTick,
     /// One of the driver's own actions failed transiently (mailbox
     /// refusal or drop). Delivered synchronously after the failed batch,
@@ -167,6 +178,15 @@ impl SystemView {
 /// Implementations live both here ([`DefaultPolicy`]) and in the
 /// `avfs-core` crate (the paper's daemon and its evaluation
 /// configurations).
+///
+/// Arrivals, exits, class flips and operation faults are always
+/// delivered; monitor ticks only where one can change something (see
+/// [`SysEvent::MonitorTick`]). A driver must therefore not count ticks
+/// as a clock: one that acts on the third quiet tick after a change
+/// point, or on every n-th, never sees that tick unless a fault plan is
+/// armed. Reacting to what the view shows is safe: a skipped tick would
+/// have shown the same view as the delivered one before it, apart from
+/// `now`.
 pub trait Driver {
     /// Handles one event, returning the actions to apply (possibly none).
     fn on_event(&mut self, view: &SystemView, event: &SysEvent) -> Vec<Action>;

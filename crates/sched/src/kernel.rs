@@ -7,7 +7,7 @@
 //! kernel governor. [`Kernel`] owns the state that sequence touches —
 //! the chip, the process table, the run queue and the governor — and is
 //! the one implementation of it. [`crate::system::System`] drives it
-//! between integration slices with the no-op hook `()`. The analyzer's
+//! between change points with the no-op hook `()`. The analyzer's
 //! model checker drives it event by event with a zero migration pause,
 //! observing every atomic boundary through its own [`Hook`].
 
@@ -100,8 +100,10 @@ impl Hook for () {
 #[derive(Debug, Clone)]
 pub(crate) struct MonitorState {
     pub(crate) classifier: HysteresisClassifier,
-    pub(crate) window_start_cycles: u64,
-    pub(crate) window_start_l3: u64,
+    /// Core cycles counted in the open window.
+    pub(crate) window_cycles: u64,
+    /// L3 accesses counted in the open window.
+    pub(crate) window_l3: u64,
     pub(crate) last_rate: Option<f64>,
 }
 
@@ -109,7 +111,10 @@ impl MonitorState {
     /// Records one window's L3-access rate; returns the new class when
     /// it changed. The first classification is a change too — the
     /// daemon treats unmeasured processes as CPU-intensive, so learning
-    /// otherwise must trigger a replan.
+    /// otherwise must trigger a replan. The next class depends only on
+    /// the current class and the rate, and a second observation of the
+    /// same rate keeps the class the first one gave: a window that
+    /// repeats its predecessor's rate cannot flip it.
     pub(crate) fn observe(&mut self, l3c_per_mcycle: f64) -> Option<IntensityClass> {
         self.last_rate = Some(l3c_per_mcycle);
         let before = self.classifier.current();
@@ -158,6 +163,11 @@ pub struct Kernel {
     pub(crate) migrations: u64,
     /// Driver actions rejected as invalid so far.
     pub(crate) rejected_actions: u64,
+    /// Bumped whenever the process table changes in a way a driver or a
+    /// rate can see: a submit, start, pin, stall restart, completion,
+    /// class flip or governor switch. With the chip's state epoch it
+    /// tells the simulator when a change point happened.
+    pub(crate) epoch: u64,
     pub(crate) telemetry: Telemetry,
     scratch: Scratch,
 }
@@ -206,6 +216,7 @@ impl Kernel {
             next_pid: 1,
             migrations: 0,
             rejected_actions: 0,
+            epoch: 0,
             telemetry,
             scratch: Scratch::default(),
         }
@@ -250,7 +261,7 @@ impl Kernel {
     }
 
     /// Table index of `pid`, if it is in the table.
-    fn slot(&self, pid: Pid) -> Option<usize> {
+    pub(crate) fn slot(&self, pid: Pid) -> Option<usize> {
         self.procs
             .binary_search_by_key(&pid, |e| e.process.pid)
             .ok()
@@ -289,12 +300,13 @@ impl Kernel {
             process: Process::new(pid, bench, threads, scale, work, self.now),
             monitor: MonitorState {
                 classifier: HysteresisClassifier::new(self.l3c_threshold, 0.1 * self.l3c_threshold),
-                window_start_cycles: 0,
-                window_start_l3: 0,
+                window_cycles: 0,
+                window_l3: 0,
                 last_rate: None,
             },
         });
         self.queue.push_back(pid);
+        self.epoch += 1;
         pid
     }
 
@@ -302,7 +314,9 @@ impl Kernel {
     /// classifier; returns the new class when it changed.
     pub fn observe_l3_rate(&mut self, pid: Pid, l3c_per_mcycle: f64) -> Option<IntensityClass> {
         let i = self.slot(pid)?;
-        self.procs[i].monitor.observe(l3c_per_mcycle)
+        let class = self.procs[i].monitor.observe(l3c_per_mcycle);
+        self.epoch += u64::from(class.is_some());
+        class
     }
 
     /// The arrival change point for a just-submitted `pid`: the driver
@@ -318,7 +332,7 @@ impl Kernel {
     /// hears [`SysEvent::ProcessFinished`], admission runs, and the
     /// governor is re-asserted. The process then leaves the table: every
     /// observer filters on the `Finished` state, so dropping the row is
-    /// invisible, and it keeps the table (scanned per slice) from
+    /// invisible, and it keeps the table (scanned per loop iteration) from
     /// growing with run length.
     pub fn finish<H: Hook>(&mut self, driver: &mut dyn Driver, hook: &mut H, pid: Pid) {
         let Some(i) = self.slot(pid) else {
@@ -328,6 +342,7 @@ impl Kernel {
         p.state = ProcessState::Finished;
         p.finished_at = Some(self.now);
         p.assigned = CoreSet::EMPTY;
+        self.epoch += 1;
         self.dispatch(driver, hook, SysEvent::ProcessFinished(pid));
         self.try_admit(hook);
         self.apply_governor();
@@ -486,6 +501,7 @@ impl Kernel {
                     Err(_) => Outcome::Rejected,
                 },
                 Action::SetGovernor(mode) => {
+                    self.epoch += u64::from(self.governor != mode);
                     self.governor = mode;
                     self.apply_governor();
                     Outcome::Applied
@@ -572,10 +588,13 @@ impl Kernel {
                     // rescue path. The normal migration pause still
                     // applies to the restart.
                     p.stalled_until = now + pause;
+                } else {
+                    return Some(from);
                 }
             }
             ProcessState::Finished => return None,
         }
+        self.epoch += 1;
         Some(from)
     }
 

@@ -1,10 +1,10 @@
 //! The simulated process table.
 //!
 //! A [`Process`] is one issued job: a benchmark instance with a thread
-//! count, per-thread remaining work, an affinity/assignment mask, and the
-//! PMU-visible accumulators the daemon samples. The paper's daemon only
-//! ever sees what a kernel would expose — pids, assignments, and counter
-//! values — never the benchmark identity.
+//! count, per-thread remaining work and an affinity/assignment mask. Its
+//! PMU counters live with its monitoring window in the kernel. The
+//! paper's daemon only ever sees what a kernel would expose — pids,
+//! assignments, and counter rates — never the benchmark identity.
 
 use avfs_chip::topology::CoreSet;
 use avfs_sim::time::SimTime;
@@ -61,10 +61,6 @@ pub struct Process {
     pub finished_at: Option<SimTime>,
     /// Migration pause: the process makes no progress until this time.
     pub stalled_until: SimTime,
-    /// PMU accumulator: core cycles across all threads.
-    pub cycles: u64,
-    /// PMU accumulator: L3 accesses across all threads.
-    pub l3_accesses: u64,
     /// Number of times the process was migrated.
     pub migrations: u32,
 }
@@ -92,8 +88,6 @@ impl Process {
             started_at: None,
             finished_at: None,
             stalled_until: SimTime::ZERO,
-            cycles: 0,
-            l3_accesses: 0,
             migrations: 0,
         }
     }
@@ -112,15 +106,6 @@ impl Process {
     pub fn turnaround(&self) -> Option<avfs_sim::time::SimDuration> {
         self.finished_at
             .map(|t| t.saturating_since(self.arrived_at))
-    }
-
-    /// L3 accesses per 1 M cycles over the whole lifetime so far.
-    pub fn lifetime_l3c_per_mcycle(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.l3_accesses as f64 * 1e6 / self.cycles as f64
-        }
     }
 }
 
@@ -159,15 +144,6 @@ mod tests {
         let mut p = proc();
         p.finished_at = Some(SimTime::from_secs(70));
         assert_eq!(p.turnaround(), Some(SimDuration::from_secs(60)));
-    }
-
-    #[test]
-    fn lifetime_l3_rate() {
-        let mut p = proc();
-        assert_eq!(p.lifetime_l3c_per_mcycle(), 0.0);
-        p.cycles = 2_000_000;
-        p.l3_accesses = 9_000;
-        assert!((p.lifetime_l3c_per_mcycle() - 4_500.0).abs() < 1e-9);
     }
 
     #[test]

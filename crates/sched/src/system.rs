@@ -1,24 +1,40 @@
 //! The full-system simulator.
 //!
 //! [`System`] binds a [`Chip`], the analytic performance model, and a
-//! process table into a deterministic discrete-event simulation. Between
-//! events every quantity is piecewise constant, so energy integration and
-//! completion times are exact:
+//! process table into a deterministic discrete-event simulation. Every
+//! rate is constant between change points, so each run integral is its
+//! value at the last change point plus rate × elapsed time:
 //!
 //! * process progress accrues at `1 / T(config)` per second, where `T` is
 //!   the analytic execution time under the current frequency, contention,
 //!   and clustering conditions;
-//! * PCP power is evaluated from the per-PMD loads and integrated over
-//!   each slice;
-//! * each process accrues core cycles and L3 accesses, the two counters
-//!   the daemon's monitoring windows read (§VI-A).
+//! * energy is PCP power, evaluated once per change point from the
+//!   per-PMD loads, times elapsed time; unsafe time accrues the same way,
+//!   and sub-Vmin failures are drawn once per unsafe interval;
+//! * each process counts core cycles (integer MHz × ns) and L3 accesses
+//!   into its open monitoring window, the two counters the daemon's
+//!   monitoring windows read (§VI-A).
 //!
-//! Droop events are not simulated per slice: nothing on the control loop
+//! A change point is anything that can move a rate or what a driver
+//! sees: an arrival, exit, admission, pin, V/F or governor write, class
+//! flip, phase boundary or stall edge. Monitor boundaries and trace
+//! samples only read state, so neither a sample nor a
+//! [`System::step_until`] horizon can move a result.
+//!
+//! A monitor boundary is delivered — windows closed, the driver consulted
+//! with [`SysEvent::MonitorTick`] — only when it can change something:
+//! it is one of the first two after a change point, a fault plan is
+//! armed, or a process is stalled. Past the second boundary every window
+//! lies inside one regime and reads the rate its predecessor read, which
+//! cannot flip a class, so the loop advances the window grid past such a
+//! boundary without visiting it.
+//!
+//! Droop events are not simulated: nothing on the control loop
 //! reads them. Figure 6 samples the chip's droop model on its own stream.
 //!
 //! Events: job arrivals (from a [`WorkloadTrace`]), process completions,
-//! monitoring windows (classification), trace sampling, and migration
-//! stalls ending. On arrival / completion / class-change events the
+//! phase boundaries, stall ends, monitoring windows (classification) and
+//! trace sampling. On arrival / completion / class-change events the
 //! [`Kernel`] consults the configured [`Driver`] and applies its
 //! [`Action`](crate::driver::Action)s — including the paper's fail-safe
 //! ordering, because actions apply in order within one event.
@@ -30,7 +46,7 @@ use crate::process::{Pid, Process};
 use avfs_chip::chip::Chip;
 use avfs_chip::power::{PmdLoad, PowerInputs};
 use avfs_chip::topology::{CoreId, CoreSet, PmdId};
-use avfs_sim::time::{SimDuration, SimTime};
+use avfs_sim::time::{cycles_in, SimDuration, SimTime};
 use avfs_sim::RngStream;
 use avfs_telemetry::{Telemetry, TraceKind, Value};
 use avfs_workloads::classify::IntensityClass;
@@ -73,75 +89,59 @@ impl Default for SystemConfig {
     }
 }
 
-/// Per-process effective conditions at one instant:
-/// `(progress rate per second, min thread freq MHz, mem_mult)`.
-type Cond = (f64, u32, f64);
-
-/// Looks up `pid` in a pid-sorted conditions slice.
-fn cond_of(conds: &[(Pid, Cond)], pid: Pid) -> Option<Cond> {
-    conds
-        .binary_search_by_key(&pid, |(p, _)| *p)
-        .ok()
-        .map(|i| conds[i].1)
-}
-
-/// One running process's contribution to the slice signature: the
-/// complete set of per-process inputs that progress rates, power, and
-/// safety are a function of. Progress enters only through the discrete
-/// phase index — [`phases::effective_profile`] is piecewise constant in
-/// progress, so two instants with equal signatures (and equal chip
-/// epochs) yield bit-identical conditions and power.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SigEntry {
+/// One running process's rates over the current regime.
+#[derive(Debug, Clone, Copy)]
+struct Rates {
     pid: Pid,
-    assigned: CoreSet,
-    phase: u32,
-    stalled: bool,
+    /// Progress per second; zero while stalled.
+    progress: f64,
+    /// The slowest assigned core's clock, MHz.
+    freq: u32,
+    /// Memory-time multiplier on the slowest core.
+    mult: f64,
+    /// Threads, each counting cycles at `freq`.
+    threads: u64,
+    /// Observed L3 accesses per 1M cycles.
+    l3c_per_mcycle: f64,
 }
 
-/// Slice-invariant quantities memoized between change points: power and
-/// safety. Valid only while the signature (process set, placement,
-/// phases, stalls), the chip's state epoch, and the droop alert all
-/// match — i.e. until the next V/F/allocation/arrival/finish/phase
-/// boundary.
+/// The rates in force since the last change point. The run integrals
+/// accrue from `since` at these rates until the next change point
+/// settles them. The default is an invalid regime with no rates.
 #[derive(Debug, Default)]
-struct SliceCache {
+struct Regime {
+    /// False until computed, and again once its edge fired.
     valid: bool,
+    /// The last change point.
+    since: SimTime,
+    /// The kernel epoch it was computed under.
+    kernel_epoch: u64,
+    /// The chip state epoch it was computed under.
     chip_epoch: u64,
+    /// The droop alert it was computed under.
     droop_alert: bool,
-    /// Instantaneous chip power for the slice.
+    /// Chip power, watts.
     watts: f64,
     /// True when the rail sits below the allocation's safe Vmin.
     unsafe_active: bool,
     /// Sub-Vmin failure probability per unit run (0 unless unsafe and
     /// failure injection is on).
     p_per_run: f64,
-}
-
-/// Per-process memo for the observed L3-access rate of a slice, keyed on
-/// the end-of-slice phase plus the frequency/contention pair from the
-/// conditions. Unlike [`SliceCache`] (start-of-slice state), the rate
-/// follows the progress *after* integration, so it gets its own keys.
-#[derive(Debug, Clone, Copy)]
-struct PmuMemoEntry {
-    pid: Pid,
-    phase: u32,
-    freq: u32,
-    mult_bits: u64,
-    l3_rate: f64,
+    /// True while some running process is stalled.
+    stalled: bool,
+    /// The regime's predicted end: the earliest completion, phase
+    /// boundary or stall end.
+    edge: SimTime,
+    /// Per running process, pid-sorted.
+    rates: Vec<Rates>,
 }
 
 /// Reusable hot-path buffers, cleared and refilled per event instead of
 /// re-allocated. Pure caches of capacity — nothing in here survives an
-/// event observably, so dropping the whole struct between any two events
-/// would not change a single output byte. (The [`SliceCache`] inside is
-/// a pure memo with the same property: every cached value is recomputed
-/// bit-identically on a miss.) The change point's own buffers live in
-/// the [`Kernel`].
+/// event observably. The change point's own buffers live in the
+/// [`Kernel`].
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Pid-sorted per-process conditions for the current instant.
-    conds: Vec<(Pid, Cond)>,
     /// Core-index → owning pid, for L2-partner lookups.
     owner: Vec<Option<Pid>>,
     /// Pids finishing at the current instant.
@@ -150,14 +150,6 @@ struct Scratch {
     loads: Vec<PmdLoad>,
     /// Per-PMD activity accumulator for power evaluation.
     act_sum: Vec<f64>,
-    /// Signature the slice cache was computed under.
-    sig: Vec<SigEntry>,
-    /// Signature being probed this iteration (swapped with `sig`).
-    sig_next: Vec<SigEntry>,
-    /// Memoized slice-invariant power/safety quantities.
-    slice: SliceCache,
-    /// Per-process L3-rate memo (aligned with `conds`).
-    pmu_memo: Vec<PmuMemoEntry>,
     /// Class changes from the monitoring window being closed.
     class_changes: Vec<(Pid, IntensityClass)>,
 }
@@ -170,17 +162,16 @@ pub struct System {
     kernel: Kernel,
     perf: PerfModel,
     config: SystemConfig,
+    /// Energy, unsafe time and failures, settled up to `regime.since`.
     energy_j: f64,
     failure_rng: RngStream,
     unsafe_time_s: f64,
     failures: u64,
+    regime: Regime,
+    /// The open monitoring windows hold every cycle and L3 access up to
+    /// this instant.
+    window_settled: SimTime,
     scratch: Scratch,
-    /// When true (the default), power/safety quantities are evaluated
-    /// only at change points and reused across the piecewise-constant
-    /// slices in between. Disabling forces a full re-evaluation every
-    /// slice — the reference path the bit-identity tests compare
-    /// against.
-    change_point_integration: bool,
 }
 
 /// Bookkeeping for an in-progress incremental run (see
@@ -195,6 +186,8 @@ pub struct RunState {
     next_sample: SimTime,
     last_finish: SimTime,
     iterations: u64,
+    /// Monitor boundaries since the last change point, saturating at 2.
+    quiet: u8,
 }
 
 impl RunState {
@@ -273,18 +266,10 @@ impl System {
             failure_rng,
             unsafe_time_s: 0.0,
             failures: 0,
+            regime: Regime::default(),
+            window_settled: SimTime::ZERO,
             scratch: Scratch::default(),
-            change_point_integration: true,
         }
-    }
-
-    /// Enables or disables change-point integration (enabled by
-    /// default). Disabling re-derives power, conditions, and safety on
-    /// every slice instead of only at change points; both modes produce
-    /// bit-identical runs — the toggle exists so tests can prove it.
-    pub fn set_change_point_integration(&mut self, enabled: bool) {
-        self.change_point_integration = enabled;
-        self.scratch.slice.valid = false;
     }
 
     /// Starts a [`SystemBuilder`] — the blessed construction path.
@@ -404,6 +389,7 @@ impl System {
             next_sample: now,
             last_finish: now,
             iterations: 0,
+            quiet: 0,
         };
         self.kernel.dispatch(driver, &mut (), SysEvent::MonitorTick);
         self.kernel.apply_governor();
@@ -429,89 +415,37 @@ impl System {
     }
 
     /// Advances the simulation to exactly `horizon`, processing every
-    /// internal event (completions, monitor windows, samples, stall ends)
-    /// due strictly *before* it. Events due exactly at `horizon` are left
-    /// pending and fire at the start of the next stepping call — after any
-    /// [`Self::inject_arrival`] at `horizon` — which preserves the
-    /// arrivals-before-completions ordering of [`Self::run`] and gives
-    /// epoch-driven coordinators a deterministic injection point.
+    /// internal event (completions, phase boundaries, monitor windows,
+    /// samples, stall ends) due strictly *before* it. Events due exactly
+    /// at `horizon` are left pending and fire at the start of the next
+    /// stepping call — after any [`Self::inject_arrival`] at `horizon` —
+    /// which preserves the arrivals-before-completions ordering of
+    /// [`Self::run`] and gives epoch-driven coordinators a deterministic
+    /// injection point. Where horizons fall never moves a result.
     pub fn step_until(&mut self, st: &mut RunState, driver: &mut dyn Driver, horizon: SimTime) {
-        loop {
-            if self.now() >= horizon {
-                return;
-            }
+        while self.now() < horizon {
             self.bump_iterations(st);
             self.process_due(st, driver);
-
-            // Conditions are validated (and recomputed only at change
-            // points) once per iteration, then shared by the
-            // completion-time scan and the slice integration below —
-            // nothing between the two mutates state they depend on.
-            self.refresh_slice();
-            let conds = std::mem::take(&mut self.scratch.conds);
-
-            // Candidate next event times, capped at the horizon.
-            let now = self.now();
-            let mut next = horizon;
-            if self.live_processes() > 0 {
-                next = next.min(st.next_monitor).min(st.next_sample);
-            } else {
-                // Sample through idle gaps too, for the Figure 15 traces.
-                next = next.min(st.next_sample);
-            }
-            for p in self.running() {
-                if p.stalled_until > now {
-                    next = next.min(p.stalled_until);
-                }
-            }
-            if let Some(t) = self.earliest_completion(&conds) {
-                next = next.min(t);
-            }
-            let next = next.max(now);
-
-            // Integrate the slice [now, next).
-            self.advance_to(next, &conds);
-            self.scratch.conds = conds;
+            self.advance(st, horizon);
         }
     }
 
     /// Drains the system: processes events until no live process remains.
     /// The counterpart of [`Self::step_until`] once all arrivals are in.
     pub fn run_to_completion(&mut self, st: &mut RunState, driver: &mut dyn Driver) {
-        loop {
-            if self.live_processes() == 0 {
-                return;
-            }
+        while self.live_processes() > 0 {
             self.bump_iterations(st);
             self.process_due(st, driver);
             if self.live_processes() == 0 {
                 return;
             }
-
-            self.refresh_slice();
-            let conds = std::mem::take(&mut self.scratch.conds);
-
-            // Candidate next event times (live > 0 here, so the monitor
-            // and sampler are always candidates).
-            let now = self.now();
-            let mut next = st.next_monitor.min(st.next_sample);
-            for p in self.running() {
-                if p.stalled_until > now {
-                    next = next.min(p.stalled_until);
-                }
-            }
-            if let Some(t) = self.earliest_completion(&conds) {
-                next = next.min(t);
-            }
-            assert!(next < SimTime::MAX, "simulation stuck with no next event");
-            let next = next.max(now);
-            self.advance_to(next, &conds);
-            self.scratch.conds = conds;
+            self.advance(st, SimTime::MAX);
         }
     }
 
     /// Finalizes an incremental run and returns its metrics.
     pub fn finish_run(&mut self, st: RunState) -> RunMetrics {
+        self.settle();
         let mut metrics = st.metrics;
         metrics.makespan = st.last_finish.saturating_since(SimTime::ZERO);
         metrics.energy_j = self.energy_j;
@@ -533,6 +467,13 @@ impl System {
     /// this runs — see [`Self::step_until`].)
     fn process_due(&mut self, st: &mut RunState, driver: &mut dyn Driver) {
         let now = self.now();
+
+        // A predicted completion, phase boundary or stall end is due:
+        // settle, so progress reads its value at this instant.
+        if now >= self.regime.edge {
+            self.settle();
+            self.regime.valid = false;
+        }
 
         // Completions.
         let mut finished = std::mem::take(&mut self.scratch.finished);
@@ -560,44 +501,104 @@ impl System {
         }
         self.scratch.finished = finished;
 
-        // Monitoring window.
-        if now >= st.next_monitor {
+        // Monitoring window, on its grid while work is live. A boundary
+        // that fell due while nothing was live fires with the first work
+        // to arrive, and the grid restarts there.
+        if now >= st.next_monitor && self.live_processes() > 0 {
+            // A change point at this instant precedes the boundary.
+            self.refresh(st);
             st.next_monitor = now + self.config.monitor_interval;
-            // Advance droop-excursion state *before* the driver is
-            // consulted, so an excursion opening at this boundary is
-            // visible (via `droop_alert`) in the very view the driver
-            // reacts to — no unsafe window ever elapses in sim time.
-            if let Some(plan) = self.kernel.chip.fault_plan_mut() {
-                plan.droop_check();
+            let deliver = self.delivers_boundary(st);
+            st.quiet = (st.quiet + 1).min(2);
+            if deliver {
+                self.deliver_boundary(driver);
+            } else {
+                self.restart_windows(now);
+                self.kernel.telemetry.counter_inc("sched.monitor.elided");
             }
-            self.close_monitor_windows();
-            self.kernel.dispatch(driver, &mut (), SysEvent::MonitorTick);
-            let changes = std::mem::take(&mut self.scratch.class_changes);
-            for &(pid, class) in &changes {
-                self.kernel.telemetry.trace(TraceKind::Classification, || {
-                    vec![
-                        ("pid", Value::U64(pid.0)),
-                        (
-                            "class",
-                            Value::Str(match class {
-                                IntensityClass::CpuIntensive => "cpu",
-                                IntensityClass::MemoryIntensive => "memory",
-                            }),
-                        ),
-                    ]
-                });
-                self.kernel
-                    .dispatch(driver, &mut (), SysEvent::ClassChanged(pid, class));
-            }
-            self.scratch.class_changes = changes;
-            self.kernel.apply_governor();
         }
 
         // Trace sampling.
         if now >= st.next_sample {
             st.next_sample = now + self.config.sample_interval;
+            self.refresh(st);
             self.record_sample(&mut st.metrics);
         }
+    }
+
+    /// Closes every monitoring window at the current instant and consults
+    /// the driver: the droop sensor first, then classification, the tick
+    /// itself and any class flips, then the governor.
+    fn deliver_boundary(&mut self, driver: &mut dyn Driver) {
+        self.kernel.telemetry.counter_inc("sched.monitor.delivered");
+        // Advance droop-excursion state *before* the driver is
+        // consulted, so an excursion opening at this boundary is
+        // visible (via `droop_alert`) in the very view the driver
+        // reacts to — no unsafe window ever elapses in sim time.
+        if let Some(plan) = self.kernel.chip.fault_plan_mut() {
+            plan.droop_check();
+        }
+        self.close_monitor_windows();
+        self.kernel.dispatch(driver, &mut (), SysEvent::MonitorTick);
+        let changes = std::mem::take(&mut self.scratch.class_changes);
+        for &(pid, class) in &changes {
+            self.kernel.telemetry.trace(TraceKind::Classification, || {
+                vec![
+                    ("pid", Value::U64(pid.0)),
+                    (
+                        "class",
+                        Value::Str(match class {
+                            IntensityClass::CpuIntensive => "cpu",
+                            IntensityClass::MemoryIntensive => "memory",
+                        }),
+                    ),
+                ]
+            });
+            self.kernel
+                .dispatch(driver, &mut (), SysEvent::ClassChanged(pid, class));
+        }
+        self.scratch.class_changes = changes;
+        self.kernel.apply_governor();
+    }
+
+    /// Whether the next monitor boundary can change anything: it is one
+    /// of the first two after a change point, a fault plan is armed (its
+    /// droop and PMU-glitch draws run per boundary), or a process is
+    /// stalled (the watchdog's cue).
+    fn delivers_boundary(&self, st: &RunState) -> bool {
+        st.quiet < 2 || self.regime.stalled || self.chip().fault_plan().is_some()
+    }
+
+    /// Moves the clock to the next event before `horizon`: a completion,
+    /// phase boundary or stall end, a delivered monitor boundary, or a
+    /// trace sample. Boundaries the loop does not stop at are elided.
+    fn advance(&mut self, st: &mut RunState, horizon: SimTime) {
+        self.refresh(st);
+        let now = self.now();
+        let live = self.live_processes() > 0;
+        let deliver = live && self.delivers_boundary(st);
+        let mut next = horizon.min(st.next_sample).min(self.regime.edge);
+        if deliver {
+            next = next.min(st.next_monitor);
+        }
+        assert!(next < SimTime::MAX, "simulation stuck with no next event");
+        let next = next.max(now);
+        if live && !deliver && st.next_monitor < next {
+            // The grid advances exactly as delivered boundaries would
+            // advance it, and the windows restart at the last boundary
+            // passed.
+            let interval = self.config.monitor_interval;
+            let passed = (next - st.next_monitor)
+                .as_nanos()
+                .div_ceil(interval.as_nanos());
+            let last = st.next_monitor + interval * (passed - 1);
+            st.next_monitor = last + interval;
+            self.restart_windows(last);
+            self.kernel
+                .telemetry
+                .counter_add("sched.monitor.elided", passed);
+        }
+        self.kernel.now = next;
     }
 
     /// Guards against a wedged event loop.
@@ -620,38 +621,98 @@ impl System {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Validates the slice memo against the current signature (process
-    /// placement, phases, stalls), chip state epoch, and droop alert;
-    /// recomputes conditions, power, and safety only on mismatch — i.e.
-    /// only at change points. After this returns, `scratch.conds` and
-    /// `scratch.slice` describe the slice starting at the current instant,
-    /// bit-identically to an unconditional recompute.
-    fn refresh_slice(&mut self) {
-        let now = self.now();
-        let mut sig_next = std::mem::take(&mut self.scratch.sig_next);
-        sig_next.clear();
-        sig_next.extend(self.running().map(|p| SigEntry {
-            pid: p.pid,
-            assigned: p.assigned,
-            phase: phases::phase_index(p.bench, p.progress),
-            stalled: p.stalled_until > now,
-        }));
+    /// Makes the regime current. At a change point — its edge fired, or
+    /// the kernel epoch, chip epoch or droop alert moved — settles the
+    /// integrals at the old rates and computes the new ones.
+    fn refresh(&mut self, st: &mut RunState) {
         let chip = self.chip();
-        let epoch = chip.state_epoch();
-        let droop_alert = chip.droop_excursion_active();
-        let fresh = self.change_point_integration
-            && self.scratch.slice.valid
-            && self.scratch.slice.chip_epoch == epoch
-            && self.scratch.slice.droop_alert == droop_alert
-            && sig_next == self.scratch.sig;
-        if fresh {
-            self.scratch.sig_next = sig_next;
+        if self.regime.valid
+            && self.regime.kernel_epoch == self.kernel.epoch
+            && self.regime.chip_epoch == chip.state_epoch()
+            && self.regime.droop_alert == chip.droop_excursion_active()
+        {
             return;
         }
-        std::mem::swap(&mut self.scratch.sig, &mut sig_next);
-        self.scratch.sig_next = sig_next;
+        self.settle();
+        self.compute_regime();
+        st.quiet = 0;
+    }
 
-        let mut conds = std::mem::take(&mut self.scratch.conds);
+    /// Settles energy, unsafe time, failures, progress and the open
+    /// windows at the current instant, at the regime's rates.
+    fn settle(&mut self) {
+        let now = self.now();
+        if now > self.regime.since {
+            let dt = (now - self.regime.since).as_secs_f64();
+            self.energy_j += self.regime.watts * dt;
+            if self.regime.unsafe_active {
+                self.unsafe_time_s += dt;
+                if self.config.inject_failures {
+                    // Treat each second below Vmin as one run opportunity.
+                    self.failures += self.failure_rng.poisson(self.regime.p_per_run * dt);
+                }
+            }
+            for r in &self.regime.rates {
+                let Some(i) = self.kernel.slot(r.pid) else {
+                    continue;
+                };
+                if r.progress <= 0.0 {
+                    continue;
+                }
+                let p = &mut self.kernel.procs[i].process;
+                p.progress = (p.progress + r.progress * dt).min(1.0);
+                // Snap to done, or onto the phase boundary, when the
+                // residue is below the clock's nanosecond resolution —
+                // prevents a zero-length event livelock from
+                // floating-point rounding.
+                let snap = r.progress * 2e-9;
+                if p.remaining() <= snap {
+                    p.progress = 1.0;
+                } else if let Some(end) = phases::phase_end(p.bench, p.progress) {
+                    if end - p.progress <= snap {
+                        p.progress = end;
+                    }
+                }
+            }
+            self.regime.since = now;
+        }
+        self.accrue_windows();
+    }
+
+    /// Counts cycles and L3 accesses into the open windows up to the
+    /// current instant. Counters run whenever cores are clocked, stalled
+    /// or not.
+    fn accrue_windows(&mut self) {
+        let now = self.now();
+        if now <= self.window_settled {
+            return;
+        }
+        let piece = now - self.window_settled;
+        for r in &self.regime.rates {
+            let Some(i) = self.kernel.slot(r.pid) else {
+                continue;
+            };
+            let mon = &mut self.kernel.procs[i].monitor;
+            let cycles = cycles_in(piece, r.freq) * r.threads;
+            mon.window_cycles += cycles;
+            mon.window_l3 += (cycles as f64 / 1e6 * r.l3c_per_mcycle) as u64;
+        }
+        self.window_settled = now;
+    }
+
+    /// Discards the open windows' counts; they restart at `at`.
+    fn restart_windows(&mut self, at: SimTime) {
+        for e in &mut self.kernel.procs {
+            e.monitor.window_cycles = 0;
+            e.monitor.window_l3 = 0;
+        }
+        self.window_settled = at;
+    }
+
+    /// Computes the regime starting at the current instant: each running
+    /// process's rates, chip power and safety, and the predicted edge.
+    fn compute_regime(&mut self) {
+        let mut rates = std::mem::take(&mut self.regime.rates);
         let mut owner = std::mem::take(&mut self.scratch.owner);
         let loads = std::mem::take(&mut self.scratch.loads);
         let mut act_sum = std::mem::take(&mut self.scratch.act_sum);
@@ -659,8 +720,8 @@ impl System {
         // One pressure evaluation feeds both the contention multiplier
         // and the memory-traffic term (they always read the same value).
         let pressure = self.total_pressure();
-        self.fill_conditions(pressure, &mut conds, &mut owner);
-        let inputs = self.power_inputs_into(pressure, &conds, loads, &mut act_sum);
+        self.fill_rates(pressure, &mut rates, &mut owner);
+        let inputs = self.power_inputs_into(pressure, &rates, loads, &mut act_sum);
         let watts = self.kernel.chip.evaluate_power_w(&inputs);
 
         let chip = self.chip();
@@ -674,17 +735,41 @@ impl System {
             p_per_run = chip.failure_model().pfail(chip.voltage(), safe, class);
         }
 
-        self.scratch.conds = conds;
+        let now = self.now();
+        let (mut edge, mut stalled) = (SimTime::MAX, false);
+        for r in &rates {
+            let Some(p) = self.kernel.process(r.pid) else {
+                continue;
+            };
+            if p.stalled_until > now {
+                // Resumes later; its completion is predicted then.
+                stalled = true;
+                edge = edge.min(p.stalled_until);
+            } else if r.progress > 0.0 {
+                // The next phase boundary, else completion; at least 1 ns
+                // in the future so the event loop always advances.
+                let end = phases::phase_end(p.bench, p.progress).unwrap_or(1.0);
+                let dt = ((end - p.progress) / r.progress).max(1e-9);
+                edge = edge.min(now + SimDuration::from_secs_f64(dt));
+            }
+        }
+
+        let (chip_epoch, droop_alert) = (chip.state_epoch(), chip.droop_excursion_active());
         self.scratch.owner = owner;
         self.scratch.loads = inputs.pmd_loads;
         self.scratch.act_sum = act_sum;
-        self.scratch.slice = SliceCache {
+        self.regime = Regime {
             valid: true,
-            chip_epoch: epoch,
+            since: now,
+            kernel_epoch: self.kernel.epoch,
+            chip_epoch,
             droop_alert,
             watts,
             unsafe_active,
             p_per_run,
+            stalled,
+            edge,
+            rates,
         };
     }
 
@@ -712,16 +797,11 @@ impl System {
             .sum()
     }
 
-    /// Computes per-running-process effective conditions for the current
-    /// instant into `conds` (pid-sorted), using `owner` as core-owner
-    /// scratch for L2-partner lookups.
-    fn fill_conditions(
-        &self,
-        pressure: f64,
-        conds: &mut Vec<(Pid, Cond)>,
-        owner: &mut Vec<Option<Pid>>,
-    ) {
-        conds.clear();
+    /// Computes each running process's rates for the current instant
+    /// into `rates` (pid-sorted), using `owner` as core-owner scratch for
+    /// L2-partner lookups.
+    fn fill_rates(&self, pressure: f64, rates: &mut Vec<Rates>, owner: &mut Vec<Option<Pid>>) {
+        rates.clear();
         owner.clear();
         let chip = self.chip();
         let now = self.now();
@@ -757,10 +837,15 @@ impl System {
                 continue;
             }
             let stalled = p.stalled_until > now;
-            conds.push((
-                p.pid,
-                (if stalled { 0.0 } else { worst_rate }, min_freq, worst_mult),
-            ));
+            let profile = phases::effective_profile(p.bench, p.progress);
+            rates.push(Rates {
+                pid: p.pid,
+                progress: if stalled { 0.0 } else { worst_rate },
+                freq: min_freq,
+                mult: worst_mult,
+                threads: p.threads as u64,
+                l3c_per_mcycle: self.perf.observed_l3c_rate(&profile, worst_mult),
+            });
         }
     }
 
@@ -777,129 +862,6 @@ impl System {
             .map(|q| phases::effective_profile(q.bench, q.progress).mem_fraction)
     }
 
-    /// The earliest running-process completion time, if any, given the
-    /// current conditions.
-    fn earliest_completion(&self, conds: &[(Pid, Cond)]) -> Option<SimTime> {
-        let now = self.now();
-        let mut earliest: Option<SimTime> = None;
-        // `conds` is a pid-ordered subsequence of the table: one merge
-        // pass pairs each condition with its process.
-        let mut table = self.kernel.processes();
-        for &(pid, (rate, _, _)) in conds {
-            let Some(p) = table.find(|p| p.pid == pid) else {
-                break;
-            };
-            if p.stalled_until > now {
-                // Resumes later; completion considered after resume.
-                continue;
-            }
-            if rate <= 0.0 {
-                continue;
-            }
-            // At least 1 ns in the future so the event loop always
-            // advances.
-            let t = now + SimDuration::from_secs_f64((p.remaining() / rate).max(1e-9));
-            earliest = Some(match earliest {
-                None => t,
-                Some(e) => e.min(t),
-            });
-        }
-        earliest
-    }
-
-    /// Integrates state forward to `target` (progress, energy, the
-    /// per-process cycle and L3 counters, safety accounting).
-    fn advance_to(&mut self, target: SimTime, conds: &[(Pid, Cond)]) {
-        let now = self.now();
-        if target <= now {
-            return;
-        }
-        let dt = (target - now).as_secs_f64();
-
-        // Power for this slice: piecewise constant, so the value the
-        // slice memo captured at the last change point is *the* value
-        // for the whole slice — no re-evaluation.
-        self.energy_j += self.scratch.slice.watts * dt;
-
-        // Safety accounting (and optional failure injection), also
-        // constant across the slice.
-        if self.scratch.slice.unsafe_active {
-            self.unsafe_time_s += dt;
-            if self.config.inject_failures {
-                // Treat each second below Vmin as one run opportunity.
-                let lam = self.scratch.slice.p_per_run * dt;
-                self.failures += self.failure_rng.poisson(lam);
-            }
-        }
-
-        // Progress + counters. `conds` is a pid-ordered subsequence of the
-        // table, so one merge pass pairs each condition with its process.
-        let use_memo = self.change_point_integration;
-        let mut memo = std::mem::take(&mut self.scratch.pmu_memo);
-        let mut table = self.kernel.procs.iter_mut().map(|e| &mut e.process);
-        for (i, &(pid, (rate, freq, mult))) in conds.iter().enumerate() {
-            let Some(p) = table.find(|p| p.pid == pid) else {
-                break;
-            };
-            let run_dt = if p.stalled_until > now {
-                // Stall may end inside the slice (slice boundaries include
-                // stall ends, so this is exact, not an approximation).
-                let resume = p.stalled_until.min(target);
-                (target - resume).as_secs_f64()
-            } else {
-                dt
-            };
-            if run_dt > 0.0 && rate > 0.0 {
-                p.progress = (p.progress + rate * run_dt).min(1.0);
-                // Snap to done when the residue is below the event
-                // queue's nanosecond resolution — prevents a zero-length
-                // event livelock from floating-point rounding.
-                if p.remaining() <= rate * 2e-9 {
-                    p.progress = 1.0;
-                }
-            }
-            // Counters accrue whenever cores are clocked, stalled or not.
-            // The L3 rate follows the program's current phase — sampled
-            // *after* the progress update, so it keys on the end-of-slice
-            // phase, unlike the start-of-slice slice memo.
-            let cycles = (freq as f64 * 1e6 * dt) as u64 * p.threads as u64;
-            let phase = phases::phase_index(p.bench, p.progress);
-            let l3_rate = match memo.get(i) {
-                Some(e)
-                    if use_memo
-                        && e.pid == pid
-                        && e.phase == phase
-                        && e.freq == freq
-                        && e.mult_bits == mult.to_bits() =>
-                {
-                    e.l3_rate
-                }
-                _ => {
-                    let profile = phases::effective_profile(p.bench, p.progress);
-                    let l3_rate = self.perf.observed_l3c_rate(&profile, mult);
-                    let entry = PmuMemoEntry {
-                        pid,
-                        phase,
-                        freq,
-                        mult_bits: mult.to_bits(),
-                        l3_rate,
-                    };
-                    if i < memo.len() {
-                        memo[i] = entry;
-                    } else {
-                        memo.push(entry);
-                    }
-                    l3_rate
-                }
-            };
-            p.cycles += cycles;
-            p.l3_accesses += (cycles as f64 / 1e6 * l3_rate) as u64;
-        }
-        self.scratch.pmu_memo = memo;
-
-        self.kernel.now = target;
-    }
-
     /// Builds the chip power inputs for the current instant. `loads`
     /// moves in and out through the returned [`PowerInputs`] so the
     /// caller can recycle it; `act_sum` is plain scratch. `pressure` is
@@ -907,7 +869,7 @@ impl System {
     fn power_inputs_into(
         &self,
         pressure: f64,
-        conds: &[(Pid, Cond)],
+        rates: &[Rates],
         mut loads: Vec<PmdLoad>,
         act_sum: &mut Vec<f64>,
     ) -> PowerInputs {
@@ -917,12 +879,14 @@ impl System {
         loads.resize(spec.pmds() as usize, PmdLoad::IDLE);
         act_sum.clear();
         act_sum.resize(spec.pmds() as usize, 0.0);
-        for p in self.running() {
+        for r in rates {
+            let Some(p) = self.kernel.process(r.pid) else {
+                continue;
+            };
             let profile = phases::effective_profile(p.bench, p.progress);
-            let (_, freq, mult) = cond_of(conds, p.pid).unwrap_or((0.0, 0, 1.0));
             let act = self
                 .perf
-                .effective_activity(&profile, &p.work, freq.max(1), mult);
+                .effective_activity(&profile, &p.work, r.freq.max(1), r.mult);
             for core in p.assigned.iter() {
                 let pmd = spec.pmd_of(core).index();
                 loads[pmd].active_cores += 1;
@@ -945,22 +909,20 @@ impl System {
         }
     }
 
-    /// Closes monitoring windows; processes whose class flipped are left
-    /// in `scratch.class_changes` for the caller to dispatch.
+    /// Closes every running process's monitoring window at the current
+    /// instant; processes whose class flipped are left in
+    /// `scratch.class_changes` for the caller to dispatch.
     fn close_monitor_windows(&mut self) {
+        self.accrue_windows();
         let mut changes = std::mem::take(&mut self.scratch.class_changes);
         changes.clear();
         for e in &mut self.kernel.procs {
             let (p, mon) = (&e.process, &mut e.monitor);
-            if !p.is_running() {
-                continue;
-            }
-            let cycles = p.cycles - mon.window_start_cycles;
-            let l3 = p.l3_accesses - mon.window_start_l3;
-            mon.window_start_cycles = p.cycles;
-            mon.window_start_l3 = p.l3_accesses;
-            if cycles < 100_000 {
-                continue; // window too small to classify
+            let (cycles, l3) = (mon.window_cycles, mon.window_l3);
+            mon.window_cycles = 0;
+            mon.window_l3 = 0;
+            if !p.is_running() || cycles < 100_000 {
+                continue; // nothing ran, or too small to classify
             }
             // An injected PMU glitch corrupts what this window reads
             // (saturated or dropped-out L3 counter); the classifier's
@@ -976,14 +938,14 @@ impl System {
                 changes.push((p.pid, class));
             }
         }
+        self.kernel.epoch += changes.len() as u64;
         self.scratch.class_changes = changes;
     }
 
-    /// Records one trace sample (Figures 14/15).
+    /// Records one trace sample (Figures 14/15) of the current regime.
     fn record_sample(&mut self, metrics: &mut RunMetrics) {
-        self.refresh_slice();
         let now = self.now();
-        let watts = self.scratch.slice.watts;
+        let watts = self.regime.watts;
         metrics.power_trace.push(now, watts);
         let (mut running_threads, mut cpu, mut mem) = (0usize, 0u32, 0u32);
         for e in self.kernel.procs.iter().filter(|e| e.process.is_running()) {
@@ -1013,7 +975,6 @@ impl System {
 mod tests {
     use super::*;
     use crate::driver::{Action, DefaultPolicy};
-    use crate::governor::GovernorMode;
     use crate::kernel::FAULT_FEEDBACK_ROUNDS;
     use avfs_chip::droop::DroopCounts;
     use avfs_chip::presets;
@@ -1096,72 +1057,6 @@ mod tests {
         for (a, b) in reference.completed.iter().zip(&stepped.completed) {
             assert_eq!(a.pid, b.pid);
             assert_eq!(a.finished_at, b.finished_at);
-        }
-    }
-
-    #[test]
-    fn change_point_integration_is_bit_identical_to_per_slice() {
-        // The slice memo must be a pure optimization: integrating power
-        // only at change points has to reproduce the reference path
-        // (full re-evaluation every slice) to the last bit, on both
-        // chip presets, with failure injection on. Each seed runs under
-        // the ondemand baseline at nominal voltage, which is never
-        // unsafe, and again with the rail held at a per-preset voltage
-        // below safe Vmin for most of the small traces' allocations, so
-        // unsafe-time accounting and failure sampling run under the
-        // check too.
-        let presets = [
-            (presets::xgene2(), PerfModel::xgene2(), 850),
-            (presets::xgene3(), PerfModel::xgene3(), 790),
-        ];
-        for (chip, perf, undervolt_mv) in presets {
-            let mut failures = 0;
-            for seed in [11u64, 42, 97] {
-                let trace = small_trace(seed);
-                let cfg = SystemConfig {
-                    inject_failures: true,
-                    ..SystemConfig::default()
-                };
-                let run = |change_points: bool, driver: &mut dyn Driver| {
-                    let mut sys = System::new(chip.build(), perf.clone(), cfg.clone());
-                    sys.set_change_point_integration(change_points);
-                    sys.run(&trace, driver)
-                };
-                let undervolt = || {
-                    Scripted(vec![
-                        Action::SetGovernor(GovernorMode::Ondemand),
-                        Action::SetVoltage(avfs_chip::Millivolts::new(undervolt_mv)),
-                    ])
-                };
-                let nominal = (
-                    run(false, &mut DefaultPolicy::ondemand()),
-                    run(true, &mut DefaultPolicy::ondemand()),
-                );
-                let unsafe_runs = (run(false, &mut undervolt()), run(true, &mut undervolt()));
-                for (r, c) in [&nominal, &unsafe_runs] {
-                    assert_eq!(r.energy_j.to_bits(), c.energy_j.to_bits(), "seed {seed}");
-                    assert_eq!(r.makespan, c.makespan, "seed {seed}");
-                    assert_eq!(r.unsafe_time_s.to_bits(), c.unsafe_time_s.to_bits());
-                    assert_eq!(r.failures, c.failures, "seed {seed}");
-                    assert_eq!(r.migrations, c.migrations, "seed {seed}");
-                    assert_eq!(r.voltage_changes, c.voltage_changes, "seed {seed}");
-                    assert_eq!(r.power_trace.len(), c.power_trace.len(), "seed {seed}");
-                    for ((ta, va), (tb, vb)) in r.power_trace.iter().zip(c.power_trace.iter()) {
-                        assert_eq!(ta, tb, "seed {seed}");
-                        assert_eq!(va.to_bits(), vb.to_bits(), "seed {seed}");
-                    }
-                    for (a, b) in r.completed.iter().zip(&c.completed) {
-                        assert_eq!(a.pid, b.pid, "seed {seed}");
-                        assert_eq!(a.finished_at, b.finished_at, "seed {seed}");
-                    }
-                }
-                assert!(
-                    unsafe_runs.1.unsafe_time_s > 0.0,
-                    "seed {seed}: never unsafe"
-                );
-                failures += unsafe_runs.1.failures;
-            }
-            assert!(failures > 0, "{undervolt_mv} mV injected no failures");
         }
     }
 

@@ -113,6 +113,24 @@ mod tests {
     }
 
     #[test]
+    fn observing_a_rate_again_keeps_its_class() {
+        // The simulator skips monitor windows that repeat their
+        // predecessor's rate; that is sound only because a second
+        // observation of a rate never changes the class the first gave.
+        for start in [None, Some(1_000.0), Some(5_000.0)] {
+            for i in 0..=120 {
+                let rate = f64::from(i) * 50.0;
+                let mut c = HysteresisClassifier::paper_default();
+                if let Some(r) = start {
+                    c.observe(r);
+                }
+                let first = c.observe(rate);
+                assert_eq!(c.observe(rate), first, "{rate} after {start:?}");
+            }
+        }
+    }
+
+    #[test]
     fn hysteresis_suppresses_flapping() {
         let mut c = HysteresisClassifier::paper_default();
         assert_eq!(c.observe(2_000.0), IntensityClass::CpuIntensive);

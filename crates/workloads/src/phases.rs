@@ -151,6 +151,15 @@ pub fn phase_index(bench: Benchmark, progress: f64) -> u32 {
         .unwrap_or(phases.len() - 1) as u32
 }
 
+/// The progress at which the phase in effect at `progress` ends: the
+/// next point where [`effective_profile`] changes. `None` in a program's
+/// last (or only) phase.
+pub fn phase_end(bench: Benchmark, progress: f64) -> Option<f64> {
+    let phases = schedule(bench)?;
+    let i = phase_index(bench, progress) as usize;
+    (i + 1 < phases.len()).then(|| phases[i].until_progress)
+}
+
 /// Whether the benchmark's classification flips across its phases (at
 /// the paper's 3000 L3C/1M-cycles threshold).
 pub fn class_flips(bench: Benchmark) -> bool {
@@ -245,6 +254,19 @@ mod tests {
             // Out-of-range progress clamps like effective_profile.
             assert_eq!(phase_index(b, 1.5), phase_index(b, 1.0), "{b}");
             assert_eq!(phase_index(b, -0.5), phase_index(b, 0.0), "{b}");
+        }
+    }
+
+    #[test]
+    fn phase_end_is_where_the_index_advances() {
+        for b in Benchmark::ALL {
+            let mut progress = 0.0;
+            while let Some(end) = phase_end(b, progress) {
+                assert!(end > progress, "{b}");
+                assert_eq!(phase_index(b, end), phase_index(b, progress) + 1, "{b}");
+                progress = end;
+            }
+            assert_eq!(phase_index(b, progress), phase_index(b, 1.0), "{b}");
         }
     }
 

@@ -3,7 +3,8 @@
 # (one `avfs-analyze all` run: domain invariants, source lints, the fleet
 # checks, breadth-first bounded model checking with scripted mailbox
 # faults, the policy-domain proof and the measured-margin audit), the
-# test suite, the experiment smokes, trace determinism, and the two
+# test suite, the release elision identity sweep, the experiment smokes,
+# trace determinism, and the two
 # hot-path correctness gates (null observer overhead; allocations in
 # steady state and on churn traffic).
 # Speed is measured by the perfbench benchmark (see BENCHMARK.json), not
@@ -36,6 +37,10 @@ cargo run -q --release -p avfs-analyze -- all
 
 echo "==> cargo test"
 cargo test -q --workspace
+
+echo "==> elision identity sweep (release; inert monitor boundaries skipped vs all delivered)"
+cargo test -q --release -p avfs-experiments --test integration_daemon -- \
+  --ignored elision_is_unobservable_on_a_seed_sweep
 
 echo "==> resilience smoke soak (seeded fault injection)"
 cargo run -q --release -p avfs-experiments --bin exp -- resilience --smoke > /dev/null
