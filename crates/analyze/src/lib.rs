@@ -43,7 +43,7 @@
 //! * [`margins`] — the measured-table audit: runs an
 //!   `avfs-characterize` campaign per preset, replays the compiled
 //!   table against the hidden ground truth the campaign never read,
-//!   checks monotonicity and byte-identical determinism, and feeds the
+//!   checks monotonicity and same-seed determinism, and feeds the
 //!   measured table through the full policy-domain proof.
 //!
 //! Run everything from the binary:
@@ -55,14 +55,13 @@
 //! cargo run -p avfs-analyze -- prove-policy
 //! ```
 //!
-//! Every subcommand accepts `--format json` and exits 0 (clean),
+//! Every subcommand prints a text report and exits 0 (clean),
 //! 1 (violations), or 2 (usage error).
 
 pub mod context;
 pub mod fleet;
 pub mod invariant;
 pub mod invariants;
-pub mod jsonout;
 pub mod lint;
 pub mod margins;
 pub mod model;

@@ -214,7 +214,6 @@ fn is_hot_path(path: &str) -> bool {
         "crates/sched/src/system.rs",
         "crates/sched/src/kernel.rs",
         "crates/core/src/daemon.rs",
-        "crates/core/src/monitor.rs",
         "crates/core/src/allocation.rs",
     ]
     .iter()
@@ -615,7 +614,6 @@ mod tests {
             "crates/sched/src/system.rs",
             "crates/sched/src/kernel.rs",
             "crates/core/src/daemon.rs",
-            "crates/core/src/monitor.rs",
             "crates/core/src/allocation.rs",
         ] {
             let findings = scan_source(&rules(), hot, src);
@@ -630,7 +628,7 @@ mod tests {
     fn hot_path_alloc_exempts_test_modules_and_with_capacity() {
         let src = "fn f() { let v = Vec::with_capacity(8); }\n\
                    #[cfg(test)]\nmod tests {\n    fn g() { let q: Vec<u8> = Vec::new(); }\n}\n";
-        assert!(scan_source(&rules(), "crates/core/src/monitor.rs", src).is_empty());
+        assert!(scan_source(&rules(), "crates/core/src/daemon.rs", src).is_empty());
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!    Vmin itself);
 //! 3. checks droop- and frequency-class monotonicity of the full grid;
 //! 4. checks the determinism contract: a second campaign from the same
-//!    seed exports byte-identical JSONL, and export → import → recompile
-//!    reproduces the table bit for bit;
+//!    seed measures an identical map;
 //! 5. hands the table to [`crate::proof::prove_preset_with_table`] for
 //!    the exhaustive policy-domain proof through the daemon chooser.
 
@@ -22,7 +21,7 @@ use std::cmp::Reverse;
 use std::fmt;
 
 use crate::proof::{self, PresetProofReport, ProofReport};
-use avfs_characterize::{Campaign, CampaignConfig, MarginMap, TableCompiler};
+use avfs_characterize::{Campaign, CampaignConfig, TableCompiler};
 use avfs_chip::chip::Chip;
 use avfs_chip::freq::FreqVminClass;
 use avfs_chip::topology::PmdId;
@@ -229,29 +228,16 @@ fn check_preset(
         }
     }
 
-    // 4 — determinism: same seed → byte-identical JSONL; export →
-    // import → recompile is bit-identical.
+    // 4 — determinism: same seed → identical map.
     let mut replay_chip = build.build();
     match campaign.run(&mut replay_chip) {
-        Ok(replay) if replay.to_jsonl() != map.to_jsonl() => {
+        Ok(replay) if replay != map => {
             violations.push(format!(
-                "{name}: same-seed campaigns exported different JSONL"
+                "{name}: same-seed campaigns measured different maps"
             ));
         }
         Ok(_) => {}
         Err(e) => violations.push(format!("{name}: replay campaign aborted: {e}")),
-    }
-    match MarginMap::from_jsonl(&map.to_jsonl()) {
-        Ok(imported) => match TableCompiler::default().compile(&imported) {
-            Ok(recompiled) if recompiled != table => {
-                violations.push(format!(
-                    "{name}: recompiled imported map differs from the original table"
-                ));
-            }
-            Ok(_) => {}
-            Err(e) => violations.push(format!("{name}: imported map failed to recompile: {e}")),
-        },
-        Err(e) => violations.push(format!("{name}: exported JSONL failed to import: {e}")),
     }
 
     // 5 — exhaustive policy-domain proof with the measured table.

@@ -14,10 +14,10 @@
 //!   the driver answers, after each action, after each admission.
 //! * [`World::fingerprint`] — the state-hash the search deduplicates on:
 //!   rail mV, per-PMD frequency program, pending scripted faults, masks,
-//!   governor, and the daemon's control state (recovery machine, droop
-//!   guard, class tracker). Observational state (counters, telemetry) is
-//!   deliberately excluded: two worlds with equal fingerprints transition
-//!   identically under equal events.
+//!   each live process's class, governor, and the daemon's control state
+//!   (recovery machine, droop guard). Observational state (counters,
+//!   telemetry) is deliberately excluded: two worlds with equal
+//!   fingerprints transition identically under equal events.
 //!
 //! No wall clock, no RNG: the chip's fault plan has zero rates, so the
 //! whole state space is a pure function of the event sequence.
@@ -77,21 +77,6 @@ const MAILBOX_FAULTS: [MailboxFault; 3] = [
     MailboxFault::Drop,
     MailboxFault::LatencySpike,
 ];
-
-impl ModelEvent {
-    /// Compact stable label for JSON output and schedule dumps.
-    pub fn label(&self) -> String {
-        match *self {
-            ModelEvent::Tick => "tick".to_string(),
-            ModelEvent::Arrive { threads, class } => {
-                format!("arrive(threads={threads},class={})", class_label(class))
-            }
-            ModelEvent::Finish { slot } => format!("finish(slot={slot})"),
-            ModelEvent::Flip { slot } => format!("flip(slot={slot})"),
-            ModelEvent::Fault(fault) => format!("fault({})", fault_label(fault)),
-        }
-    }
-}
 
 fn fault_label(fault: MailboxFault) -> &'static str {
     match fault {

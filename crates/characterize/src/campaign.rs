@@ -481,8 +481,7 @@ mod tests {
         let a = run(7);
         let b = run(7);
         assert_eq!(a, b);
-        assert_eq!(a.to_jsonl(), b.to_jsonl());
-        assert_ne!(run(8).to_jsonl(), a.to_jsonl());
+        assert_ne!(run(8), a);
     }
 
     #[test]

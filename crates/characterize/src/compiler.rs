@@ -287,21 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn recompiling_an_imported_map_is_bit_identical() {
-        let mut chip = presets::xgene3().build();
-        let map = Campaign::new(CampaignConfig::new(21))
-            .run(&mut chip)
-            .expect("clean chip");
-        let direct = TableCompiler::default().compile(&map).expect("compiles");
-        let imported = MarginMap::from_jsonl(&map.to_jsonl()).expect("round trip");
-        assert_eq!(imported, map);
-        let recompiled = TableCompiler::default()
-            .compile(&imported)
-            .expect("compiles");
-        assert_eq!(recompiled, direct);
-    }
-
-    #[test]
     fn empty_map_is_rejected() {
         let map = MarginMap {
             chip: "x".to_string(),

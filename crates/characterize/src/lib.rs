@@ -16,8 +16,9 @@
 //!   level downward against the chip's sampled crash behaviour, through
 //!   regulator noise, droop excursions, PMU glitches, and mailbox
 //!   faults. Deterministic in its seed, bit for bit.
-//! * [`margin`] — [`MarginMap`], the serializable product: JSONL with a
-//!   fixed field order, so identical campaigns export identical bytes.
+//! * [`margin`] — [`MarginMap`], the campaign's product: the measured
+//!   safe level and probe bookkeeping of every cell, equal across
+//!   same-seed campaigns.
 //! * [`compiler`] — [`TableCompiler`] turns a map plus a
 //!   [`GuardbandPolicy`] into a validated
 //!   [`avfs_core::policy::PolicyTable`], and
@@ -49,5 +50,5 @@ pub mod recharacterizer;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignError};
 pub use compiler::{preset_conservative, CompileError, GuardbandPolicy, TableCompiler};
-pub use margin::{MarginCell, MarginMap, MarginMapParseError, MARGIN_MAP_SCHEMA};
+pub use margin::{MarginCell, MarginMap};
 pub use recharacterizer::{RecharacterizeError, Recharacterizer};

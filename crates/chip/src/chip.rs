@@ -12,7 +12,7 @@ use crate::failure::{FailureModel, RunOutcome};
 use crate::fault::{FaultPlan, FaultStats, MailboxFault};
 use crate::freq::{CppcBehavior, FreqStep, FreqVminClass, FrequencyMhz};
 use crate::power::{PowerInputs, PowerLut, PowerModel};
-use crate::slimpro::{MailboxRequest, MailboxResponse, MailboxStats};
+use crate::slimpro::MailboxStats;
 use crate::topology::{ChipSpec, CoreSet, PmdId};
 use crate::vmin::{VminDrift, VminModel, VminQuery};
 use crate::voltage::{Millivolts, VoltageRail};
@@ -41,8 +41,6 @@ pub struct Chip {
     droop: Arc<DroopModel>,
     failure: Arc<FailureModel>,
     mailbox_stats: MailboxStats,
-    /// Power reported by the sensor on the last mailbox read, mW.
-    last_sensor_mw: u64,
     /// Optional seeded fault-injection plan; `None` (the default) leaves
     /// every operation exactly as reliable as before the fault layer
     /// existed.
@@ -94,7 +92,6 @@ impl Chip {
             droop: Arc::new(droop),
             failure: Arc::new(failure),
             mailbox_stats: MailboxStats::default(),
-            last_sensor_mw: 0,
             fault: None,
             state_epoch: 0,
             telemetry: Telemetry::null(),
@@ -312,106 +309,18 @@ impl Chip {
         self.voltage() >= self.current_safe_vmin(active_cores)
     }
 
-    /// Processes a SLIMpro mailbox request.
-    ///
-    /// When a fault plan is armed the request may be refused, dropped,
-    /// or — for a latency spike — applied with the *response* lost, so
-    /// the caller observes a drop but the state changed underneath
-    /// (retries must be idempotent, and the daemon's are).
-    pub fn mailbox(&mut self, req: MailboxRequest) -> MailboxResponse {
-        self.mailbox_stats.requests += 1;
-        let op = mailbox_op_label(&req);
-        self.telemetry.counter_inc("chip.mailbox.requests");
-        self.telemetry
-            .trace(TraceKind::MailboxCall, || vec![("op", Value::Str(op))]);
-        match self.fault.as_mut().and_then(FaultPlan::sample_mailbox) {
-            Some(MailboxFault::Refuse) => {
-                self.mailbox_stats.refusals += 1;
-                self.telemetry.counter_inc("chip.mailbox.injected_refusals");
-                self.telemetry.trace(TraceKind::MailboxFault, || {
-                    vec![
-                        ("op", Value::Str(op)),
-                        ("fault", Value::Str("injected_refuse")),
-                    ]
-                });
-                return MailboxResponse::Refused {
-                    reason: "injected fault: management processor busy".to_string(),
-                };
-            }
-            Some(MailboxFault::Drop) => {
-                self.mailbox_stats.drops += 1;
-                self.telemetry.counter_inc("chip.mailbox.injected_drops");
-                self.telemetry.trace(TraceKind::MailboxFault, || {
-                    vec![
-                        ("op", Value::Str(op)),
-                        ("fault", Value::Str("injected_drop")),
-                    ]
-                });
-                return MailboxResponse::Dropped;
-            }
-            Some(MailboxFault::LatencySpike) => {
-                // Apply the request, then lose the response.
-                self.mailbox_stats.drops += 1;
-                self.telemetry.counter_inc("chip.mailbox.injected_drops");
-                self.telemetry.trace(TraceKind::MailboxFault, || {
-                    vec![
-                        ("op", Value::Str(op)),
-                        ("fault", Value::Str("injected_latency_spike")),
-                    ]
-                });
-                let _ = self.mailbox_apply(req);
-                return MailboxResponse::Dropped;
-            }
-            None => {}
-        }
-        self.mailbox_apply(req)
-    }
-
-    /// The fault-free mailbox path: actually processes the request.
-    fn mailbox_apply(&mut self, req: MailboxRequest) -> MailboxResponse {
-        match req {
-            MailboxRequest::SetVoltage(mv) => {
-                let before = self.rail.current();
-                match self.rail.set(mv) {
-                    Ok(()) => {
-                        if self.rail.current() != before {
-                            self.state_epoch += 1;
-                        }
-                        self.mailbox_stats.voltage_changes += 1;
-                        self.telemetry.counter_inc("chip.mailbox.voltage_sets");
-                        MailboxResponse::VoltageSet(mv)
-                    }
-                    Err(e) => {
-                        self.mailbox_stats.refusals += 1;
-                        self.telemetry.counter_inc("chip.mailbox.window_refusals");
-                        self.telemetry.trace(TraceKind::MailboxFault, || {
-                            vec![
-                                ("op", Value::Str("set_voltage")),
-                                ("fault", Value::Str("window_refused")),
-                                ("requested_mv", Value::U64(u64::from(mv.as_mv()))),
-                            ]
-                        });
-                        MailboxResponse::Refused {
-                            reason: e.to_string(),
-                        }
-                    }
-                }
-            }
-            MailboxRequest::GetVoltage => MailboxResponse::Voltage(self.rail.current()),
-            MailboxRequest::ReadPowerSensor => MailboxResponse::PowerMw(self.last_sensor_mw),
-            MailboxRequest::GetFirmwareInfo => {
-                MailboxResponse::FirmwareInfo(format!("SLIMpro/{} (simulated)", self.spec.name))
-            }
-        }
-    }
-
     /// Mailbox traffic statistics.
     pub fn mailbox_stats(&self) -> MailboxStats {
         self.mailbox_stats
     }
 
-    /// Convenience: set the rail voltage, as the daemon does via the
-    /// mailbox.
+    /// Sets the rail voltage through the SLIMpro mailbox, as the daemon
+    /// does: the one path that writes the rail.
+    ///
+    /// When a fault plan is armed the request may be refused, dropped,
+    /// or — for a latency spike — applied with the *response* lost, so
+    /// the caller observes a drop but the state changed underneath
+    /// (retries must be idempotent, and the daemon's are).
     ///
     /// # Errors
     ///
@@ -421,29 +330,84 @@ impl Chip {
     /// (transient — retry may succeed), and [`ChipError::MailboxDropped`]
     /// if the request or its response was lost in flight.
     pub fn set_voltage(&mut self, mv: Millivolts) -> Result<(), ChipError> {
-        let in_range = mv >= self.rail.floor() && mv <= self.rail.nominal();
-        match self.mailbox(MailboxRequest::SetVoltage(mv)) {
-            MailboxResponse::VoltageSet(_) => Ok(()),
-            MailboxResponse::Dropped => Err(ChipError::MailboxDropped),
-            MailboxResponse::Refused { reason } if in_range => {
-                Err(ChipError::MailboxRefused { reason })
+        self.mailbox_stats.requests += 1;
+        self.telemetry.counter_inc("chip.mailbox.requests");
+        self.telemetry.trace(TraceKind::MailboxCall, || {
+            vec![("op", Value::Str("set_voltage"))]
+        });
+        match self.fault.as_mut().and_then(FaultPlan::sample_mailbox) {
+            Some(MailboxFault::Refuse) => {
+                self.mailbox_stats.refusals += 1;
+                self.telemetry.counter_inc("chip.mailbox.injected_refusals");
+                self.trace_injected_fault("injected_refuse");
+                let (floor, nominal) = (self.rail.floor(), self.rail.nominal());
+                Err(if mv < floor || mv > nominal {
+                    ChipError::VoltageOutOfWindow {
+                        requested: mv,
+                        floor,
+                        nominal,
+                    }
+                } else {
+                    ChipError::MailboxRefused {
+                        reason: "injected fault: management processor busy".to_string(),
+                    }
+                })
             }
-            _ => Err(ChipError::VoltageOutOfWindow {
-                requested: mv,
-                floor: self.rail.floor(),
-                nominal: self.rail.nominal(),
-            }),
+            Some(MailboxFault::Drop) => {
+                self.mailbox_stats.drops += 1;
+                self.telemetry.counter_inc("chip.mailbox.injected_drops");
+                self.trace_injected_fault("injected_drop");
+                Err(ChipError::MailboxDropped)
+            }
+            Some(MailboxFault::LatencySpike) => {
+                // Apply the request, then lose the response.
+                self.mailbox_stats.drops += 1;
+                self.telemetry.counter_inc("chip.mailbox.injected_drops");
+                self.trace_injected_fault("injected_latency_spike");
+                let _ = self.apply_voltage(mv);
+                Err(ChipError::MailboxDropped)
+            }
+            None => self.apply_voltage(mv),
         }
     }
 
-    /// Evaluates instantaneous power and latches it into the sensor.
-    /// Served from the construction-time [`PowerLut`] (bit-identical to
-    /// [`PowerModel::power_w`]; off-table inputs fall back to the live
-    /// model).
-    pub fn evaluate_power_w(&mut self, inputs: &PowerInputs) -> f64 {
-        let w = self.power_lut.power_w(inputs);
-        self.last_sensor_mw = (w * 1_000.0).round() as u64;
-        w
+    /// The fault-free mailbox path: actually writes the rail.
+    fn apply_voltage(&mut self, mv: Millivolts) -> Result<(), ChipError> {
+        let before = self.rail.current();
+        if let Err(e) = self.rail.set(mv) {
+            self.mailbox_stats.refusals += 1;
+            self.telemetry.counter_inc("chip.mailbox.window_refusals");
+            self.telemetry.trace(TraceKind::MailboxFault, || {
+                vec![
+                    ("op", Value::Str("set_voltage")),
+                    ("fault", Value::Str("window_refused")),
+                    ("requested_mv", Value::U64(u64::from(mv.as_mv()))),
+                ]
+            });
+            return Err(e);
+        }
+        if self.rail.current() != before {
+            self.state_epoch += 1;
+        }
+        self.mailbox_stats.voltage_changes += 1;
+        self.telemetry.counter_inc("chip.mailbox.voltage_sets");
+        Ok(())
+    }
+
+    fn trace_injected_fault(&self, fault: &'static str) {
+        self.telemetry.trace(TraceKind::MailboxFault, || {
+            vec![
+                ("op", Value::Str("set_voltage")),
+                ("fault", Value::Str(fault)),
+            ]
+        });
+    }
+
+    /// Evaluates instantaneous power. Served from the construction-time
+    /// [`PowerLut`] (bit-identical to [`PowerModel::power_w`]; off-table
+    /// inputs fall back to the live model).
+    pub fn evaluate_power_w(&self, inputs: &PowerInputs) -> f64 {
+        self.power_lut.power_w(inputs)
     }
 
     /// The construction-time power lookup table.
@@ -498,16 +462,6 @@ impl Chip {
     }
 }
 
-/// Stable label for a mailbox request, used in trace events.
-fn mailbox_op_label(req: &MailboxRequest) -> &'static str {
-    match req {
-        MailboxRequest::SetVoltage(_) => "set_voltage",
-        MailboxRequest::GetVoltage => "get_voltage",
-        MailboxRequest::ReadPowerSensor => "read_power_sensor",
-        MailboxRequest::GetFirmwareInfo => "get_firmware_info",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,23 +500,22 @@ mod tests {
     #[test]
     fn mailbox_voltage_roundtrip() {
         let mut chip = presets::xgene3().build();
-        let resp = chip.mailbox(MailboxRequest::SetVoltage(Millivolts::new(830)));
-        assert_eq!(resp, MailboxResponse::VoltageSet(Millivolts::new(830)));
-        assert_eq!(
-            chip.mailbox(MailboxRequest::GetVoltage),
-            MailboxResponse::Voltage(Millivolts::new(830))
-        );
+        assert_eq!(chip.set_voltage(Millivolts::new(830)), Ok(()));
+        assert_eq!(chip.voltage(), Millivolts::new(830));
+        assert_eq!(chip.mailbox_stats().requests, 1);
         assert_eq!(chip.mailbox_stats().voltage_changes, 1);
     }
 
     #[test]
     fn mailbox_refuses_over_nominal() {
         let mut chip = presets::xgene3().build();
-        let resp = chip.mailbox(MailboxRequest::SetVoltage(Millivolts::new(1_000)));
-        assert!(!resp.is_ok());
+        assert!(matches!(
+            chip.set_voltage(Millivolts::new(1_000)),
+            Err(ChipError::VoltageOutOfWindow { .. })
+        ));
         assert_eq!(chip.voltage().as_mv(), 870);
         assert_eq!(chip.mailbox_stats().refusals, 1);
-        assert!(chip.set_voltage(Millivolts::new(1_000)).is_err());
+        assert_eq!(chip.mailbox_stats().voltage_changes, 0);
     }
 
     #[test]
@@ -603,23 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn power_sensor_latches() {
-        let mut chip = presets::xgene2().build();
-        let inputs = PowerInputs {
-            voltage: chip.voltage(),
-            pmd_loads: vec![crate::power::PmdLoad::IDLE; 4],
-            mem_traffic: 0.0,
-        };
-        let w = chip.evaluate_power_w(&inputs);
-        match chip.mailbox(MailboxRequest::ReadPowerSensor) {
-            MailboxResponse::PowerMw(mw) => {
-                assert_eq!(mw, (w * 1000.0).round() as u64);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
-    }
-
-    #[test]
     fn injected_mailbox_faults_surface_as_typed_errors() {
         use crate::fault::{FaultPlan, FaultRates};
         let mut chip = presets::xgene3().build();
@@ -641,12 +577,25 @@ mod tests {
         }
         assert!(refused > 0 && dropped > 0);
         assert_eq!(chip.fault_stats().mailbox_total(), 50);
-        // Out-of-range stays out-of-range even while faults are armed.
+        // Out-of-range stays out-of-range, on a clean chip and when the
+        // refusal is injected.
         let mut clean = presets::xgene3().build();
         assert!(matches!(
             clean.set_voltage(Millivolts::new(1_000)),
             Err(ChipError::VoltageOutOfWindow { .. })
         ));
+        let mut scripted = presets::xgene3().build();
+        scripted.set_fault_plan(Some(FaultPlan::uniform(0, 0.0)));
+        assert!(scripted
+            .fault_plan_mut()
+            .unwrap()
+            .script_mailbox(crate::fault::MailboxFault::Refuse));
+        assert!(matches!(
+            scripted.set_voltage(Millivolts::new(1_000)),
+            Err(ChipError::VoltageOutOfWindow { .. })
+        ));
+        assert_eq!(scripted.mailbox_stats().refusals, 1);
+        assert_eq!(scripted.voltage().as_mv(), 870);
     }
 
     #[test]
@@ -756,14 +705,5 @@ mod tests {
             failures > 150,
             "only {failures}/200 failed at the crash point"
         );
-    }
-
-    #[test]
-    fn firmware_info_names_the_chip() {
-        let mut chip = presets::xgene3().build();
-        match chip.mailbox(MailboxRequest::GetFirmwareInfo) {
-            MailboxResponse::FirmwareInfo(s) => assert!(s.contains("X-Gene 3")),
-            other => panic!("unexpected response {other:?}"),
-        }
     }
 }

@@ -24,8 +24,6 @@ pub enum ChipError {
     },
     /// A frequency request that does not map onto a 1/8-of-fmax step.
     InvalidFreqStep(u8),
-    /// A SLIMpro mailbox message the firmware does not understand.
-    UnknownMailboxCommand(u8),
     /// The SLIMpro mailbox refused an otherwise valid request (e.g. the
     /// management processor was busy). Distinct from
     /// [`ChipError::VoltageOutOfWindow`]: the request could have been
@@ -55,9 +53,6 @@ impl fmt::Display for ChipError {
             ),
             ChipError::InvalidFreqStep(s) => {
                 write!(f, "frequency step {s} is not in the valid range 1..=8")
-            }
-            ChipError::UnknownMailboxCommand(c) => {
-                write!(f, "unknown SLIMpro mailbox command 0x{c:02x}")
             }
             ChipError::MailboxRefused { reason } => {
                 write!(f, "SLIMpro mailbox refused the request: {reason}")

@@ -19,14 +19,13 @@
 //! `unsafe_time_s == 0` in every evaluation run.
 
 use crate::allocation::{plan_layout_into, LayoutScratch, PlanProc, PmdRole};
-use crate::monitor::ClassTracker;
 use crate::policy::PolicyTable;
 use crate::recovery::{FaultDecision, Recovery, RecoveryConfig, RecoveryState};
 use avfs_chip::chip::Chip;
 use avfs_chip::freq::{CppcBehavior, FreqStep, FreqVminClass};
 use avfs_chip::topology::{ChipSpec, CoreSet, PmdId};
 use avfs_chip::voltage::Millivolts;
-use avfs_sched::driver::{Action, Driver, SysEvent, SystemView};
+use avfs_sched::driver::{Action, Driver, ProcessView, SysEvent, SystemView};
 use avfs_sched::governor::GovernorMode;
 use avfs_sched::process::ProcessState;
 use avfs_sim::rng::{fnv1a_fold, FNV_OFFSET_BASIS};
@@ -205,7 +204,6 @@ pub struct Daemon {
     behavior: CppcBehavior,
     table: PolicyTable,
     config: DaemonConfig,
-    tracker: ClassTracker,
     initialized: bool,
     registry: CounterRegistry,
     telemetry: Telemetry,
@@ -270,7 +268,6 @@ impl Daemon {
             behavior: chip.behavior(),
             table: PolicyTable::from_characterization(chip.vmin_model()),
             config,
-            tracker: ClassTracker::new(),
             initialized: false,
             registry: CounterRegistry::new(&DAEMON_COUNTERS),
             telemetry,
@@ -432,25 +429,14 @@ impl Daemon {
     }
 
     /// Deterministic fingerprint of the daemon's control-relevant
-    /// mutable state: the init latch, the droop guard, the recovery
-    /// machine, and the class tracker. Activity counters and telemetry
-    /// are observational and deliberately excluded — two daemons with
-    /// equal fingerprints plan identically on equal views.
+    /// mutable state: the init latch, the droop guard and the recovery
+    /// machine. Activity counters and telemetry are observational and
+    /// deliberately excluded — two daemons with equal fingerprints plan
+    /// identically on equal views.
     pub fn control_fingerprint(&self) -> u64 {
         let mut h = fnv1a_fold(FNV_OFFSET_BASIS, u64::from(self.initialized));
         h = fnv1a_fold(h, u64::from(self.droop_guard));
-        h = fnv1a_fold(h, self.recovery.fingerprint());
-        for (pid, class) in self.tracker.entries() {
-            h = fnv1a_fold(h, pid.0);
-            h = fnv1a_fold(
-                h,
-                match class {
-                    IntensityClass::CpuIntensive => 0,
-                    IntensityClass::MemoryIntensive => 1,
-                },
-            );
-        }
-        h
+        fnv1a_fold(h, self.recovery.fingerprint())
     }
 
     /// The configuration in effect.
@@ -532,14 +518,14 @@ impl Daemon {
         // so the planner can borrow them while `self` stays usable). The
         // whole pipeline runs in canonical order.
         let mut scratch = std::mem::take(&mut self.plan_scratch);
-        self.canonical_order(view, &mut scratch.order);
+        Self::canonical_order(view, &mut scratch.order);
         scratch.procs.clear();
         scratch.procs.extend(scratch.order.iter().map(|&i| {
             let p = &view.processes[i];
             PlanProc {
                 pid: p.pid,
                 threads: p.threads,
-                class: self.tracker.class_of(p.pid),
+                class: planned_class(p),
             }
         }));
         plan_layout_into(&self.spec, &scratch.procs, &mut scratch.layout);
@@ -670,14 +656,14 @@ impl Daemon {
 
     /// The canonical planning order: view indices sorted by process
     /// *shape* — run state (running first), current placement bits,
-    /// width, tracked class. The layout planner and pin sequencing run
+    /// width, planned class. The layout planner and pin sequencing run
     /// in this order, so it decides which process lands where; two
     /// views whose shape multisets match get the same layout, shape for
     /// shape, even when pid churn permutes the view. Equal-shape
     /// processes are interchangeable (running processes always differ in
     /// placement bits; tied waiting processes have the same width and
     /// class), so the tie order within the sort cannot affect the plan.
-    fn canonical_order(&self, view: &SystemView, order: &mut Vec<usize>) {
+    fn canonical_order(view: &SystemView, order: &mut Vec<usize>) {
         order.clear();
         order.extend(0..view.processes.len());
         order.sort_unstable_by_key(|&i| {
@@ -687,7 +673,7 @@ impl Daemon {
                 ProcessState::Waiting => 1,
                 ProcessState::Finished => 2,
             };
-            let class_rank: u8 = match self.tracker.class_of(p.pid) {
+            let class_rank: u8 = match planned_class(p) {
                 IntensityClass::CpuIntensive => 0,
                 IntensityClass::MemoryIntensive => 1,
             };
@@ -971,7 +957,6 @@ impl Daemon {
                 self.bump(Dc::VoltageLowers);
             }
         }
-        self.tracker.refresh(view);
         if let SysEvent::OperationFault(notice) = event {
             self.on_operation_fault(view, *notice, actions);
             return;
@@ -987,11 +972,9 @@ impl Daemon {
         }
         let droop_changed = self.update_droop_guard(view, actions);
         match event {
-            SysEvent::ClassChanged(pid, class) => {
-                self.tracker.set(*pid, *class);
-                self.replan(view, actions);
-            }
-            SysEvent::ProcessArrived(_) | SysEvent::ProcessFinished(_) => {
+            SysEvent::ClassChanged(..)
+            | SysEvent::ProcessArrived(_)
+            | SysEvent::ProcessFinished(_) => {
                 self.replan(view, actions);
             }
             SysEvent::MonitorTick => {
@@ -1014,6 +997,14 @@ impl Daemon {
             _ => {}
         }
     }
+}
+
+/// The class the daemon plans a process as: its kernel class, or
+/// CPU-intensive until a monitoring window has measured it — the
+/// conservative choice (full frequency, clustered placement, no
+/// undervolt assumption).
+fn planned_class(p: &ProcessView) -> IntensityClass {
+    p.class.unwrap_or(IntensityClass::CpuIntensive)
 }
 
 /// Builder for [`Daemon`] — the single blessed construction path.
@@ -1099,7 +1090,6 @@ mod tests {
     use super::*;
     use avfs_chip::presets;
     use avfs_chip::voltage::Millivolts;
-    use avfs_sched::driver::ProcessView;
     use avfs_sched::process::Pid;
     use avfs_sim::time::SimTime;
     use avfs_workloads::classify::IntensityClass;
@@ -1292,6 +1282,24 @@ mod tests {
         );
         // No voltage actions in placement-only mode.
         assert!(!acts.iter().any(|a| matches!(a, Action::SetVoltage(_))));
+    }
+
+    #[test]
+    fn unmeasured_processes_plan_as_cpu_intensive() {
+        let chip = xg3_chip();
+        let plan_for = |class: Option<IntensityClass>| {
+            let mut d = Daemon::optimal(&chip);
+            let _ = d.on_event(&mk_view(&chip, vec![]), &SysEvent::MonitorTick);
+            let mut arrival = waiting(1, 2);
+            arrival.class = class;
+            d.on_event(
+                &mk_view(&chip, vec![arrival]),
+                &SysEvent::ProcessArrived(Pid(1)),
+            )
+        };
+        let unmeasured = plan_for(None);
+        assert_eq!(unmeasured, plan_for(Some(IntensityClass::CpuIntensive)));
+        assert_ne!(unmeasured, plan_for(Some(IntensityClass::MemoryIntensive)));
     }
 
     #[test]

@@ -8,9 +8,6 @@
 //! * [`policy`] — the characterized safe-Vmin policy table (Table II):
 //!   droop class from utilized PMDs × frequency class → safe voltage,
 //!   with a worst-case workload margin;
-//! * [`monitor`] — the Monitoring part: per-process L3C-rate tracking and
-//!   CPU- vs memory-intensive classification (threshold 3000 per
-//!   1 M cycles, Figure 9);
 //! * [`allocation`] — the core-allocation planner: CPU-intensive
 //!   processes *clustered* onto the fewest PMDs at full speed,
 //!   memory-intensive processes *spreaded* across the remaining PMDs at
@@ -19,7 +16,11 @@
 //!   arrivals, completions, and class changes; migrates processes;
 //!   programs per-PMD frequencies; and adjusts the rail voltage with the
 //!   **fail-safe ordering** — raise voltage *before* any change that
-//!   could raise the safe Vmin, lower it only afterwards;
+//!   could raise the safe Vmin, lower it only afterwards. The
+//!   Monitoring part (per-process L3C rates, CPU- vs memory-intensive at
+//!   3000 per 1 M cycles, Figure 9) runs in [`avfs_sched::kernel`],
+//!   which reports each process's class in the driver view; the daemon
+//!   plans a not-yet-measured process as CPU-intensive;
 //! * [`recovery`] — the fault-recovery machinery: bounded jittered retry
 //!   for failed SLIMpro requests, the three-state safe-mode fallback
 //!   (optimized → safe mode → probation), and the tuning knobs for the
@@ -54,7 +55,6 @@ pub mod allocation;
 pub mod configs;
 pub mod daemon;
 pub mod edp;
-pub mod monitor;
 pub mod policy;
 pub mod recharacterize;
 pub mod recovery;

@@ -132,9 +132,25 @@ impl RunMetrics {
                 rec_fold = fnv1a_fold(rec_fold, v);
             }
         }
+        // The sampled series the same way: each series' length, then
+        // every sample's time and value bits.
+        let mut trace_fold = FNV_OFFSET_BASIS;
+        for series in [
+            &self.power_trace,
+            &self.load_trace,
+            &self.cpu_class_trace,
+            &self.mem_class_trace,
+        ] {
+            trace_fold = fnv1a_fold(trace_fold, series.len() as u64);
+            for (t, v) in series.iter() {
+                trace_fold = fnv1a_fold(trace_fold, t.as_nanos());
+                trace_fold = fnv1a_fold(trace_fold, v.to_bits());
+            }
+        }
         format!(
             "makespan_ns={} energy={:016x} avg_power={:016x} completed={} \
-             records={rec_fold:016x} migrations={} vchanges={} unsafe={:016x} failures={}",
+             records={rec_fold:016x} traces={trace_fold:016x} migrations={} vchanges={} \
+             unsafe={:016x} failures={}",
             self.makespan.as_nanos(),
             self.energy_j.to_bits(),
             self.avg_power_w.to_bits(),
@@ -176,6 +192,13 @@ mod tests {
             voltage_changes: 3,
             unsafe_time_s: 0.0,
             failures: 0,
+            power_trace: [
+                (SimTime::from_secs(0), 11.5),
+                (SimTime::from_secs(1), 12.25),
+            ]
+            .into_iter()
+            .collect(),
+            load_trace: [(SimTime::from_secs(0), 2.0)].into_iter().collect(),
             ..RunMetrics::default()
         }
     }
@@ -236,5 +259,15 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         b.energy_j = f64::from_bits(b.energy_j.to_bits() + 1);
         assert_ne!(a.fingerprint(), b.fingerprint());
+        // One ulp on one sample of a sampled series moves it too.
+        let nudged = f64::from_bits(12.25f64.to_bits() + 1);
+        let mut c = sample();
+        c.power_trace = [
+            (SimTime::from_secs(0), 11.5),
+            (SimTime::from_secs(1), nudged),
+        ]
+        .into_iter()
+        .collect();
+        assert_ne!(a.fingerprint(), c.fingerprint());
     }
 }
