@@ -360,11 +360,8 @@ impl World {
                     IntensityClass::MemoryIntensive => IntensityClass::CpuIntensive,
                 };
                 self.kernel.observe_l3_rate(pid, l3_rate(class));
-                self.kernel.dispatch(
-                    &mut self.daemon,
-                    &mut report,
-                    SysEvent::ClassChanged(pid, class),
-                );
+                self.kernel
+                    .dispatch(&mut self.daemon, &mut report, SysEvent::ClassChanged(pid));
                 self.kernel.apply_governor();
             }
             ModelEvent::Fault(fault) => {

@@ -174,7 +174,7 @@ impl Driver for Attributed<'_> {
             match event {
                 SysEvent::ProcessArrived(_) => self.arrivals += 1,
                 SysEvent::ProcessFinished(_) => self.exits += 1,
-                SysEvent::ClassChanged(..) => self.flips += 1,
+                SysEvent::ClassChanged(_) => self.flips += 1,
                 _ => {}
             }
         }

@@ -972,7 +972,7 @@ impl Daemon {
         }
         let droop_changed = self.update_droop_guard(view, actions);
         match event {
-            SysEvent::ClassChanged(..)
+            SysEvent::ClassChanged(_)
             | SysEvent::ProcessArrived(_)
             | SysEvent::ProcessFinished(_) => {
                 self.replan(view, actions);
@@ -1268,10 +1268,7 @@ mod tests {
                 running(2, cores(&[30]), IntensityClass::MemoryIntensive),
             ],
         );
-        let acts = d.on_event(
-            &view,
-            &SysEvent::ClassChanged(Pid(2), IntensityClass::MemoryIntensive),
-        );
+        let acts = d.on_event(&view, &SysEvent::ClassChanged(Pid(2)));
         // PMD15 (core 30) must be programmed to the mem step (HALF on XG3).
         assert!(
             acts.iter().any(|a| matches!(

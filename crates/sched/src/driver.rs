@@ -30,8 +30,9 @@ pub enum SysEvent {
     ProcessArrived(Pid),
     /// A process completed and released its cores.
     ProcessFinished(Pid),
-    /// The monitoring window re-classified a process.
-    ClassChanged(Pid, IntensityClass),
+    /// The monitoring window re-classified a process; its new class is
+    /// in the view ([`ProcessView::class`]).
+    ClassChanged(Pid),
     /// A monitoring window closed (counter sampling window elapsed).
     ///
     /// Windows close on a fixed grid while work is live, but the
@@ -58,7 +59,7 @@ impl SysEvent {
         match self {
             SysEvent::ProcessArrived(_) => "process_arrived",
             SysEvent::ProcessFinished(_) => "process_finished",
-            SysEvent::ClassChanged(..) => "class_changed",
+            SysEvent::ClassChanged(_) => "class_changed",
             SysEvent::MonitorTick => "monitor_tick",
             SysEvent::OperationFault(_) => "operation_fault",
         }

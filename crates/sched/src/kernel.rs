@@ -168,6 +168,9 @@ pub struct Kernel {
     /// class flip or governor switch. With the chip's state epoch it
     /// tells the simulator when a change point happened.
     pub(crate) epoch: u64,
+    /// The kernel and chip epochs right after the last governor pass:
+    /// while both hold, a pass would write exactly what is in force.
+    governed: Option<(u64, u64)>,
     pub(crate) telemetry: Telemetry,
     scratch: Scratch,
 }
@@ -217,6 +220,7 @@ impl Kernel {
             migrations: 0,
             rejected_actions: 0,
             epoch: 0,
+            governed: None,
             telemetry,
             scratch: Scratch::default(),
         }
@@ -626,9 +630,13 @@ impl Kernel {
         }
     }
 
-    /// Re-asserts the kernel governor's frequency choices.
+    /// Re-asserts the kernel governor's frequency choices. Its writes
+    /// depend only on the governor, the busy cores and the chip's
+    /// frequency program, so it returns at once when neither the kernel
+    /// epoch nor the chip epoch has moved since its last pass.
     pub fn apply_governor(&mut self) {
-        if self.governor == GovernorMode::Userspace {
+        let epochs = (self.epoch, self.chip.state_epoch());
+        if self.governor == GovernorMode::Userspace || self.governed == Some(epochs) {
             return;
         }
         let busy = self.busy_cores();
@@ -649,5 +657,6 @@ impl Kernel {
                 .expect("governor uses valid pmds");
         }
         self.scratch.steps = steps;
+        self.governed = Some((self.epoch, self.chip.state_epoch()));
     }
 }

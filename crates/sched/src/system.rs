@@ -21,6 +21,12 @@
 //! samples only read state, so neither a sample nor a
 //! [`System::step_until`] horizon can move a result.
 //!
+//! Trace samples are not loop iterations. The loop records every sample
+//! due strictly inside a step straight from the regime in force; a
+//! sample due exactly at a step's end waits for that instant, where it
+//! is taken after the instant's arrivals, completions and monitor
+//! boundary.
+//!
 //! A monitor boundary is delivered — windows closed, the driver consulted
 //! with [`SysEvent::MonitorTick`] — only when it can change something:
 //! it is one of the first two after a change point, a fault plan is
@@ -33,22 +39,23 @@
 //! reads them. Figure 6 samples the chip's droop model on its own stream.
 //!
 //! Events: job arrivals (from a [`WorkloadTrace`]), process completions,
-//! phase boundaries, stall ends, monitoring windows (classification) and
-//! trace sampling. On arrival / completion / class-change events the
+//! phase boundaries, stall ends and monitoring windows (classification).
+//! On arrival / completion / class-change events the
 //! [`Kernel`] consults the configured [`Driver`] and applies its
 //! [`Action`](crate::driver::Action)s — including the paper's fail-safe
 //! ordering, because actions apply in order within one event.
 
 use crate::driver::{Driver, SysEvent};
-use crate::kernel::Kernel;
+use crate::kernel::{Entry, Kernel};
 use crate::metrics::{ProcessRecord, RunMetrics};
 use crate::process::{Pid, Process};
 use avfs_chip::chip::Chip;
 use avfs_chip::power::{PmdLoad, PowerInputs};
-use avfs_chip::topology::{CoreId, CoreSet, PmdId};
+use avfs_chip::topology::CoreSet;
 use avfs_sim::time::{cycles_in, SimDuration, SimTime};
 use avfs_sim::RngStream;
 use avfs_telemetry::{Telemetry, TraceKind, Value};
+use avfs_workloads::catalog::BenchProfile;
 use avfs_workloads::classify::IntensityClass;
 use avfs_workloads::generator::WorkloadTrace;
 use avfs_workloads::perf::PerfModel;
@@ -97,8 +104,6 @@ struct Rates {
     progress: f64,
     /// The slowest assigned core's clock, MHz.
     freq: u32,
-    /// Memory-time multiplier on the slowest core.
-    mult: f64,
     /// Threads, each counting cycles at `freq`.
     threads: u64,
     /// Observed L3 accesses per 1M cycles.
@@ -120,15 +125,25 @@ struct Regime {
     chip_epoch: u64,
     /// The droop alert it was computed under.
     droop_alert: bool,
+    /// The busy cores it was computed for.
+    busy: CoreSet,
     /// Chip power, watts.
     watts: f64,
-    /// True when the rail sits below the allocation's safe Vmin.
+    /// True when the rail sits below the allocation's safe Vmin. With
+    /// `p_per_run` it depends only on `busy`, the chip state and the
+    /// droop alert, so the next regime reuses both while those hold.
     unsafe_active: bool,
     /// Sub-Vmin failure probability per unit run (0 unless unsafe and
     /// failure injection is on).
     p_per_run: f64,
     /// True while some running process is stalled.
     stalled: bool,
+    /// What a trace sample reads of the process table: the running
+    /// processes' threads, and how many of them are memory-intensive
+    /// and how many not (an unclassified process counts as CPU-bound).
+    running_threads: usize,
+    cpu: u32,
+    mem: u32,
     /// The regime's predicted end: the earliest completion, phase
     /// boundary or stall end.
     edge: SimTime,
@@ -142,8 +157,14 @@ struct Regime {
 /// [`Kernel`].
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Core-index → owning pid, for L2-partner lookups.
-    owner: Vec<Option<Pid>>,
+    /// Per running process, pid-sorted: what the regime sweep derives
+    /// once and its second pass reads.
+    swept: Vec<Swept>,
+    /// Core index → memory fraction of the running process on it, for
+    /// L2-partner lookups.
+    core_mem: Vec<Option<f64>>,
+    /// Per-PMD clock, MHz.
+    pmd_mhz: Vec<u32>,
     /// Pids finishing at the current instant.
     finished: Vec<Pid>,
     /// Per-PMD load accumulator for power evaluation.
@@ -152,6 +173,31 @@ struct Scratch {
     act_sum: Vec<f64>,
     /// Class changes from the monitoring window being closed.
     class_changes: Vec<(Pid, IntensityClass)>,
+}
+
+/// One running process as the regime sweep found it.
+#[derive(Debug, Clone, Copy)]
+struct Swept {
+    /// Its row in the process table.
+    slot: usize,
+    /// Its phase profile at the current progress.
+    profile: BenchProfile,
+    /// The memory pressure its threads exert at their current clock.
+    pressure: f64,
+}
+
+/// Pairs each of a regime's rates with its row of the process table.
+/// Both are pid-sorted, so one forward walk finds every row; a process
+/// that left the table since the regime was computed is skipped.
+fn rows<'a>(
+    procs: &'a mut [Entry],
+    rates: &'a [Rates],
+) -> impl Iterator<Item = (&'a Rates, &'a mut Entry)> {
+    let mut procs = procs.iter_mut().peekable();
+    rates.iter().filter_map(move |r| {
+        while procs.next_if(|e| e.process.pid < r.pid).is_some() {}
+        procs.next_if(|e| e.process.pid == r.pid).map(|e| (r, e))
+    })
 }
 
 /// The full-system simulator.
@@ -207,7 +253,9 @@ impl RunState {
     }
 
     /// Event-loop iterations executed so far — the event count the
-    /// allocation gate and the benchmark measure against.
+    /// allocation gate and the benchmark measure against. The loop stops
+    /// at change points, delivered monitor boundaries and step ends;
+    /// trace samples between them are not iterations.
     pub fn iterations(&self) -> u64 {
         self.iterations
     }
@@ -376,11 +424,16 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if called on a system that already has live processes.
+    /// Panics if called on a system that already has live processes, or
+    /// configured with a zero sample interval.
     pub fn begin_run(&mut self, driver: &mut dyn Driver) -> RunState {
         assert!(
             self.live_processes() == 0,
             "begin_run() requires a fresh system; use a new System per run"
+        );
+        assert!(
+            !self.config.sample_interval.is_zero(),
+            "the sample interval must be positive"
         );
         let now = self.now();
         let st = RunState {
@@ -518,11 +571,11 @@ impl System {
             }
         }
 
-        // Trace sampling.
+        // A trace sample due at this instant reads it after its events.
         if now >= st.next_sample {
             st.next_sample = now + self.config.sample_interval;
             self.refresh(st);
-            self.record_sample(&mut st.metrics);
+            self.record_sample(&mut st.metrics, now);
         }
     }
 
@@ -555,7 +608,7 @@ impl System {
                 ]
             });
             self.kernel
-                .dispatch(driver, &mut (), SysEvent::ClassChanged(pid, class));
+                .dispatch(driver, &mut (), SysEvent::ClassChanged(pid));
         }
         self.scratch.class_changes = changes;
         self.kernel.apply_governor();
@@ -570,14 +623,16 @@ impl System {
     }
 
     /// Moves the clock to the next event before `horizon`: a completion,
-    /// phase boundary or stall end, a delivered monitor boundary, or a
-    /// trace sample. Boundaries the loop does not stop at are elided.
+    /// phase boundary or stall end, or a delivered monitor boundary.
+    /// Boundaries the loop does not stop at are elided, and the trace
+    /// samples due strictly before the stop are recorded from the current
+    /// regime; one due at the stop is left to [`Self::process_due`].
     fn advance(&mut self, st: &mut RunState, horizon: SimTime) {
         self.refresh(st);
         let now = self.now();
         let live = self.live_processes() > 0;
         let deliver = live && self.delivers_boundary(st);
-        let mut next = horizon.min(st.next_sample).min(self.regime.edge);
+        let mut next = horizon.min(self.regime.edge);
         if deliver {
             next = next.min(st.next_monitor);
         }
@@ -597,6 +652,10 @@ impl System {
             self.kernel
                 .telemetry
                 .counter_add("sched.monitor.elided", passed);
+        }
+        while st.next_sample < next {
+            self.record_sample(&mut st.metrics, st.next_sample);
+            st.next_sample += self.config.sample_interval;
         }
         self.kernel.now = next;
     }
@@ -652,14 +711,11 @@ impl System {
                     self.failures += self.failure_rng.poisson(self.regime.p_per_run * dt);
                 }
             }
-            for r in &self.regime.rates {
-                let Some(i) = self.kernel.slot(r.pid) else {
-                    continue;
-                };
+            for (r, e) in rows(&mut self.kernel.procs, &self.regime.rates) {
                 if r.progress <= 0.0 {
                     continue;
                 }
-                let p = &mut self.kernel.procs[i].process;
+                let p = &mut e.process;
                 p.progress = (p.progress + r.progress * dt).min(1.0);
                 // Snap to done, or onto the phase boundary, when the
                 // residue is below the clock's nanosecond resolution —
@@ -688,14 +744,10 @@ impl System {
             return;
         }
         let piece = now - self.window_settled;
-        for r in &self.regime.rates {
-            let Some(i) = self.kernel.slot(r.pid) else {
-                continue;
-            };
-            let mon = &mut self.kernel.procs[i].monitor;
+        for (r, e) in rows(&mut self.kernel.procs, &self.regime.rates) {
             let cycles = cycles_in(piece, r.freq) * r.threads;
-            mon.window_cycles += cycles;
-            mon.window_l3 += (cycles as f64 / 1e6 * r.l3c_per_mcycle) as u64;
+            e.monitor.window_cycles += cycles;
+            e.monitor.window_l3 += (cycles as f64 / 1e6 * r.l3c_per_mcycle) as u64;
         }
         self.window_settled = now;
     }
@@ -711,51 +763,151 @@ impl System {
 
     /// Computes the regime starting at the current instant: each running
     /// process's rates, chip power and safety, and the predicted edge.
+    ///
+    /// One sweep over the process table derives each running process's
+    /// phase profile and memory pressure once; a second pass over what it
+    /// found computes the rates, the per-PMD loads and the edge. The
+    /// floating-point order is fixed: pressure sums in pid order, PMD
+    /// activity accumulates in pid × core order, and on a rate tie the
+    /// first slowest core in mask order sets the memory multiplier.
     fn compute_regime(&mut self) {
         let mut rates = std::mem::take(&mut self.regime.rates);
-        let mut owner = std::mem::take(&mut self.scratch.owner);
-        let loads = std::mem::take(&mut self.scratch.loads);
+        let mut swept = std::mem::take(&mut self.scratch.swept);
+        let mut core_mem = std::mem::take(&mut self.scratch.core_mem);
+        let mut pmd_mhz = std::mem::take(&mut self.scratch.pmd_mhz);
+        let mut loads = std::mem::take(&mut self.scratch.loads);
         let mut act_sum = std::mem::take(&mut self.scratch.act_sum);
+        let (chip, perf, now) = (self.chip(), &self.perf, self.now());
+        let spec = chip.spec();
+        let fmax = f64::from(spec.fmax_mhz);
+        pmd_mhz.clear();
+        pmd_mhz.extend(
+            spec.all_pmds()
+                .map(|pmd| chip.pmd_frequency(pmd).expect("valid pmd").as_mhz()),
+        );
 
-        // One pressure evaluation feeds both the contention multiplier
-        // and the memory-traffic term (they always read the same value).
-        let pressure = self.total_pressure();
-        self.fill_rates(pressure, &mut rates, &mut owner);
-        let inputs = self.power_inputs_into(pressure, &rates, loads, &mut act_sum);
-        let watts = self.kernel.chip.evaluate_power_w(&inputs);
-
-        let chip = self.chip();
-        let busy = self.busy_cores();
-        let unsafe_active = !busy.is_empty() && !chip.is_voltage_safe_for(busy);
-        let mut p_per_run = 0.0;
-        if unsafe_active && self.config.inject_failures {
-            let safe = chip.current_safe_vmin(busy);
-            let utilized = busy.utilized_pmd_count(chip.spec());
-            let class = chip.vmin_model().droop_class(utilized);
-            p_per_run = chip.failure_model().pfail(chip.voltage(), safe, class);
-        }
-
-        let now = self.now();
-        let (mut edge, mut stalled) = (SimTime::MAX, false);
-        for r in &rates {
-            let Some(p) = self.kernel.process(r.pid) else {
+        // The sweep. Pressure reads the clock of a process's first core.
+        swept.clear();
+        core_mem.clear();
+        core_mem.resize(usize::from(spec.cores), None);
+        let mut busy = CoreSet::EMPTY;
+        let (mut running_threads, mut cpu, mut mem) = (0, 0, 0);
+        for (slot, e) in self.kernel.procs.iter().enumerate() {
+            let p = &e.process;
+            if !p.is_running() {
                 continue;
-            };
-            if p.stalled_until > now {
+            }
+            running_threads += p.threads;
+            match e.monitor.classifier.current() {
+                Some(IntensityClass::MemoryIntensive) => mem += 1,
+                Some(IntensityClass::CpuIntensive) | None => cpu += 1,
+            }
+            let profile = phases::effective_profile(p.bench, p.progress);
+            let freq = p
+                .assigned
+                .first()
+                .map_or(fmax, |c| f64::from(pmd_mhz[spec.pmd_of(c).index()]));
+            for c in p.assigned.iter() {
+                core_mem[c.index()] = Some(profile.mem_fraction);
+            }
+            busy = busy.union(p.assigned);
+            swept.push(Swept {
+                slot,
+                profile,
+                pressure: perf.pressure_at(&profile, (freq / fmax).clamp(1e-6, 1.0))
+                    * p.threads as f64,
+            });
+        }
+        // One pressure evaluation feeds both the contention multiplier
+        // and the memory-traffic term.
+        let pressure: f64 = swept.iter().map(|s| s.pressure).sum();
+        let base_mult = perf.mem_contention_mult(pressure);
+
+        rates.clear();
+        loads.clear();
+        loads.resize(usize::from(spec.pmds()), PmdLoad::IDLE);
+        act_sum.clear();
+        act_sum.resize(usize::from(spec.pmds()), 0.0);
+        let (mut edge, mut stalled) = (SimTime::MAX, false);
+        for s in &swept {
+            let p = &self.kernel.procs[s.slot].process;
+            if p.assigned.is_empty() {
+                continue;
+            }
+            // The slowest core sets the pace; its L2 partner is the other
+            // busy core of its PMD, if any.
+            let (mut worst_rate, mut worst_mult, mut min_freq) =
+                (f64::INFINITY, base_mult, u32::MAX);
+            for core in p.assigned.iter() {
+                let pmd = spec.pmd_of(core);
+                let freq = pmd_mhz[pmd.index()];
+                let partner_mem = spec
+                    .cores_of(pmd)
+                    .iter()
+                    .filter(|&c| c != core)
+                    .find_map(|c| core_mem[c.index()]);
+                let mult = base_mult * perf.l2_share_mult(partner_mem);
+                let rate = perf.progress_rate(&p.work, freq, mult);
+                if rate < worst_rate {
+                    worst_rate = rate;
+                    worst_mult = mult;
+                }
+                min_freq = min_freq.min(freq);
+            }
+            let act = perf.effective_activity(&s.profile, &p.work, min_freq.max(1), worst_mult);
+            for core in p.assigned.iter() {
+                let pmd = spec.pmd_of(core).index();
+                loads[pmd].active_cores += 1;
+                act_sum[pmd] += act;
+            }
+            let progress = if p.stalled_until > now {
                 // Resumes later; its completion is predicted then.
                 stalled = true;
                 edge = edge.min(p.stalled_until);
-            } else if r.progress > 0.0 {
+                0.0
+            } else {
+                worst_rate
+            };
+            if progress > 0.0 {
                 // The next phase boundary, else completion; at least 1 ns
                 // in the future so the event loop always advances.
                 let end = phases::phase_end(p.bench, p.progress).unwrap_or(1.0);
-                let dt = ((end - p.progress) / r.progress).max(1e-9);
+                let dt = ((end - p.progress) / progress).max(1e-9);
                 edge = edge.min(now + SimDuration::from_secs_f64(dt));
             }
+            rates.push(Rates {
+                pid: p.pid,
+                progress,
+                freq: min_freq,
+                threads: p.threads as u64,
+                l3c_per_mcycle: perf.observed_l3c_rate(&s.profile, worst_mult),
+            });
         }
+        for (load, (&mhz, &act)) in loads.iter_mut().zip(pmd_mhz.iter().zip(&act_sum)) {
+            if load.active_cores > 0 {
+                load.freq_mhz = mhz;
+                load.activity = act / f64::from(load.active_cores);
+            }
+        }
+        let inputs = PowerInputs {
+            voltage: chip.voltage(),
+            pmd_loads: loads,
+            mem_traffic: (pressure / perf.mem_capacity).min(1.0),
+        };
+        let watts = chip.evaluate_power_w(&inputs);
 
         let (chip_epoch, droop_alert) = (chip.state_epoch(), chip.droop_excursion_active());
-        self.scratch.owner = owner;
+        let prev = &self.regime;
+        let (unsafe_active, p_per_run) =
+            if (prev.busy, prev.chip_epoch, prev.droop_alert) == (busy, chip_epoch, droop_alert) {
+                (prev.unsafe_active, prev.p_per_run)
+            } else {
+                self.safety(busy)
+            };
+
+        self.scratch.swept = swept;
+        self.scratch.core_mem = core_mem;
+        self.scratch.pmd_mhz = pmd_mhz;
         self.scratch.loads = inputs.pmd_loads;
         self.scratch.act_sum = act_sum;
         self.regime = Regime {
@@ -764,149 +916,37 @@ impl System {
             kernel_epoch: self.kernel.epoch,
             chip_epoch,
             droop_alert,
+            busy,
             watts,
             unsafe_active,
             p_per_run,
             stalled,
+            running_threads,
+            cpu,
+            mem,
             edge,
             rates,
         };
     }
 
-    /// Aggregate memory pressure of running processes, accounting for
-    /// their current (possibly reduced) core clocks.
-    fn total_pressure(&self) -> f64 {
+    /// Whether the rail sits below the safe Vmin of `busy`, and if so the
+    /// sub-Vmin failure probability per unit run (0 unless failure
+    /// injection is on).
+    fn safety(&self, busy: CoreSet) -> (bool, f64) {
         let chip = self.chip();
-        let fmax = chip.spec().fmax_mhz as f64;
-        self.running()
-            .map(|p| {
-                let freq = p
-                    .assigned
-                    .first()
-                    .and_then(|c| {
-                        let pmd = chip.spec().pmd_of(c);
-                        chip.pmd_frequency(pmd).ok()
-                    })
-                    .map(|f| f.as_mhz() as f64)
-                    .unwrap_or(fmax);
-                self.perf.pressure_at(
-                    &phases::effective_profile(p.bench, p.progress),
-                    (freq / fmax).clamp(1e-6, 1.0),
-                ) * p.threads as f64
-            })
-            .sum()
-    }
-
-    /// Computes each running process's rates for the current instant
-    /// into `rates` (pid-sorted), using `owner` as core-owner scratch for
-    /// L2-partner lookups.
-    fn fill_rates(&self, pressure: f64, rates: &mut Vec<Rates>, owner: &mut Vec<Option<Pid>>) {
-        rates.clear();
-        owner.clear();
-        let chip = self.chip();
-        let now = self.now();
-        let base_mult = self.perf.mem_contention_mult(pressure);
-        for p in self.running() {
-            for c in p.assigned.iter() {
-                if c.index() >= owner.len() {
-                    owner.resize(c.index() + 1, None);
-                }
-                owner[c.index()] = Some(p.pid);
-            }
+        if busy.is_empty() || chip.is_voltage_safe_for(busy) {
+            return (false, 0.0);
         }
-        for p in self.running() {
-            let mut worst_rate = f64::INFINITY;
-            let mut min_freq = u32::MAX;
-            let mut worst_mult = base_mult;
-            for core in p.assigned.iter() {
-                let pmd = chip.spec().pmd_of(core);
-                let freq = chip
-                    .pmd_frequency(pmd)
-                    .expect("assigned core on valid pmd")
-                    .as_mhz();
-                let partner_mem = self.l2_partner_mem(core, owner);
-                let mult = base_mult * self.perf.l2_share_mult(partner_mem);
-                let rate = self.perf.progress_rate(&p.work, freq, mult);
-                if rate < worst_rate {
-                    worst_rate = rate;
-                    worst_mult = mult;
-                }
-                min_freq = min_freq.min(freq);
-            }
-            if p.assigned.is_empty() {
-                continue;
-            }
-            let stalled = p.stalled_until > now;
-            let profile = phases::effective_profile(p.bench, p.progress);
-            rates.push(Rates {
-                pid: p.pid,
-                progress: if stalled { 0.0 } else { worst_rate },
-                freq: min_freq,
-                mult: worst_mult,
-                threads: p.threads as u64,
-                l3c_per_mcycle: self.perf.observed_l3c_rate(&profile, worst_mult),
-            });
+        if !self.config.inject_failures {
+            return (true, 0.0);
         }
-    }
-
-    /// Memory intensity of the process on the other core of `core`'s PMD,
-    /// if that core is busy with a *different* thread.
-    fn l2_partner_mem(&self, core: CoreId, owner: &[Option<Pid>]) -> Option<f64> {
-        let spec = self.chip().spec();
-        let pmd = spec.pmd_of(core);
-        spec.cores_of(pmd)
-            .iter()
-            .filter(|&c| c != core)
-            .find_map(|c| owner.get(c.index()).copied().flatten())
-            .and_then(|pid| self.kernel.process(pid))
-            .map(|q| phases::effective_profile(q.bench, q.progress).mem_fraction)
-    }
-
-    /// Builds the chip power inputs for the current instant. `loads`
-    /// moves in and out through the returned [`PowerInputs`] so the
-    /// caller can recycle it; `act_sum` is plain scratch. `pressure` is
-    /// the caller's [`Self::total_pressure`] evaluation for the instant.
-    fn power_inputs_into(
-        &self,
-        pressure: f64,
-        rates: &[Rates],
-        mut loads: Vec<PmdLoad>,
-        act_sum: &mut Vec<f64>,
-    ) -> PowerInputs {
-        let chip = self.chip();
-        let spec = chip.spec();
-        loads.clear();
-        loads.resize(spec.pmds() as usize, PmdLoad::IDLE);
-        act_sum.clear();
-        act_sum.resize(spec.pmds() as usize, 0.0);
-        for r in rates {
-            let Some(p) = self.kernel.process(r.pid) else {
-                continue;
-            };
-            let profile = phases::effective_profile(p.bench, p.progress);
-            let act = self
-                .perf
-                .effective_activity(&profile, &p.work, r.freq.max(1), r.mult);
-            for core in p.assigned.iter() {
-                let pmd = spec.pmd_of(core).index();
-                loads[pmd].active_cores += 1;
-                act_sum[pmd] += act;
-            }
-        }
-        for (i, load) in loads.iter_mut().enumerate() {
-            if load.active_cores > 0 {
-                load.freq_mhz = chip
-                    .pmd_frequency(PmdId::new(i as u16))
-                    .expect("valid pmd")
-                    .as_mhz();
-                load.activity = act_sum[i] / load.active_cores as f64;
-            }
-        }
-        PowerInputs {
-            voltage: chip.voltage(),
-            pmd_loads: loads,
-            mem_traffic: (pressure / self.perf.mem_capacity).min(1.0),
-        }
+        let safe = chip.current_safe_vmin(busy);
+        let utilized = busy.utilized_pmd_count(chip.spec());
+        let class = chip.vmin_model().droop_class(utilized);
+        (
+            true,
+            chip.failure_model().pfail(chip.voltage(), safe, class),
+        )
     }
 
     /// Closes every running process's monitoring window at the current
@@ -942,19 +982,17 @@ impl System {
         self.scratch.class_changes = changes;
     }
 
-    /// Records one trace sample (Figures 14/15) of the current regime.
-    fn record_sample(&mut self, metrics: &mut RunMetrics) {
-        let now = self.now();
-        let watts = self.regime.watts;
+    /// Records one trace sample (Figures 14/15) of the current regime,
+    /// stamped `now`.
+    fn record_sample(&self, metrics: &mut RunMetrics, now: SimTime) {
+        let Regime {
+            watts,
+            running_threads,
+            cpu,
+            mem,
+            ..
+        } = self.regime;
         metrics.power_trace.push(now, watts);
-        let (mut running_threads, mut cpu, mut mem) = (0usize, 0u32, 0u32);
-        for e in self.kernel.procs.iter().filter(|e| e.process.is_running()) {
-            running_threads += e.process.threads;
-            match e.monitor.classifier.current() {
-                Some(IntensityClass::MemoryIntensive) => mem += 1,
-                Some(IntensityClass::CpuIntensive) | None => cpu += 1,
-            }
-        }
         let voltage_mv = self.chip().voltage().as_mv();
         let telemetry = &self.kernel.telemetry;
         telemetry.advance_to(now);
@@ -978,6 +1016,7 @@ mod tests {
     use crate::kernel::FAULT_FEEDBACK_ROUNDS;
     use avfs_chip::droop::DroopCounts;
     use avfs_chip::presets;
+    use avfs_chip::topology::{CoreId, PmdId};
     use avfs_workloads::catalog::Benchmark;
     use avfs_workloads::generator::{Arrival, GeneratorConfig};
 

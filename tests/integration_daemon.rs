@@ -7,7 +7,7 @@ use avfs_chip::presets;
 use avfs_chip::Millivolts;
 use avfs_core::configs::EvalConfig;
 use avfs_core::daemon::Daemon;
-use avfs_sched::driver::{Action, Driver, SysEvent, SystemView};
+use avfs_sched::driver::{Action, DefaultPolicy, Driver, SysEvent, SystemView};
 use avfs_sched::governor::GovernorMode;
 use avfs_sched::system::{System, SystemConfig};
 use avfs_sched::RunMetrics;
@@ -507,4 +507,241 @@ fn elision_is_unobservable_on_a_seed_sweep() {
             });
         }
     });
+}
+
+/// Asserts that every sampled series holds exactly one sample per
+/// `interval`, from 0 through the last completion.
+fn assert_one_sample_per_interval(m: &RunMetrics, interval: SimDuration, what: &str) {
+    let last = SimTime::ZERO + m.makespan;
+    let grid: Vec<SimTime> = std::iter::successors(Some(SimTime::ZERO), |&t| Some(t + interval))
+        .take_while(|&t| t <= last)
+        .collect();
+    for series in [
+        &m.power_trace,
+        &m.load_trace,
+        &m.cpu_class_trace,
+        &m.mem_class_trace,
+    ] {
+        assert_eq!(series.times(), &grid[..], "{what}: samples off the grid");
+    }
+}
+
+/// Ondemand at nominal voltage, stepping the rail down 10 mV on every
+/// class flip, so a boundary that flips a class also moves the power.
+struct StepDownOnFlip {
+    inner: DefaultPolicy,
+    mv: u32,
+}
+
+impl Driver for StepDownOnFlip {
+    fn on_event(&mut self, view: &SystemView, event: &SysEvent) -> Vec<Action> {
+        let mut actions = self.inner.on_event(view, event);
+        if let SysEvent::ClassChanged(_) = event {
+            self.mv -= 10;
+            actions.push(Action::SetVoltage(Millivolts::new(self.mv)));
+        }
+        actions
+    }
+
+    fn name(&self) -> &str {
+        "step-down-on-flip"
+    }
+}
+
+#[test]
+fn a_sample_reads_its_instant_after_its_events() {
+    // On a 400 ms sample grid that matches the monitor grid, job A
+    // completes exactly on a sample instant, job B arrives exactly on a
+    // later one, and the monitor boundary that first classifies B (and
+    // makes the driver lower the rail) falls on the next. Each of those
+    // samples must read the state after its instant's events: load,
+    // classes and power as the next regime has them.
+    let interval = SimDuration::from_millis(400);
+    let config = SystemConfig {
+        sample_interval: interval,
+        ..SystemConfig::default()
+    };
+    let job = |at: SimTime| Arrival {
+        at,
+        bench: Benchmark::SpecMilc,
+        threads: 1,
+        scale: 0.02,
+    };
+    let run = |arrivals: Vec<Arrival>| {
+        let (chip, perf) = preset(false);
+        let mut driver = StepDownOnFlip {
+            inner: DefaultPolicy::ondemand(),
+            mv: 980,
+        };
+        let trace = WorkloadTrace {
+            arrivals,
+            duration: SimDuration::from_secs(60),
+        };
+        System::new(chip, perf, config.clone()).run(&trace, &mut driver)
+    };
+    // A run alone fixes A's duration; the monitor grid restarts with its
+    // arrival after an idle start, so shifting the arrival shifts the
+    // completion by the same amount.
+    let probe_at = SimTime::from_secs(1);
+    let lasted = run(vec![job(probe_at)]).completed[0].finished_at - probe_at;
+    let grid_ns = interval.as_nanos();
+    let on_grid = |k: u64| SimTime::from_nanos(k * grid_ns);
+    let k_done = (probe_at + lasted).as_nanos().div_ceil(grid_ns);
+    let done_at = on_grid(k_done);
+    let b_at = on_grid(k_done + 2);
+    let a_at = SimTime::from_nanos(done_at.as_nanos() - lasted.as_nanos());
+    let m = run(vec![job(a_at), job(b_at)]);
+    assert_eq!(m.completed[0].finished_at, done_at, "A off the grid");
+    assert!(m.completed[1].finished_at > b_at + interval * 3);
+    assert_one_sample_per_interval(&m, interval, "scripted trace");
+
+    let at = |t: SimTime| {
+        [
+            &m.load_trace,
+            &m.cpu_class_trace,
+            &m.mem_class_trace,
+            &m.power_trace,
+        ]
+        .map(|s| s.value_at(t).expect("sampled"))
+    };
+    let [load, cpu, mem, idle_w] = at(done_at);
+    assert_eq!(
+        [load, cpu, mem],
+        [0.0, 0.0, 0.0],
+        "completion: {:?}",
+        at(done_at)
+    );
+    assert_eq!(at(on_grid(k_done - 1))[..3], [1.0, 0.0, 1.0]);
+    assert_eq!(
+        at(on_grid(k_done + 1))[3],
+        idle_w,
+        "completion: not the idle regime"
+    );
+
+    let [load, cpu, mem, running_w] = at(b_at);
+    assert_eq!([load, cpu, mem], [1.0, 1.0, 0.0], "arrival: {:?}", at(b_at));
+    assert_eq!(at(on_grid(k_done + 1)), [0.0, 0.0, 0.0, idle_w]);
+    assert!(running_w > idle_w, "arrival: power {running_w} W");
+
+    let flip = on_grid(k_done + 3);
+    let [load, cpu, mem, lowered_w] = at(flip);
+    assert_eq!(
+        [load, cpu, mem],
+        [1.0, 0.0, 1.0],
+        "boundary: {:?}",
+        at(flip)
+    );
+    assert!(lowered_w < running_w, "boundary: power {lowered_w} W");
+    assert_eq!(at(on_grid(k_done + 4))[3], lowered_w);
+}
+
+#[test]
+fn samples_and_journals_do_not_depend_on_step_horizons() {
+    // `run` and the step API cut at 1 s (the fleet's epoch grid, on every
+    // sample instant) and at 250 ms must record bit-identical sampled
+    // series and byte-identical hub journals, one sample per second from
+    // 0 through the last completion.
+    let interval = SystemConfig::default().sample_interval;
+    for xg3 in [false, true] {
+        let t = paper_trace(xg3, 2024, 600, 0.2);
+        for optimal in [false, true] {
+            let what = format!("xg3={xg3} optimal={optimal}");
+            let replay = |epoch: Option<SimDuration>| {
+                let (chip, perf) = preset(xg3);
+                let telemetry = avfs_telemetry::Telemetry::hub();
+                let mut driver: Box<dyn Driver> = if optimal {
+                    let mut daemon = Daemon::optimal(&chip);
+                    daemon.set_telemetry(telemetry.clone());
+                    Box::new(daemon)
+                } else {
+                    Box::new(DefaultPolicy::ondemand())
+                };
+                let mut sys = System::builder(chip, perf)
+                    .observer(telemetry.clone())
+                    .build();
+                let m = match epoch {
+                    Some(epoch) => stepped(&mut sys, driver.as_mut(), &t, Some(epoch)).0,
+                    None => sys.run(&t, driver.as_mut()),
+                };
+                (m, telemetry.export_jsonl().expect("a hub"))
+            };
+            let (reference, journal) = replay(None);
+            assert_one_sample_per_interval(&reference, interval, &what);
+            assert!(
+                journal.contains("\"monitor_sample\""),
+                "{what}: no samples journaled"
+            );
+            for ms in [1_000, 250] {
+                let (m, j) = replay(Some(SimDuration::from_millis(ms)));
+                assert_identical(&reference, &m, &format!("{what} at {ms} ms"));
+                assert!(j == journal, "{what}: journals differ at {ms} ms");
+            }
+        }
+    }
+}
+
+/// Ondemand, lowering the rail to `low` at the third delivered monitor
+/// tick and raising it back to nominal at the next one, with no pin in
+/// between; records both ticks' instants.
+struct DipOnTick {
+    inner: DefaultPolicy,
+    low: Millivolts,
+    ticks: u32,
+    dip: Vec<SimTime>,
+}
+
+impl Driver for DipOnTick {
+    fn on_event(&mut self, view: &SystemView, event: &SysEvent) -> Vec<Action> {
+        let mut actions = self.inner.on_event(view, event);
+        if let SysEvent::MonitorTick = event {
+            self.ticks += 1;
+            let mv = match self.ticks {
+                3 => Some(self.low),
+                4 => Some(Millivolts::new(view.spec.nominal_mv)),
+                _ => None,
+            };
+            if let Some(mv) = mv {
+                self.dip.push(view.now);
+                actions.push(Action::SetVoltage(mv));
+            }
+        }
+        actions
+    }
+
+    fn name(&self) -> &str {
+        "dip-on-tick"
+    }
+}
+
+#[test]
+fn a_voltage_only_change_point_rechecks_safety() {
+    // A rail write that moves no core is a change point of its own: the
+    // regime after it must re-check the safe Vmin even though the busy
+    // cores are the ones the previous regime checked. Unsafe time then
+    // accrues over exactly the dip, on both presets.
+    for xg3 in [false, true] {
+        let (chip, perf) = preset(xg3);
+        let mut driver = DipOnTick {
+            inner: DefaultPolicy::ondemand(),
+            low: Millivolts::new(700),
+            ticks: 0,
+            dip: Vec::new(),
+        };
+        let trace = WorkloadTrace {
+            arrivals: vec![Arrival {
+                at: SimTime::from_secs(1),
+                bench: Benchmark::SpecNamd,
+                threads: 1,
+                scale: 0.05,
+            }],
+            duration: SimDuration::from_secs(60),
+        };
+        let m = System::new(chip, perf, SystemConfig::default()).run(&trace, &mut driver);
+        let [low, high] = driver.dip[..] else {
+            panic!("xg3={xg3}: dip at {:?}", driver.dip);
+        };
+        assert!(low < high && high < SimTime::ZERO + m.makespan, "xg3={xg3}");
+        assert_eq!(m.voltage_changes, 2, "xg3={xg3}");
+        assert_eq!(m.unsafe_time_s, (high - low).as_secs_f64(), "xg3={xg3}");
+    }
 }
