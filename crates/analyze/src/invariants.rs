@@ -181,8 +181,8 @@ impl Invariant for VminWithinRail {
     }
 }
 
-/// Per-PMD static-variation offsets must exist, tile the chip evenly, and
-/// never push a safe Vmin below the regulator floor.
+/// Per-PMD static-variation offsets must give exactly one offset per PMD
+/// and never push a safe Vmin below the regulator floor.
 pub struct VminPmdOffsets;
 
 impl Invariant for VminPmdOffsets {
@@ -195,21 +195,13 @@ impl Invariant for VminPmdOffsets {
     fn check(&self, cx: &AnalysisContext) -> Vec<Violation> {
         let mut out = Vec::new();
         let offsets = &cx.tables.pmd_offset_mv;
-        if offsets.is_empty() {
-            return vec![violation(
-                self.name(),
-                "pmd_offset_mv".to_string(),
-                "no static-variation offsets: the model cannot describe any PMD".to_string(),
-            )];
-        }
         let pmds = cx.spec.pmds() as usize;
-        if !pmds.is_multiple_of(offsets.len()) {
+        if offsets.len() != pmds {
             out.push(violation(
                 self.name(),
                 "pmd_offset_mv".to_string(),
                 format!(
-                    "{} offsets do not tile {pmds} PMDs evenly; the repeat \
-                     pattern would assign some PMDs inconsistent offsets",
+                    "{} offsets for {pmds} PMDs: the model needs exactly one per PMD",
                     offsets.len()
                 ),
             ));

@@ -181,16 +181,25 @@ pub fn xgene3() -> ChipBuilder {
 
 /// A builder seeded from an arbitrary spec; Vmin tables and power
 /// constants are scaled heuristically from the closest preset and should
-/// be reviewed before drawing conclusions.
+/// be reviewed before drawing conclusions. The preset's per-PMD offsets
+/// repeat (or are cut) to give one per PMD of `spec`.
 pub fn custom(spec: ChipSpec, behavior: CppcBehavior) -> ChipBuilder {
     let base = match spec.technology {
         Technology::Bulk28nm => xgene2(),
         Technology::FinFet16nm => xgene3(),
     };
+    let mut tables = base.tables;
+    tables.pmd_offset_mv = tables
+        .pmd_offset_mv
+        .iter()
+        .copied()
+        .cycle()
+        .take(usize::from(spec.pmds()))
+        .collect();
     ChipBuilder {
         spec,
         behavior,
-        tables: base.tables,
+        tables,
         power: base.power,
         droop: base.droop,
     }

@@ -128,8 +128,7 @@ pub struct VminTables {
     /// Base safe Vmin per `[freq class][droop class]`, millivolts.
     pub base_mv: [[u32; 4]; 3],
     /// Per-PMD static-variation offsets, millivolts (positive = weaker
-    /// PMD, needs more voltage). Indexed by PMD; chips with more PMDs than
-    /// entries repeat the pattern.
+    /// PMD, needs more voltage). Indexed by PMD, one entry per PMD.
     pub pmd_offset_mv: Vec<i32>,
     /// Largest workload-induced Vmin delta at single-thread, millivolts.
     /// The delta decays with thread count (Figure 3 vs. Figure 4).
@@ -200,8 +199,9 @@ impl VminModel {
     ///
     /// # Panics
     ///
-    /// Panics if the tables are not monotone: Vmin must not decrease with
-    /// droop class or frequency class.
+    /// Panics if the tables are not monotone (Vmin must not decrease with
+    /// droop class or frequency class), or unless they hold exactly one
+    /// static-variation offset per PMD of `spec`.
     pub fn new(spec: ChipSpec, tables: VminTables) -> Self {
         for row in &tables.base_mv {
             for w in row.windows(2) {
@@ -215,9 +215,10 @@ impl VminModel {
                 "Vmin must be monotone in frequency class"
             );
         }
-        assert!(
-            !tables.pmd_offset_mv.is_empty(),
-            "need at least one PMD offset"
+        assert_eq!(
+            tables.pmd_offset_mv.len(),
+            usize::from(spec.pmds()),
+            "need exactly one PMD offset per PMD"
         );
         VminModel { spec, tables }
     }
@@ -233,9 +234,12 @@ impl VminModel {
     }
 
     /// The static-variation offset of a PMD, in millivolts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pmd` is out of range.
     pub fn pmd_offset_mv(&self, pmd: PmdId) -> i32 {
-        let n = self.tables.pmd_offset_mv.len();
-        self.tables.pmd_offset_mv[pmd.index() % n]
+        self.tables.pmd_offset_mv[pmd.index()]
     }
 
     /// How much of the workload span applies at a given thread count.
@@ -478,6 +482,16 @@ mod tests {
         let mut tables = m.tables().clone();
         tables.base_mv[2][0] = 900; // above column 1
         let _ = VminModel::new(m.spec().clone(), tables);
+    }
+
+    #[test]
+    #[should_panic(expected = "one PMD offset per PMD")]
+    fn rejects_an_offset_table_shorter_than_the_pmds() {
+        let chip = crate::presets::xgene2().build();
+        let mut tables = chip.vmin_model().tables().clone();
+        assert_eq!(chip.spec().pmds(), 4);
+        tables.pmd_offset_mv.truncate(3);
+        let _ = VminModel::new(chip.spec().clone(), tables);
     }
 
     #[test]

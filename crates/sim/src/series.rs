@@ -25,6 +25,7 @@ impl TimeSeries {
     /// # Panics
     ///
     /// Panics if `time` precedes the last recorded sample.
+    #[inline]
     pub fn push(&mut self, time: SimTime, value: f64) {
         if let Some(&last) = self.times.last() {
             assert!(time >= last, "series time went backwards: {time} < {last}");

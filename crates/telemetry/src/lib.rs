@@ -507,21 +507,25 @@ impl Telemetry {
     }
 
     /// Propagates simulated time to the hub.
+    #[inline]
     pub fn advance_to(&self, at: SimTime) {
         self.with_hub_mut(|hub| hub.advance_to(at));
     }
 
     /// Adds `delta` to the named monotone counter.
+    #[inline]
     pub fn counter_add(&self, name: &'static str, delta: u64) {
         self.with_hub_mut(|hub| hub.counter_add(name, delta));
     }
 
     /// Adds 1 to the named monotone counter.
+    #[inline]
     pub fn counter_inc(&self, name: &'static str) {
         self.counter_add(name, 1);
     }
 
     /// Records one histogram observation.
+    #[inline]
     pub fn histogram_observe(&self, name: &'static str, value: u64) {
         self.with_hub_mut(|hub| hub.histogram_observe(name, value));
     }

@@ -123,6 +123,7 @@ impl PerfModel {
     /// # Panics
     ///
     /// Panics if `freq_ratio` is not in `(0, 1]`.
+    #[inline]
     pub fn pressure_at(&self, profile: &BenchProfile, freq_ratio: f64) -> f64 {
         assert!(
             freq_ratio > 0.0 && freq_ratio <= 1.0,
@@ -133,12 +134,14 @@ impl PerfModel {
     }
 
     /// Memory-time multiplier at an aggregate pressure (≥ 1).
+    #[inline]
     pub fn mem_contention_mult(&self, total_pressure: f64) -> f64 {
         (total_pressure / self.mem_capacity).max(1.0)
     }
 
     /// Memory-time multiplier from sharing a PMD's L2 with a busy partner
     /// of the given memory intensity (`None` = the other core is idle).
+    #[inline]
     pub fn l2_share_mult(&self, partner_mem_fraction: Option<f64>) -> f64 {
         match partner_mem_fraction {
             Some(m) => 1.0 + self.l2_share_penalty * m.clamp(0.0, 1.0),
@@ -152,6 +155,7 @@ impl PerfModel {
     /// # Panics
     ///
     /// Panics if `freq_mhz` is zero while core work remains.
+    #[inline]
     pub fn exec_time_s(&self, work: &ThreadWork, freq_mhz: u32, mem_mult: f64) -> f64 {
         let core_s = if work.core_gcycles > 0.0 {
             assert!(freq_mhz > 0, "core work cannot retire at 0 MHz");
@@ -164,6 +168,7 @@ impl PerfModel {
 
     /// Instantaneous progress rate (fraction of `work` per second) under
     /// the given conditions; the system simulator integrates this.
+    #[inline]
     pub fn progress_rate(&self, work: &ThreadWork, freq_mhz: u32, mem_mult: f64) -> f64 {
         let t = self.exec_time_s(work, freq_mhz, mem_mult);
         if t <= 0.0 {
@@ -181,6 +186,7 @@ impl PerfModel {
 
     /// The fraction of wall time a thread spends memory-stalled under the
     /// given conditions; drives the power model's activity input.
+    #[inline]
     pub fn stall_share(&self, work: &ThreadWork, freq_mhz: u32, mem_mult: f64) -> f64 {
         let total = self.exec_time_s(work, freq_mhz, mem_mult);
         if total <= 0.0 {
@@ -198,6 +204,7 @@ impl PerfModel {
     /// than their IPC. Consequently core power is essentially
     /// `∝ activity × f`, which is exactly why reducing frequency pays for
     /// memory-intensive programs (energy ≈ f-ratio × delay-ratio < 1).
+    #[inline]
     pub fn effective_activity(
         &self,
         profile: &BenchProfile,
@@ -214,8 +221,15 @@ impl PerfModel {
     /// The L3 access rate a PMU observer sees under contention: extra
     /// stall cycles dilute the per-cycle rate mildly, keeping the
     /// Figure 9 ordering intact across thread counts.
+    #[inline]
     pub fn observed_l3c_rate(&self, profile: &BenchProfile, mem_mult: f64) -> f64 {
-        profile.l3c_per_mcycle / mem_mult.max(1.0).powf(0.15)
+        let mult = mem_mult.max(1.0);
+        // `powf(1.0, y)` is exactly 1, so an uncontended rate skips it.
+        if mult > 1.0 {
+            profile.l3c_per_mcycle / mult.powf(0.15)
+        } else {
+            profile.l3c_per_mcycle
+        }
     }
 
     /// The Figure 8 statistic: solo time divided by per-instance time

@@ -115,6 +115,7 @@ pub fn schedule(bench: Benchmark) -> Option<&'static [Phase]> {
 /// The effective (phase-adjusted) profile of `bench` at a given job
 /// progress in `[0, 1]`. Programs without a schedule return their
 /// catalog profile unchanged.
+#[inline]
 pub fn effective_profile(bench: Benchmark, progress: f64) -> BenchProfile {
     let base = bench.profile();
     let Some(phases) = schedule(bench) else {
@@ -154,6 +155,7 @@ pub fn phase_index(bench: Benchmark, progress: f64) -> u32 {
 /// The progress at which the phase in effect at `progress` ends: the
 /// next point where [`effective_profile`] changes. `None` in a program's
 /// last (or only) phase.
+#[inline]
 pub fn phase_end(bench: Benchmark, progress: f64) -> Option<f64> {
     let phases = schedule(bench)?;
     let i = phase_index(bench, progress) as usize;
