@@ -396,9 +396,9 @@ fn run_window(
 ) {
     let busy = !active.is_empty();
     let voltage = if busy {
-        let fc = chip.freq_vmin_class(active.utilized_pmds(chip.spec()));
-        let utilized = active.utilized_pmd_count(chip.spec());
-        daemon.chosen_voltage(fc, utilized, active.len(), droop_guard, false)
+        let utilized = active.utilized_pmds(chip.spec());
+        let fc = chip.freq_vmin_class(utilized.iter());
+        daemon.chosen_voltage(fc, utilized.len(), active.len(), droop_guard, false)
     } else {
         chip.nominal_voltage()
     };

@@ -14,7 +14,7 @@
 use crate::governor::GovernorMode;
 use crate::process::{Pid, ProcessState};
 use avfs_chip::freq::FreqStep;
-use avfs_chip::topology::{ChipSpec, CoreSet, PmdId};
+use avfs_chip::topology::{ChipSpec, CoreSet, PmdId, PmdSet};
 use avfs_chip::voltage::Millivolts;
 use avfs_sim::time::SimTime;
 use avfs_workloads::classify::IntensityClass;
@@ -168,8 +168,8 @@ impl SystemView {
         self.processes.iter().find(|p| p.pid == pid)
     }
 
-    /// PMDs with at least one busy core, in index order.
-    pub fn utilized_pmds(&self) -> impl Iterator<Item = PmdId> + '_ {
+    /// PMDs with at least one busy core.
+    pub fn utilized_pmds(&self) -> PmdSet {
         self.busy_cores().utilized_pmds(&self.spec)
     }
 }
@@ -296,7 +296,7 @@ mod tests {
     fn waiting_processes_occupy_nothing() {
         let v = view();
         assert!(!v.busy_cores().contains(CoreId::new(7)));
-        assert_eq!(v.utilized_pmds().count(), 1);
+        assert_eq!(v.utilized_pmds().len(), 1);
     }
 
     #[test]

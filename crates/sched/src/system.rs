@@ -941,7 +941,7 @@ impl System {
             return (true, 0.0);
         }
         let safe = chip.current_safe_vmin(busy);
-        let utilized = busy.utilized_pmd_count(chip.spec());
+        let utilized = busy.utilized_pmds(chip.spec()).len();
         let class = chip.vmin_model().droop_class(utilized);
         (
             true,
@@ -1326,7 +1326,7 @@ mod tests {
         let chip = sys.chip();
         let class_of = |busy: CoreSet| {
             chip.vmin_model()
-                .droop_class(busy.utilized_pmd_count(chip.spec()))
+                .droop_class(busy.utilized_pmds(chip.spec()).len())
         };
         let mut rng = RngStream::from_root(6, "droops");
         let mut droops = DroopCounts::default();

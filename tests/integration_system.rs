@@ -188,7 +188,7 @@ impl Recorder {
             }
             let class = chip
                 .vmin_model()
-                .droop_class(busy.utilized_pmd_count(chip.spec()));
+                .droop_class(busy.utilized_pmds(chip.spec()).len());
             let dt = pair[1].now.saturating_since(pair[0].now).as_secs_f64();
             let cycles = (f64::from(chip.spec().fmax_mhz) * 1e6 * dt) as u64;
             droops.add(&chip.droop_model().sample(class, activity, cycles, &mut rng));
