@@ -283,7 +283,7 @@ pub fn prove_preset_with_table(
     chip: &Chip,
     table: avfs_core::PolicyTable,
 ) -> PresetProofReport {
-    let daemon = Daemon::builder(chip).table(table).build();
+    let daemon = Daemon::optimal(chip).with_table(table);
     let chooser = |fc: FreqVminClass, u: usize, t: usize, dg: bool, pess: bool| {
         daemon.chosen_voltage(fc, u, t, dg, pess)
     };

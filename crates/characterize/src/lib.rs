@@ -24,10 +24,6 @@
 //!   [`avfs_core::policy::PolicyTable`], and
 //!   [`compiler::preset_conservative`] builds the unmeasured-part foil
 //!   the experiments compare against.
-//! * [`recharacterizer`] — the online loop: a
-//!   [`avfs_core::recharacterize::RecharacterizeTrigger`] watches droop-
-//!   guard engagement, and [`Recharacterizer`] re-measures a drifted
-//!   chip during idle windows and atomically swaps the daemon's table.
 //!
 //! # Example
 //!
@@ -39,16 +35,14 @@
 //! let map = Campaign::new(CampaignConfig::new(7)).run(&mut chip).unwrap();
 //! let table = TableCompiler::default().compile(&map).unwrap();
 //! // The compiled table is usable anywhere a characterized one is.
-//! let daemon = avfs_core::Daemon::builder(&chip).table(table).build();
+//! let daemon = avfs_core::Daemon::optimal(&chip).with_table(table);
 //! # let _ = daemon;
 //! ```
 
 pub mod campaign;
 pub mod compiler;
 pub mod margin;
-pub mod recharacterizer;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignError};
 pub use compiler::{preset_conservative, CompileError, GuardbandPolicy, TableCompiler};
 pub use margin::{MarginCell, MarginMap};
-pub use recharacterizer::{RecharacterizeError, Recharacterizer};

@@ -14,7 +14,7 @@ use crate::freq::{CppcBehavior, FreqStep, FreqVminClass, FrequencyMhz};
 use crate::power::{PowerInputs, PowerLut, PowerModel};
 use crate::slimpro::MailboxStats;
 use crate::topology::{ChipSpec, CoreSet, PmdId};
-use crate::vmin::{VminDrift, VminModel, VminQuery};
+use crate::vmin::{VminModel, VminQuery};
 use crate::voltage::{Millivolts, VoltageRail};
 use avfs_sim::rng::{fnv1a_fold, FNV_OFFSET_BASIS};
 use avfs_sim::RngStream;
@@ -24,8 +24,7 @@ use std::sync::Arc;
 /// A fully assembled chip instance.
 ///
 /// The construction-time models are shared, not copied, between clones:
-/// a clone copies only the mutable control state. Vmin drift replaces
-/// the drifted chip's own Vmin model.
+/// a clone copies only the mutable control state.
 #[derive(Debug, Clone)]
 pub struct Chip {
     spec: Arc<ChipSpec>,
@@ -46,11 +45,10 @@ pub struct Chip {
     /// existed.
     fault: Option<FaultPlan>,
     /// Monotonic counter bumped whenever power/safety-relevant state
-    /// actually changes (rail voltage, a PMD step, the Vmin surface, the
-    /// fault plan). Lets callers cache quantities derived from chip
-    /// state and revalidate with one integer compare instead of
-    /// re-deriving per slice. Re-asserting an unchanged value does not
-    /// bump it.
+    /// actually changes (rail voltage, a PMD step, the fault plan). Lets
+    /// callers cache quantities derived from chip state and revalidate
+    /// with one integer compare instead of re-deriving per slice.
+    /// Re-asserting an unchanged value does not bump it.
     state_epoch: u64,
     /// Observer handle for the mailbox/fault paths. Null (one branch,
     /// no observer) unless installed via [`Chip::set_telemetry`]. The
@@ -99,10 +97,10 @@ impl Chip {
     }
 
     /// The current state epoch: increments exactly when power/safety
-    /// relevant chip state changes (voltage, frequency program, Vmin
-    /// drift, fault plan). Two calls returning the same value guarantee
-    /// every power/Vmin evaluation in between would have returned the
-    /// same result for the same inputs.
+    /// relevant chip state changes (voltage, frequency program, fault
+    /// plan). Two calls returning the same value guarantee every
+    /// power/Vmin evaluation in between would have returned the same
+    /// result for the same inputs.
     pub fn state_epoch(&self) -> u64 {
         self.state_epoch
     }
@@ -417,25 +415,6 @@ impl Chip {
         &self.power_lut
     }
 
-    /// Applies a scripted aging/temperature [`VminDrift`]: the chip's
-    /// *true* safe-Vmin surface shifts uniformly, so any policy table
-    /// characterized before the event is now stale. Traced as a
-    /// [`TraceKind::DriftEvent`].
-    pub fn apply_vmin_drift(&mut self, drift: VminDrift) {
-        self.vmin = Arc::new(self.vmin.with_drift(drift));
-        self.state_epoch += 1;
-        self.telemetry.counter_inc("chip.vmin.drift_events");
-        self.telemetry.trace(TraceKind::DriftEvent, || {
-            vec![
-                ("base_shift_mv", Value::I64(i64::from(drift.base_shift_mv))),
-                (
-                    "pmd_offset_shift_mv",
-                    Value::I64(i64::from(drift.pmd_offset_shift_mv)),
-                ),
-            ]
-        });
-    }
-
     /// Runs one characterization stress probe at the *current* rail
     /// voltage: the outcome a real campaign would observe when pinning
     /// the queried stress pattern to `pmds` and letting it run.
@@ -671,15 +650,6 @@ mod tests {
             armed.current_safe_vmin(CoreSet::first_n(8)),
             plain.current_safe_vmin(CoreSet::first_n(8))
         );
-    }
-
-    #[test]
-    fn drift_raises_the_true_safe_vmin() {
-        let mut chip = presets::xgene3().build();
-        let busy = CoreSet::first_n(8);
-        let before = chip.current_safe_vmin(busy);
-        chip.apply_vmin_drift(VminDrift::aging(15));
-        assert_eq!(chip.current_safe_vmin(busy) - before, 15);
     }
 
     #[test]

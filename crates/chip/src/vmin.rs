@@ -160,33 +160,6 @@ pub struct VminQuery {
     pub workload_sensitivity: f64,
 }
 
-/// A scripted aging/temperature drift event: a uniform shift of the true
-/// safe-Vmin surface, as silicon wear-out and thermal stress raise (or a
-/// cold spell lowers) every operating point together.
-///
-/// Uniform shifts preserve the monotonicity invariants of
-/// [`VminModel::new`], so a drifted model is always constructible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VminDrift {
-    /// Shift applied to every base-table entry, millivolts (positive =
-    /// aging, the chip needs more voltage everywhere).
-    pub base_shift_mv: i32,
-    /// Shift applied to every per-PMD static-variation offset,
-    /// millivolts (positive = all PMDs weaken together).
-    pub pmd_offset_shift_mv: i32,
-}
-
-impl VminDrift {
-    /// A pure aging event: every base cell up by `mv`, PMD offsets
-    /// untouched.
-    pub fn aging(mv: i32) -> Self {
-        VminDrift {
-            base_shift_mv: mv,
-            pmd_offset_shift_mv: 0,
-        }
-    }
-}
-
 /// The safe-Vmin model for one chip instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VminModel {
@@ -301,23 +274,6 @@ impl VminModel {
     /// The droop class of an allocation utilizing `utilized_pmds` PMDs.
     pub fn droop_class(&self, utilized_pmds: usize) -> DroopClass {
         DroopClass::from_utilized_pmds(&self.spec, utilized_pmds)
-    }
-
-    /// The model after a scripted [`VminDrift`]: every base-table entry
-    /// shifted by `base_shift_mv` and every PMD offset by
-    /// `pmd_offset_shift_mv` (both saturating). Uniform shifts keep the
-    /// monotonicity invariants, so this never panics.
-    pub fn with_drift(&self, drift: VminDrift) -> VminModel {
-        let mut tables = self.tables.clone();
-        for row in &mut tables.base_mv {
-            for cell in row.iter_mut() {
-                *cell = cell.saturating_add_signed(drift.base_shift_mv);
-            }
-        }
-        for off in &mut tables.pmd_offset_mv {
-            *off = off.saturating_add(drift.pmd_offset_shift_mv);
-        }
-        VminModel::new(self.spec.clone(), tables)
     }
 }
 
@@ -503,28 +459,6 @@ mod tests {
             assert_eq!(hi, lo + 10);
             lo_expected = hi;
         }
-    }
-
-    #[test]
-    fn drift_shifts_the_whole_surface_uniformly() {
-        let m = xgene3_like();
-        let drifted = m.with_drift(VminDrift {
-            base_shift_mv: 15,
-            pmd_offset_shift_mv: 3,
-        });
-        let q = VminQuery {
-            freq_class: FreqVminClass::Max,
-            utilized_pmds: 16,
-            active_threads: 32,
-            workload_sensitivity: 0.0,
-        };
-        assert_eq!(drifted.safe_vmin(&q) - m.safe_vmin(&q), 15);
-        assert_eq!(
-            drifted.pmd_offset_mv(PmdId::new(4)),
-            m.pmd_offset_mv(PmdId::new(4)) + 3
-        );
-        // The zero drift is the identity.
-        assert_eq!(m.with_drift(VminDrift::aging(0)), m);
     }
 
     #[test]

@@ -19,21 +19,6 @@ impl Millivolts {
         self.0
     }
 
-    /// Volts, as a float.
-    pub fn as_volts(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
-    /// This voltage as a fraction of `reference` (e.g. V/Vnominal).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reference` is zero.
-    pub fn ratio_to(self, reference: Millivolts) -> f64 {
-        assert!(reference.0 > 0, "reference voltage must be nonzero");
-        self.0 as f64 / reference.0 as f64
-    }
-
     /// Subtracts, saturating at zero.
     pub fn saturating_sub(self, mv: Millivolts) -> Millivolts {
         Millivolts(self.0.saturating_sub(mv.0))
@@ -151,11 +136,6 @@ impl VoltageRail {
         );
         Ok(())
     }
-
-    /// Restores the nominal voltage.
-    pub fn reset_to_nominal(&mut self) {
-        self.current = self.nominal;
-    }
 }
 
 #[cfg(test)]
@@ -166,8 +146,6 @@ mod tests {
     fn millivolt_conversions() {
         let v = Millivolts::new(980);
         assert_eq!(v.as_mv(), 980);
-        assert!((v.as_volts() - 0.98).abs() < 1e-12);
-        assert!((v.ratio_to(Millivolts::new(490)) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -201,8 +179,6 @@ mod tests {
         assert!(rail.set(Millivolts::new(500)).is_err());
         // Current unchanged by failed requests.
         assert_eq!(rail.current().as_mv(), 850);
-        rail.reset_to_nominal();
-        assert_eq!(rail.current().as_mv(), 980);
     }
 
     #[test]

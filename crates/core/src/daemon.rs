@@ -221,40 +221,6 @@ impl Daemon {
     /// attached. The policy table is produced by the characterization
     /// procedure of [`PolicyTable`].
     pub fn new(chip: &Chip, config: DaemonConfig) -> Self {
-        Daemon::construct(chip, config, Telemetry::null())
-    }
-
-    /// Starts a [`DaemonBuilder`] — the blessed construction path when
-    /// anything beyond the preset configurations is needed:
-    ///
-    /// ```
-    /// use avfs_chip::presets;
-    /// use avfs_core::daemon::Daemon;
-    /// use avfs_sched::driver::Driver;
-    ///
-    /// let chip = presets::xgene2().build();
-    /// let daemon = Daemon::builder(&chip).build();
-    /// assert_eq!(daemon.name(), "optimal");
-    /// ```
-    pub fn builder(chip: &Chip) -> DaemonBuilder<'_> {
-        DaemonBuilder {
-            config: DaemonConfig {
-                control_placement: true,
-                control_voltage: true,
-                mem_step: Self::mem_step_for(chip),
-                idle_step: FreqStep::MIN,
-                fail_safe_ordering: true,
-                extra_margin_mv: 0,
-                lower_hysteresis_mv: 5,
-                recovery: RecoveryConfig::default(),
-            },
-            chip,
-            telemetry: Telemetry::null(),
-            table: None,
-        }
-    }
-
-    fn construct(chip: &Chip, config: DaemonConfig, telemetry: Telemetry) -> Self {
         let name = match (config.control_placement, config.control_voltage) {
             (true, true) => "optimal",
             (true, false) => "placement",
@@ -270,7 +236,7 @@ impl Daemon {
             config,
             initialized: false,
             registry: CounterRegistry::new(&DAEMON_COUNTERS),
-            telemetry,
+            telemetry: Telemetry::null(),
             recovery,
             droop_guard: false,
             name: name.to_string(),
@@ -310,6 +276,36 @@ impl Daemon {
                 recovery: RecoveryConfig::default(),
             },
         )
+    }
+
+    /// Drives voltage from a supplied policy table — typically one
+    /// compiled from a measured margin map by `avfs-characterize` —
+    /// instead of the model-derived characterization default.
+    ///
+    /// ```
+    /// use avfs_chip::presets;
+    /// use avfs_core::{Daemon, PolicyTable};
+    /// use avfs_sched::driver::Driver;
+    ///
+    /// let chip = presets::xgene2().build();
+    /// let table = PolicyTable::from_characterization(chip.vmin_model());
+    /// let daemon = Daemon::optimal(&chip).with_table(table.clone());
+    /// assert_eq!(daemon.name(), "optimal");
+    /// assert_eq!(daemon.policy_table(), &table);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table's PMD count disagrees with the chip's.
+    #[must_use]
+    pub fn with_table(mut self, table: PolicyTable) -> Self {
+        assert_eq!(
+            table.pmds(),
+            self.spec.pmds() as usize,
+            "policy table / chip PMD count mismatch"
+        );
+        self.table = table;
+        self
     }
 
     /// The paper's **Placement** configuration: placement + frequency at
@@ -458,37 +454,6 @@ impl Daemon {
     /// The policy table currently driving voltage decisions.
     pub fn policy_table(&self) -> &PolicyTable {
         &self.table
-    }
-
-    /// Atomically replaces the policy table (the recharacterization swap
-    /// seam): the very next replan reads the new table, and the swap is
-    /// traced as a [`TraceKind::TableSwap`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolicyError::PmdCountMismatch`] when the table was
-    /// characterized for a different chip shape; the old table stays in
-    /// place.
-    ///
-    /// [`PolicyError::PmdCountMismatch`]: crate::policy::PolicyError::PmdCountMismatch
-    pub fn swap_table(&mut self, table: PolicyTable) -> Result<(), crate::policy::PolicyError> {
-        let chip_pmds = self.spec.pmds() as usize;
-        if table.pmds() != chip_pmds {
-            return Err(crate::policy::PolicyError::PmdCountMismatch {
-                table_pmds: table.pmds(),
-                chip_pmds,
-            });
-        }
-        let static_max_mv = table.static_safe_voltage(FreqVminClass::Max).as_mv();
-        self.table = table;
-        self.telemetry.counter_inc("daemon.table_swaps");
-        self.telemetry.trace(TraceKind::TableSwap, || {
-            vec![
-                ("pmds", Value::from(chip_pmds as u64)),
-                ("static_max_mv", Value::from(u64::from(static_max_mv))),
-            ]
-        });
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1021,66 +986,6 @@ fn planned_class(p: &ProcessView) -> IntensityClass {
     p.class.unwrap_or(IntensityClass::CpuIntensive)
 }
 
-/// Builder for [`Daemon`] — the single blessed construction path.
-///
-/// Starts from the paper's **Optimal** configuration for the chip
-/// (placement + frequency + voltage control, chip-appropriate memory
-/// step); override pieces with [`config`](DaemonBuilder::config) and
-/// attach an observer with [`observer`](DaemonBuilder::observer).
-#[derive(Debug)]
-pub struct DaemonBuilder<'c> {
-    chip: &'c Chip,
-    config: DaemonConfig,
-    telemetry: Telemetry,
-    table: Option<PolicyTable>,
-}
-
-impl DaemonBuilder<'_> {
-    /// Replaces the full configuration.
-    #[must_use]
-    pub fn config(mut self, config: DaemonConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Attaches a telemetry observer (counter mirrors + decision
-    /// traces).
-    #[must_use]
-    pub fn observer(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Drives voltage from a supplied policy table — typically one
-    /// compiled from a measured margin map by `avfs-characterize` —
-    /// instead of the model-derived characterization default.
-    ///
-    /// # Panics
-    ///
-    /// `build` panics if the table's PMD count disagrees with the chip's.
-    #[must_use]
-    pub fn table(mut self, table: PolicyTable) -> Self {
-        self.table = Some(table);
-        self
-    }
-
-    /// Builds the daemon.
-    pub fn build(self) -> Daemon {
-        let mut daemon = Daemon::construct(self.chip, self.config, self.telemetry);
-        if let Some(table) = self.table {
-            assert_eq!(
-                table.pmds(),
-                daemon.spec.pmds() as usize,
-                "policy table / chip PMD count mismatch"
-            );
-            // Direct install, not `swap_table`: nothing ran yet, so a
-            // construction-time table is not a traced swap event.
-            daemon.table = table;
-        }
-        daemon
-    }
-}
-
 impl Driver for Daemon {
     /// Builds the action list in a recycled buffer and returns a copy
     /// sized to fit: the copy is the call's only allocation, and an
@@ -1162,44 +1067,20 @@ mod tests {
     }
 
     #[test]
-    fn swap_table_takes_effect_immediately_and_checks_shape() {
+    fn builder_installs_a_supplied_table() {
         let chip = xg3_chip();
-        let mut d = Daemon::optimal(&chip);
-        let _ = d.on_event(&mk_view(&chip, vec![]), &SysEvent::MonitorTick);
-        let before = d.chosen_voltage(FreqVminClass::Max, 16, 32, false, false);
-        // A table measured on a drifted (+15 mV) chip chooses more volts.
-        let drifted = chip
-            .vmin_model()
-            .with_drift(avfs_chip::vmin::VminDrift::aging(15));
-        let table = PolicyTable::from_characterization(&drifted);
-        d.swap_table(table).expect("matching shape");
-        let after = d.chosen_voltage(FreqVminClass::Max, 16, 32, false, false);
-        assert_eq!(after - before, 15);
-        // A table for the wrong chip shape is refused, old table intact.
-        let xg2 = presets::xgene2().build();
-        let wrong = PolicyTable::from_characterization(xg2.vmin_model());
-        assert_eq!(
-            d.swap_table(wrong),
-            Err(crate::policy::PolicyError::PmdCountMismatch {
-                table_pmds: 4,
-                chip_pmds: 16,
-            })
-        );
-        assert_eq!(
-            d.chosen_voltage(FreqVminClass::Max, 16, 32, false, false),
-            after
-        );
+        let shifted = presets::xgene3().guardband_shift_mv(10).build();
+        let table = PolicyTable::from_characterization(shifted.vmin_model());
+        let d = Daemon::optimal(&chip).with_table(table.clone());
+        assert_eq!(d.policy_table(), &table);
     }
 
     #[test]
-    fn builder_installs_a_supplied_table() {
-        let chip = xg3_chip();
-        let drifted = chip
-            .vmin_model()
-            .with_drift(avfs_chip::vmin::VminDrift::aging(10));
-        let table = PolicyTable::from_characterization(&drifted);
-        let d = Daemon::builder(&chip).table(table.clone()).build();
-        assert_eq!(d.policy_table(), &table);
+    #[should_panic(expected = "policy table / chip PMD count mismatch")]
+    fn with_table_rejects_a_table_for_another_chip_shape() {
+        let xg2 = presets::xgene2().build();
+        let wrong = PolicyTable::from_characterization(xg2.vmin_model());
+        let _ = Daemon::optimal(&xg3_chip()).with_table(wrong);
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub mod configs;
 pub mod daemon;
 pub mod edp;
 pub mod policy;
-pub mod recharacterize;
 pub mod recovery;
 
 pub use configs::EvalConfig;

@@ -35,15 +35,6 @@ pub enum PolicyError {
         /// The regulator floor the cell violates.
         floor_mv: u32,
     },
-    /// A table characterized for a different chip shape was offered to a
-    /// daemon: the PMD counts disagree, so every droop-class lookup
-    /// would misclassify.
-    PmdCountMismatch {
-        /// PMDs the table was characterized for.
-        table_pmds: usize,
-        /// PMDs on the chip the daemon controls.
-        chip_pmds: usize,
-    },
 }
 
 impl fmt::Display for PolicyError {
@@ -59,14 +50,6 @@ impl fmt::Display for PolicyError {
                 f,
                 "policy cell [fc {freq_row}][dc {droop_index}][bucket {bucket}] = \
                  {cell_mv} mV is below the regulator floor {floor_mv} mV"
-            ),
-            PolicyError::PmdCountMismatch {
-                table_pmds,
-                chip_pmds,
-            } => write!(
-                f,
-                "policy table characterized for {table_pmds} PMDs offered to a \
-                 {chip_pmds}-PMD chip"
             ),
         }
     }

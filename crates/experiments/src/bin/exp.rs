@@ -28,8 +28,10 @@
 //! diverges on a same-seed rerun. The characterize id trims to one
 //! machine under `--smoke` and exits nonzero unless measured tables
 //! reclaim strictly more undervolt depth than the conservative preset
-//! while covering the hidden ground truth, and the drift drill swaps in
-//! a re-proven table with zero unsafe windows.
+//! while covering the hidden ground truth.
+//!
+//! `--csv DIR` also writes every printed table to `DIR/<id>.csv`; CSV
+//! is the one file format of the result tables.
 //!
 //! `--trace FILE` attaches a telemetry hub to the experiments that
 //! support it (`table3`, `table4`, `fig14`, `fig15`, `resilience`,
@@ -171,9 +173,6 @@ fn emit(tables: Vec<Table>, csv_dir: &Option<PathBuf>) {
         if let Some(dir) = csv_dir {
             if let Err(e) = t.write_csv(dir) {
                 eprintln!("warning: could not write {}.csv: {e}", t.id);
-            }
-            if let Err(e) = t.write_json(dir) {
-                eprintln!("warning: could not write {}.json: {e}", t.id);
             }
         }
     }
@@ -322,10 +321,7 @@ fn run_id(id: &str, opts: &Options) -> Result<Vec<Table>, String> {
             results
                 .validate()
                 .map_err(|e| format!("characterize acceptance failed: {e}"))?;
-            let mut out = vec![characterize::reclaim_table(&results)];
-            out.extend(results.drills.iter().map(characterize::drill_table));
-            out.extend(results.curves.iter().map(characterize::curve_table));
-            out
+            vec![characterize::reclaim_table(&results)]
         }
         "ablations" => {
             let mut out = Vec::new();

@@ -13,7 +13,7 @@
 //! | [`energy`] | Fig. 7 (clustered vs spreaded energy), Fig. 11 (energy), Fig. 12 (ED2P) |
 //! | [`server_eval`] | Fig. 14 (power trace), Fig. 15 (load trace), Tables III/IV (four configurations) |
 //! | [`ablations`] | beyond-paper sweeps: fail-safe off, classification threshold, guardband width, migration cost |
-//! | [`characterize`] | beyond-paper measured-margin campaigns: reclaimed savings vs a conservative preset, mid-run drift drill, stale-table degradation curve |
+//! | [`characterize`] | beyond-paper measured-margin campaigns: reclaimed savings vs a conservative preset |
 //! | [`resilience`] | beyond-paper fault-injection sweep: savings-vs-fault-rate degradation curve and recovery counters |
 //! | [`telemetry_report`] | beyond-paper: `--trace` journal and metrics rendered as summary tables |
 //!

@@ -1,6 +1,5 @@
 //! Result tables: the common output format of every experiment harness.
 
-use avfs_telemetry::write_json_escaped;
 use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
@@ -33,29 +32,6 @@ impl Cell {
             Cell::Text(_) => None,
             Cell::Int(v) => Some(*v as f64),
             Cell::Float { value, .. } => Some(*value),
-        }
-    }
-
-    /// Appends this cell's externally-tagged JSON form to `out`.
-    fn json_into(&self, out: &mut String) {
-        match self {
-            Cell::Text(s) => {
-                out.push_str("{ \"Text\": \"");
-                write_json_escaped(out, s);
-                out.push_str("\" }");
-            }
-            Cell::Int(v) => {
-                out.push_str(&format!("{{ \"Int\": {v} }}"));
-            }
-            Cell::Float { value, precision } => {
-                out.push_str("{ \"Float\": { \"value\": ");
-                if value.is_finite() {
-                    out.push_str(&format!("{value}"));
-                } else {
-                    out.push_str("null");
-                }
-                out.push_str(&format!(", \"precision\": {precision} }} }}"));
-            }
         }
     }
 }
@@ -236,49 +212,6 @@ impl Table {
         let mut f = std::fs::File::create(dir.join(format!("{}.csv", self.id)))?;
         f.write_all(self.to_csv().as_bytes())
     }
-
-    /// Serializes the table (id, title, headers, typed rows) as
-    /// pretty-printed JSON — the machine-readable companion to the CSV.
-    ///
-    /// Cells use an externally-tagged enum shape (`{"Int": 3}`,
-    /// `{"Float": {"value": 0.5, "precision": 2}}`), the shape earlier
-    /// revisions wrote. Non-finite floats, which JSON cannot represent,
-    /// serialize as `null` values. Strings go through the workspace's one
-    /// escaper, [`write_json_escaped`].
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"id\": \"");
-        write_json_escaped(&mut out, &self.id);
-        out.push_str("\",\n  \"title\": \"");
-        write_json_escaped(&mut out, &self.title);
-        out.push_str("\",\n  \"headers\": [");
-        for (i, h) in self.headers.iter().enumerate() {
-            out.push_str(if i == 0 { "\n    \"" } else { ",\n    \"" });
-            write_json_escaped(&mut out, h);
-            out.push('"');
-        }
-        out.push_str("\n  ],\n  \"rows\": [");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n    [" } else { ",\n    [" });
-            for (j, cell) in row.iter().enumerate() {
-                out.push_str(if j == 0 { "\n      " } else { ",\n      " });
-                cell.json_into(&mut out);
-            }
-            out.push_str("\n    ]");
-        }
-        out.push_str("\n  ]\n}");
-        out
-    }
-
-    /// Writes the JSON rendering to `dir/<id>.json`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from creating the directory or file.
-    pub fn write_json(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let mut f = std::fs::File::create(dir.join(format!("{}.json", self.id)))?;
-        f.write_all(self.to_json().as_bytes())
-    }
 }
 
 impl fmt::Display for Table {
@@ -329,34 +262,6 @@ mod tests {
     fn mismatched_row_width_panics() {
         let mut t = Table::new("t3", "X", &["a", "b"]);
         t.push_row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn json_rendering_matches_the_golden_text() {
-        // Typed cells, not stringified: floats keep their full value
-        // beside the display precision.
-        let golden = r#"{
-  "id": "t1",
-  "title": "Sample",
-  "headers": [
-    "name",
-    "value",
-    "pct"
-  ],
-  "rows": [
-    [
-      { "Text": "alpha" },
-      { "Int": 3 },
-      { "Float": { "value": 12.345, "precision": 1 } }
-    ],
-    [
-      { "Text": "beta" },
-      { "Int": -1 },
-      { "Float": { "value": 0.5, "precision": 2 } }
-    ]
-  ]
-}"#;
-        assert_eq!(sample().to_json(), golden);
     }
 
     #[test]

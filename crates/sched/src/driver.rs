@@ -158,11 +158,6 @@ impl SystemView {
             .fold(CoreSet::EMPTY, |acc, p| acc.union(p.assigned))
     }
 
-    /// Cores not assigned to anyone.
-    pub fn free_cores(&self) -> CoreSet {
-        CoreSet::first_n(self.spec.cores).difference(self.busy_cores())
-    }
-
     /// The view of one process, if it is live.
     pub fn process(&self, pid: Pid) -> Option<&ProcessView> {
         self.processes.iter().find(|p| p.pid == pid)
@@ -285,11 +280,7 @@ mod tests {
     fn busy_and_free_cores_partition() {
         let v = view();
         let busy = v.busy_cores();
-        let free = v.free_cores();
         assert_eq!(busy.len(), 2);
-        assert_eq!(free.len(), 6);
-        assert!(busy.intersection(free).is_empty());
-        assert_eq!(busy.union(free).len(), 8);
     }
 
     #[test]

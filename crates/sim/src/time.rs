@@ -144,19 +144,6 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// Scales the duration by a non-negative factor, rounding to nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "invalid duration scale: {factor}"
-        );
-        SimDuration((self.0 as f64 * factor).round() as u64)
-    }
-
     /// The smaller of two durations.
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
@@ -326,12 +313,6 @@ mod tests {
     #[should_panic(expected = "zero frequency")]
     fn duration_of_cycles_rejects_zero_freq() {
         let _ = duration_of_cycles(100, 0);
-    }
-
-    #[test]
-    fn mul_f64_scales() {
-        let d = SimDuration::from_secs(10).mul_f64(0.25);
-        assert_eq!(d.as_millis(), 2_500);
     }
 
     #[test]

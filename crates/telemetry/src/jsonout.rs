@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 /// every other control character a `\u00XX` escape. This is the
 /// workspace's one JSON string escaper; every hand-rolled JSON writer
 /// calls it.
-pub fn write_json_escaped(out: &mut String, s: &str) {
+pub(crate) fn write_json_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

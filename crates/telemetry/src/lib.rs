@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 
 mod jsonout;
 
-pub use jsonout::write_json_escaped;
+use jsonout::write_json_escaped;
 
 /// Default capacity of the hub's ring journal, in events.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
@@ -167,12 +167,6 @@ pub enum TraceKind {
     FleetShed,
     /// A characterization campaign accepted one measured margin-map cell.
     CampaignCell,
-    /// A scripted aging/temperature drift shifted the chip's true Vmin.
-    DriftEvent,
-    /// The daemon atomically swapped in a recompiled policy table.
-    TableSwap,
-    /// An online recharacterization pass started or finished.
-    Recharacterization,
 }
 
 impl TraceKind {
@@ -192,9 +186,6 @@ impl TraceKind {
             TraceKind::FleetRoute => "fleet_route",
             TraceKind::FleetShed => "fleet_shed",
             TraceKind::CampaignCell => "campaign_cell",
-            TraceKind::DriftEvent => "drift_event",
-            TraceKind::TableSwap => "table_swap",
-            TraceKind::Recharacterization => "recharacterization",
         }
     }
 }
@@ -220,7 +211,7 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// Renders the event as one JSON object (no trailing newline). The
-    /// codec is hand-rolled around [`write_json_escaped`].
+    /// codec is hand-rolled around `write_json_escaped`.
     pub fn to_json_line(&self) -> String {
         self.to_json_line_tagged(None)
     }

@@ -48,7 +48,7 @@ cargo run -q --release -p avfs-experiments --bin exp -- resilience --smoke > /de
 echo "==> fleet smoke (cluster eval acceptance + same-seed rerun determinism gate)"
 cargo run -q --release -p avfs-experiments --bin exp -- fleet --smoke > /dev/null
 
-echo "==> characterize smoke (measured-margin reclaim, drift drill, degradation curve)"
+echo "==> characterize smoke (measured tables reclaim undervolt depth and cover the hidden truth)"
 cargo run -q --release -p avfs-experiments --bin exp -- characterize --smoke > /dev/null
 
 echo "==> trace determinism (byte-identical journals across identical seeded runs)"
