@@ -2,17 +2,17 @@
 # Compares two commits on perfbench workloads: the "Comparing two
 # commits" procedure of perfbench/README.md as one command.
 #
-#   scripts/perf_pairs.sh <parent-rev> <workload|all> [change-rev] [pairs]
+#   scripts/perf_pairs.sh <parent-rev> <workload|all> [change-rev] [pairs] [seed]
 #
 # Exports both revisions with `git archive` into target/perf-pairs/<sha>
-# (change-rev defaults to HEAD, pairs to 10) and builds each export's
-# perfbench offline; building inside the exports leaves the checkout's
-# perfbench/Cargo.lock alone. Then runs pairs of parent and change at
-# seed 2024 for BENCHMARK.json's run_seconds, alternating which side
-# runs first, and prints for every end-to-end metric each side's
-# quartiles and median, the ratio of the medians (change / parent) and
-# how many pairs the change won, followed by each side's results
-# digests. `all` does this for every BENCHMARK.json workload in turn,
+# (change-rev defaults to HEAD, pairs to 10, seed to 2024) and builds
+# each export's perfbench offline; building inside the exports leaves
+# the checkout's perfbench/Cargo.lock alone. Then runs pairs of parent
+# and change at the seed for BENCHMARK.json's run_seconds, alternating
+# which side runs first, and prints for every end-to-end metric each
+# side's quartiles and median, the ratio of the medians (change /
+# parent) and how many pairs the change won, followed by each side's
+# results digests. `all` does this for every BENCHMARK.json workload in turn,
 # one block each, on the same two builds. Every run's output stays in
 # target/perf-pairs/runs/<workload>/. Exits 1 if any run reports
 # failed > 0 (or no result line) or the two sides' results digests
@@ -21,15 +21,17 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  echo "usage: $0 <parent-rev> <workload|all> [change-rev] [pairs]" >&2
+  echo "usage: $0 <parent-rev> <workload|all> [change-rev] [pairs] [seed]" >&2
   exit 2
 }
-[ $# -ge 2 ] && [ $# -le 4 ] || usage
+[ $# -ge 2 ] && [ $# -le 5 ] || usage
 parent_rev=$1
 workload=$2
 change_rev=${3:-HEAD}
 pairs=${4:-10}
+seed=${5:-2024}
 case $pairs in '' | *[!0-9]* | 0) usage ;; esac
+case $seed in '' | *[!0-9]*) usage ;; esac
 
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
 # "name:better" for every end-to-end metric (the entries with a bound).
@@ -98,7 +100,7 @@ for workload in $workloads; do
       dir=${side}_dir
       out=$runs/$side-$i.txt
       (cd "${!dir}" && cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 2024 --seconds "$seconds") > "$out" 2>&1 || true
+        --workload "$workload" --seed "$seed" --seconds "$seconds") > "$out" 2>&1 || true
       n=$(tail -n 1 "$out" | sed -n 's/.*"failed": *\([0-9]*\).*/\1/p')
       if [ -z "$n" ] || [ "$n" -gt 0 ]; then
         echo "$workload pair $i $side: failed=${n:-no result line} (see $out)" >&2
@@ -108,7 +110,7 @@ for workload in $workloads; do
     echo "$workload pair $i/$pairs done" >&2
   done
 
-  echo "workload $workload, $pairs pairs of ${seconds}-s runs, seed 2024"
+  echo "workload $workload, $pairs pairs of ${seconds}-s runs, seed $seed"
   echo "parent $parent_short, change $change_short"
   row='%-12s %-6s | %10s %10s %10s | %10s %10s %10s | %7s %5s\n'
   # shellcheck disable=SC2059
