@@ -9,8 +9,10 @@
 //! * **Topology** — structural well-formedness of the
 //!   [`ChipSpec`](avfs_chip::topology::ChipSpec).
 //! * **Policy** — the characterized [`PolicyTable`]: totality over every
-//!   `FreqVminClass × DroopClass × thread-bucket` cell, monotonicity, and
-//!   coverage of the underlying model.
+//!   `FreqVminClass × DroopClass × thread-bucket` cell, the rail window,
+//!   and monotonicity. That the table covers the model is proved by
+//!   `prove-policy` ([`crate::proof`]), on the weakest PMDs at every
+//!   thread count.
 //! * **Power/EDP** — non-negativity and voltage monotonicity of the power
 //!   model, and sanity of the ED²P scaling estimates.
 
@@ -18,7 +20,6 @@ use crate::context::AnalysisContext;
 use crate::invariant::{Invariant, Violation};
 use avfs_chip::freq::{FreqStep, FreqVminClass};
 use avfs_chip::power::{PmdLoad, PowerInputs};
-use avfs_chip::topology::PmdId;
 use avfs_chip::vmin::{DroopClass, VminQuery};
 use avfs_chip::voltage::Millivolts;
 use avfs_core::edp::scaling_estimate;
@@ -59,7 +60,6 @@ pub fn all() -> Vec<Box<dyn Invariant>> {
         Box::new(PolicyTotality),
         Box::new(PolicyWithinRail),
         Box::new(PolicyMonotone),
-        Box::new(PolicyCoversModel),
         Box::new(PowerNonNegative),
         Box::new(PowerMonotoneInVoltage),
         Box::new(EdpEstimatesSane),
@@ -318,7 +318,9 @@ impl Invariant for CrashPointBelowSafe {
 }
 
 /// Utilizing more PMDs must never lower the safe Vmin (droops only grow
-/// with utilized PMDs — the monotonicity Table II encodes).
+/// with utilized PMDs — the monotonicity Table II encodes), at every
+/// thread count and at both ends and the middle of the workload
+/// sensitivity range.
 pub struct VminPmdCountMonotone;
 
 impl Invariant for VminPmdCountMonotone {
@@ -332,25 +334,30 @@ impl Invariant for VminPmdCountMonotone {
         let mut out = Vec::new();
         let model = cx.chip.vmin_model();
         let pmds = cx.spec.pmds() as usize;
-        let threads = cx.spec.cores as usize; // fixed: isolates the droop term
         for (fc, _, fc_name) in FREQ_CLASSES {
-            let mut prev = Millivolts::new(0);
-            for utilized in 1..=pmds {
-                let q = VminQuery {
-                    freq_class: fc,
-                    utilized_pmds: utilized,
-                    active_threads: threads,
-                    workload_sensitivity: 0.0,
-                };
-                let v = model.safe_vmin(&q);
-                if v < prev {
-                    out.push(violation(
-                        self.name(),
-                        format!("safe_vmin[{fc_name}][{utilized} PMDs]"),
-                        format!("{v} is below the {}-PMD value {prev}", utilized - 1),
-                    ));
+            for threads in 1..=cx.spec.cores as usize {
+                for sensitivity in [-1.0, 0.0, 1.0] {
+                    let mut prev = Millivolts::new(0);
+                    for utilized in 1..=pmds {
+                        let v = model.safe_vmin(&VminQuery {
+                            freq_class: fc,
+                            utilized_pmds: utilized,
+                            active_threads: threads,
+                            workload_sensitivity: sensitivity,
+                        });
+                        if v < prev {
+                            out.push(violation(
+                                self.name(),
+                                format!(
+                                    "safe_vmin[{fc_name}][{utilized} PMDs][{threads} threads]\
+                                     [sensitivity {sensitivity}]"
+                                ),
+                                format!("{v} is below the {}-PMD value {prev}", utilized - 1),
+                            ));
+                        }
+                        prev = v;
+                    }
                 }
-                prev = v;
             }
         }
         out
@@ -711,52 +718,6 @@ impl Invariant for PolicyMonotone {
                             ),
                         ));
                     }
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Driving voltage from the table must be safe for *any* matching
-/// allocation and workload on the chip — the property the whole
-/// characterization exists to guarantee.
-pub struct PolicyCoversModel;
-
-impl Invariant for PolicyCoversModel {
-    fn name(&self) -> &'static str {
-        "policy-covers-model"
-    }
-    fn description(&self) -> &'static str {
-        "every policy voltage covers the model's worst-case safe Vmin"
-    }
-    fn check(&self, cx: &AnalysisContext) -> Vec<Violation> {
-        let mut out = Vec::new();
-        if cx.policy.pmds() != cx.spec.pmds() as usize {
-            return out; // incomparable: policy characterized another chip
-        }
-        let model = cx.chip.vmin_model();
-        for (fc, _, fc_name) in FREQ_CLASSES {
-            for utilized in 1..=cx.policy.pmds() {
-                let threads = utilized * cx.spec.cores_per_pmd as usize;
-                let policy_v = cx.policy.safe_voltage_for_pmds(fc, utilized, threads);
-                let q = VminQuery {
-                    freq_class: fc,
-                    utilized_pmds: utilized,
-                    active_threads: threads,
-                    workload_sensitivity: 1.0,
-                };
-                let worst_pmds: Vec<PmdId> = (0..utilized as u16).map(PmdId::new).collect();
-                let real_v = model.safe_vmin_on(&q, worst_pmds.iter().copied());
-                if policy_v < real_v {
-                    out.push(violation(
-                        self.name(),
-                        format!("policy[{fc_name}][{utilized} PMDs]"),
-                        format!(
-                            "table voltage {policy_v} undervolts the model's \
-                             worst-case safe Vmin {real_v}"
-                        ),
-                    ));
                 }
             }
         }

@@ -33,8 +33,8 @@
 //! (a ratchet: counts may only go down); anything above the allowlisted
 //! count fails the run, and an allowlist entry above the current count
 //! fails too — the ratchet must be tightened as debt is paid. Test
-//! modules (`#[cfg(test)]`), `tests/`, `benches/`, `examples/`, and the
-//! offline dependency shims are exempt.
+//! modules (`#[cfg(test)]`), `tests/`, `benches/` and `examples/` are
+//! exempt.
 
 use std::fmt;
 use std::fs;

@@ -1,12 +1,12 @@
 //! The mask forms of the PMD queries agree with per-core reference
 //! definitions written out here: exhaustively over every core set of
 //! X-Gene 2's 8 cores and of synthetic chips with 3- and 4-core PMDs
-//! (the shift-loop path) or a core past the last whole PMD, and by
-//! property over X-Gene 3's 32 cores and a full 64-core chip.
+//! (the shift-loop path) or a core past the last whole PMD, and over
+//! seeded draws of X-Gene 3's 32 cores and a full 64-core chip.
 
 use avfs_chip::presets;
 use avfs_chip::topology::{ChipSpec, CoreId, CoreSet, PmdId};
-use proptest::prelude::*;
+use avfs_sim::rng::RngStream;
 
 /// Reference: every core whose owning PMD is `pmd`.
 fn ref_cores_of(spec: &ChipSpec, pmd: PmdId) -> CoreSet {
@@ -136,44 +136,57 @@ fn cores_of_rejects_a_partial_pmd() {
     let _ = synthetic(10, 3).cores_of(PmdId::new(3));
 }
 
-proptest! {
-    /// X-Gene 3's 2^32 core sets, dense (each core in with
-    /// probability 1/2) and sparse (1/4).
-    #[test]
-    fn xgene3_core_sets_match_the_reference(
-        bits in any::<u32>(),
-        thin in any::<u32>(),
-        sparse in any::<bool>(),
-    ) {
-        let spec = presets::xgene3().spec().clone();
-        let bits = if sparse { bits & thin } else { bits };
-        assert_matches_reference(&spec, CoreSet::from_bits(u64::from(bits)));
-    }
+/// Draws per seeded loop.
+const DRAWS: usize = 128;
 
-    /// A 64-core chip in pairs, whose top PMDs exercise the last fold
-    /// step, and in 4-core PMDs.
-    #[test]
-    fn full_width_core_sets_match_the_reference(bits in any::<u64>(), quads in any::<bool>()) {
-        let spec = synthetic(64, if quads { 4 } else { 2 });
-        assert_matches_reference(&spec, CoreSet::from_bits(bits));
+/// X-Gene 3's 2^32 core sets, dense (each core in with probability
+/// 1/2) and sparse (1/4).
+#[test]
+fn xgene3_core_sets_match_the_reference() {
+    let spec = presets::xgene3().spec().clone();
+    let mut rng = RngStream::from_root(0, "xgene3_core_sets_match_the_reference");
+    for _ in 0..DRAWS {
+        let dense = rng.next_u64() & u64::from(u32::MAX);
+        assert_matches_reference(&spec, CoreSet::from_bits(dense));
+        assert_matches_reference(&spec, CoreSet::from_bits(dense & rng.next_u64()));
     }
+}
 
-    /// The PMDs of a union are the union of the PMDs, which a replan
-    /// relies on to count the PMDs a transition utilizes.
-    #[test]
-    fn the_pmds_of_a_union_are_the_union_of_the_pmds(a in any::<u32>(), b in any::<u32>()) {
-        let spec = presets::xgene3().spec().clone();
-        let (a, b) = (CoreSet::from_bits(u64::from(a)), CoreSet::from_bits(u64::from(b)));
-        prop_assert_eq!(
+/// A 64-core chip in pairs, whose top PMDs exercise the last fold
+/// step, and in 4-core PMDs.
+#[test]
+fn full_width_core_sets_match_the_reference() {
+    let mut rng = RngStream::from_root(0, "full_width_core_sets_match_the_reference");
+    for spec in [synthetic(64, 2), synthetic(64, 4)] {
+        for _ in 0..DRAWS {
+            assert_matches_reference(&spec, CoreSet::from_bits(rng.next_u64()));
+        }
+    }
+}
+
+/// The PMDs of a union are the union of the PMDs, which a replan
+/// relies on to count the PMDs a transition utilizes.
+#[test]
+fn the_pmds_of_a_union_are_the_union_of_the_pmds() {
+    let spec = presets::xgene3().spec().clone();
+    let mut rng = RngStream::from_root(0, "the_pmds_of_a_union_are_the_union_of_the_pmds");
+    for _ in 0..DRAWS {
+        let mut draw = || CoreSet::from_bits(rng.next_u64() & u64::from(u32::MAX));
+        let (a, b) = (draw(), draw());
+        assert_eq!(
             a.union(b).utilized_pmds(&spec),
-            a.utilized_pmds(&spec).union(b.utilized_pmds(&spec))
+            a.utilized_pmds(&spec).union(b.utilized_pmds(&spec)),
+            "{a} and {b}"
         );
     }
+}
 
-    /// `iter` visits every set bit of the full 64-bit mask in order.
-    #[test]
-    fn iter_matches_an_ascending_bit_scan(bits in any::<u64>()) {
-        let set = CoreSet::from_bits(bits);
-        prop_assert_eq!(set.iter().collect::<Vec<_>>(), ref_iter(set));
+/// `iter` visits every set bit of the full 64-bit mask in order.
+#[test]
+fn iter_matches_an_ascending_bit_scan() {
+    let mut rng = RngStream::from_root(0, "iter_matches_an_ascending_bit_scan");
+    for _ in 0..DRAWS {
+        let set = CoreSet::from_bits(rng.next_u64());
+        assert_eq!(set.iter().collect::<Vec<_>>(), ref_iter(set));
     }
 }

@@ -46,21 +46,23 @@ pub struct DaemonConfig {
     /// deepest step whose Vmin class pays — 3/8 on X-Gene 2 thanks to
     /// clock division, 4/8 on X-Gene 3).
     pub mem_step: FreqStep,
-    /// Step parked on idle PMDs.
-    pub idle_step: FreqStep,
     /// Apply the fail-safe raise-before / lower-after ordering. Disabling
     /// this (ablation) applies voltage last unconditionally and produces
     /// unsafe transitions.
     pub fail_safe_ordering: bool,
     /// Extra voltage guard added on top of the characterized table, mV.
     pub extra_margin_mv: u32,
-    /// Do not bother lowering voltage for gains smaller than this, mV
-    /// (limits SLIMpro traffic; raises are always applied).
-    pub lower_hysteresis_mv: u32,
     /// Fault-recovery tuning (retry/backoff, safe-mode thresholds,
     /// migration watchdog, droop guardband).
     pub recovery: RecoveryConfig,
 }
+
+/// Step parked on idle PMDs.
+const IDLE_STEP: FreqStep = FreqStep::MIN;
+
+/// Do not bother lowering voltage for gains smaller than this, mV
+/// (limits SLIMpro traffic; raises are always applied).
+const LOWER_HYSTERESIS_MV: i64 = 5;
 
 /// Metric names of the daemon's counter registry, in slot order (the
 /// same names appear in a shared `TelemetryHub` when one is attached,
@@ -269,10 +271,8 @@ impl Daemon {
                 control_placement: true,
                 control_voltage: true,
                 mem_step: Self::mem_step_for(chip),
-                idle_step: FreqStep::MIN,
                 fail_safe_ordering: true,
                 extra_margin_mv: 0,
-                lower_hysteresis_mv: 5,
                 recovery: RecoveryConfig::default(),
             },
         )
@@ -500,7 +500,7 @@ impl Daemon {
             let planned = match role {
                 PmdRole::Cpu => FreqStep::MAX,
                 PmdRole::Mem => self.config.mem_step,
-                PmdRole::Idle => self.config.idle_step,
+                PmdRole::Idle => IDLE_STEP,
             };
             scratch.steps.push(if stranded_pmds.contains(pmd) {
                 // Never throttle a core a stranded process runs on.
@@ -574,9 +574,7 @@ impl Daemon {
             } else {
                 view.voltage
             };
-            if final_v > settle_from
-                || settle_from - final_v >= self.config.lower_hysteresis_mv as i64
-            {
+            if final_v > settle_from || settle_from - final_v >= LOWER_HYSTERESIS_MV {
                 actions.push(Action::SetVoltage(final_v));
                 if final_v < settle_from {
                     self.bump(Dc::VoltageLowers);
@@ -1012,7 +1010,6 @@ mod tests {
     use avfs_sched::process::Pid;
     use avfs_sim::time::SimTime;
     use avfs_workloads::classify::IntensityClass;
-    use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     fn xg3_chip() -> Chip {
@@ -1307,25 +1304,26 @@ mod tests {
         (pins, pending.len() as u64)
     }
 
-    proptest! {
-        /// X-Gene 3 views with up to six running processes on random
-        /// disjoint cores and up to four waiting ones, each CPU-bound,
-        /// memory-bound or unmeasured: the sequencer emits the reference's
-        /// pins in the reference's order and defers as many.
-        #[test]
-        fn pin_sequencing_matches_the_folding_reference(
-            owners in collection::vec(0u8..10, 32),
-            classes in any::<u32>(),
-            widths in collection::vec(1usize..=8, 0..=4),
-        ) {
-            let chip = xg3_chip();
+    /// X-Gene 3 views with up to six running processes on random
+    /// disjoint cores and up to four waiting ones, each CPU-bound,
+    /// memory-bound or unmeasured: the sequencer emits the reference's
+    /// pins in the reference's order and defers as many.
+    #[test]
+    fn pin_sequencing_matches_the_folding_reference() {
+        let chip = xg3_chip();
+        let mut rng =
+            avfs_sim::RngStream::from_root(0, "pin_sequencing_matches_the_folding_reference");
+        for _ in 0..128 {
+            // Owners 0..6 run; a core drawn to owner 6..10 is free.
+            let owners: Vec<u64> = (0..32).map(|_| rng.uniform_u64(0, 9)).collect();
+            let classes = rng.next_u64();
             let class = |k: usize| match (classes >> (2 * k)) & 3 {
                 0 => None,
                 1 => Some(IntensityClass::MemoryIntensive),
                 _ => Some(IntensityClass::CpuIntensive),
             };
             let mut procs = Vec::new();
-            for owner in 0..6u8 {
+            for owner in 0..6 {
                 let held: CoreSet = (0..32u16)
                     .filter(|&c| owners[usize::from(c)] == owner)
                     .map(avfs_chip::topology::CoreId::new)
@@ -1336,8 +1334,8 @@ mod tests {
                     procs.push(p);
                 }
             }
-            for threads in widths {
-                let mut p = waiting(procs.len() as u64 + 1, threads);
+            for _ in 0..rng.uniform_u64(0, 4) {
+                let mut p = waiting(procs.len() as u64 + 1, rng.uniform_u64(1, 8) as usize);
                 p.class = class(procs.len());
                 procs.push(p);
             }
@@ -1345,8 +1343,8 @@ mod tests {
             let mut scratch = PlanScratch::for_chip(chip.spec());
             Daemon::plan_layout(chip.spec(), &view, &mut scratch);
             let (pins, deferred) = reference_sequence(&view, &scratch);
-            prop_assert_eq!(Daemon::sequence_pins(&view, &mut scratch), deferred);
-            prop_assert_eq!(scratch.pins, pins);
+            assert_eq!(Daemon::sequence_pins(&view, &mut scratch), deferred);
+            assert_eq!(scratch.pins, pins);
         }
     }
 

@@ -179,7 +179,7 @@ impl PolicyTable {
     ///
     /// Exists for the `avfs-characterize` table compiler (measured
     /// margin maps) and for the `avfs-analyze` invariant checker and its
-    /// property tests, which construct deliberately broken tables
+    /// detection tests, which construct deliberately broken tables
     /// (holes, inversions) and prove the checker flags them.
     ///
     /// Every populated cell is validated against `floor_mv`, the chip's

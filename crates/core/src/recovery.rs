@@ -27,7 +27,7 @@
 //!   voltage/frequency targets.
 //!
 //! The three-state machine is deliberately independent of the daemon so
-//! it can be tested exhaustively on its own (see also the property tests
+//! it can be tested exhaustively on its own (see also the recovery tests
 //! in `avfs-analyze`).
 
 use avfs_sim::rng::RngStream;

@@ -15,7 +15,6 @@ use avfs_sim::time::{SimDuration, SimTime};
 use avfs_telemetry::Telemetry;
 use avfs_workloads::generator::{GeneratorConfig, WorkloadTrace};
 use avfs_workloads::PerfModel;
-use proptest::prelude::*;
 
 /// One traced Optimal run over a seeded workload with a seeded fault
 /// plan armed; returns the JSONL journal and the final daemon stats.
@@ -124,38 +123,35 @@ fn view_at(now_s: u64, with_proc: bool) -> SystemView {
     }
 }
 
-proptest! {
-    #[test]
-    fn counter_snapshots_are_monotone_across_invocations(
-        seed in 0u64..1_000,
-        steps in 1usize..32,
-    ) {
+/// Event `i` of a run is kind `(start + i) % 4`, so the four starting
+/// kinds, run for 32 steps each, contain every shorter run as a prefix.
+#[test]
+fn counter_snapshots_are_monotone_across_invocations() {
+    let mut cases = 0;
+    for start in 0u64..4 {
         let chip = presets::xgene2().build();
         let mut daemon = Daemon::optimal(&chip);
         let mut prev = daemon.stats();
-        prop_assert_eq!(prev, DaemonStats::default());
-        for i in 0..steps {
-            let pick = seed.wrapping_add(i as u64) % 4;
+        assert_eq!(prev, DaemonStats::default());
+        for i in 0..32 {
+            let pick = (start + i) % 4;
             let event = match pick {
                 0 => SysEvent::MonitorTick,
                 1 => SysEvent::ProcessArrived(Pid(1)),
                 2 => SysEvent::ProcessFinished(Pid(1)),
-                _ => SysEvent::OperationFault(FaultNotice::VoltageRefused(
-                    Millivolts::new(800),
-                )),
+                _ => SysEvent::OperationFault(FaultNotice::VoltageRefused(Millivolts::new(800))),
             };
-            let view = view_at(i as u64, pick == 1);
+            let view = view_at(i, pick == 1);
             let _ = daemon.on_event(&view, &event);
             let cur = daemon.stats();
-            prop_assert!(
+            assert!(
                 stats_le(&prev, &cur),
-                "counters regressed at step {}: {} -> {}",
-                i,
-                prev,
-                cur
+                "counters regressed at step {i} from offset {start}: {prev} -> {cur}"
             );
-            prop_assert!(cur.invocations == prev.invocations + 1);
+            assert_eq!(cur.invocations, prev.invocations + 1);
             prev = cur;
+            cases += 1;
         }
     }
+    assert_eq!(cases, 128);
 }

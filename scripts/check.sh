@@ -17,15 +17,10 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy"
-# The offline proptest stand-in under shims/ is checked by build + tests
-# only; clippy gates the real crates. The four warn-level domain lints
-# (unwrap/expect/float-cmp/truncating-cast) stay advisory here because the
-# avfs-analyze lint ratchet below is their enforcement point.
-cargo clippy -q --all-targets \
-  -p avfs-sim -p avfs-chip -p avfs-workloads -p avfs-sched \
-  -p avfs-core -p avfs-telemetry -p avfs-fleet -p avfs-characterize \
-  -p avfs-experiments -p avfs-bench -p avfs-analyze \
-  -- -D warnings \
+# The four warn-level domain lints (unwrap/expect/float-cmp/truncating-cast)
+# stay advisory here because the avfs-analyze lint ratchet below is their
+# enforcement point.
+cargo clippy -q --workspace --all-targets -- -D warnings \
   -A clippy::unwrap_used -A clippy::expect_used \
   -A clippy::float_cmp -A clippy::cast-possible-truncation
 
