@@ -1,7 +1,9 @@
-//! Allocation gate for the control loop, in two phases.
+//! Allocation gate for the control loop and the journal export, in
+//! three phases.
 //!
 //! Installs a counting `#[global_allocator]` and drives the simulator
-//! with the Optimal daemon through two measured windows.
+//! with the Optimal daemon through two measured windows, then exports a
+//! hub's journal.
 //!
 //! 1. **Steady state.** X-Gene 2 runs six long jobs that neither finish
 //!    nor change class inside the window, twice. With a zero-rate fault
@@ -19,8 +21,12 @@
 //!    API hands the list to `System` by value. Every other allocation
 //!    must be a growth of the run's completion records, which the gate
 //!    derives from their capacity; anything left over fails the gate.
+//! 3. **Export.** A traced X-Gene 2 run records a journal of a few
+//!    hundred lines. One `export_jsonl` call renders every event straight
+//!    into one output buffer: it may allocate that buffer and grow it
+//!    once, **at most two** allocations whatever the line count.
 //!
-//! In both phases the power-trace sampler fires beyond the window: its
+//! In phases 1 and 2 the power-trace sampler fires beyond the window: its
 //! series are unbounded run outputs, and amortized growth is inherent
 //! to producing output, not to stepping the loop.
 
@@ -35,6 +41,7 @@ use avfs_core::daemon::Daemon;
 use avfs_sched::driver::{Action, Driver, SysEvent, SystemView};
 use avfs_sched::system::{RunState, System, SystemConfig};
 use avfs_sim::time::{SimDuration, SimTime};
+use avfs_telemetry::Telemetry;
 use avfs_workloads::{Arrival, Benchmark, GeneratorConfig, PerfModel, WorkloadTrace};
 
 /// Number of heap allocations since process start (alloc + realloc +
@@ -85,6 +92,7 @@ fn main() {
         "eliding inert boundaries saved no iterations ({plain} vs {armed})"
     );
     churn();
+    export();
 }
 
 /// Phase 1: a warmed six-job window in which nothing arrives, exits or
@@ -281,4 +289,38 @@ fn churn() {
         "{unexplained} allocations outside returned action lists and completion-record growth"
     );
     println!("alloc gate passed: no allocation outside returned action lists and run outputs");
+}
+
+/// Phase 3: one JSONL export of a traced run's journal allocates its
+/// output buffer and at most one growth of it.
+fn export() {
+    let telemetry = Telemetry::hub();
+    let trace = WorkloadTrace::generate(&GeneratorConfig {
+        duration: SimDuration::from_secs(300),
+        ..GeneratorConfig::paper_default(8, 2024)
+    });
+    let chip = presets::xgene2().build();
+    let mut daemon = Daemon::optimal(&chip);
+    daemon.set_telemetry(telemetry.clone());
+    let mut system = System::builder(chip, PerfModel::xgene2())
+        .observer(telemetry.clone())
+        .build();
+    let _ = system.run(&trace, &mut daemon);
+
+    let allocs_before = allocs();
+    let jsonl = telemetry.export_jsonl().expect("a hub handle exports");
+    let allocs = allocs() - allocs_before;
+    let lines = jsonl.lines().count();
+    println!(
+        "alloc gate, export: {lines} lines, {} bytes, {allocs} allocations",
+        jsonl.len()
+    );
+    assert!(
+        lines >= 200,
+        "journal too small to be a meaningful gate ({lines} lines)"
+    );
+    assert!(
+        allocs <= 2,
+        "exporting {lines} lines allocated {allocs} times, more than one buffer and one growth"
+    );
 }

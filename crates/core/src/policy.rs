@@ -368,55 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn table_voltage_covers_every_workload_on_the_chip() {
-        // The whole point: driving voltage from the table must be safe for
-        // any allocation in the matching class running any workload.
-        let chip = presets::xgene3().build();
-        let model = chip.vmin_model();
-        let table = xg3_table();
-        for utilized in 1..=16usize {
-            let threads = utilized * 2; // clustered fill
-            let dc = table.droop_class(utilized);
-            let policy_v = table.safe_voltage(FreqVminClass::Max, dc, threads);
-            // Worst-case workload on the weakest PMDs of that count.
-            let q = VminQuery {
-                freq_class: FreqVminClass::Max,
-                utilized_pmds: utilized,
-                active_threads: threads,
-                workload_sensitivity: 1.0,
-            };
-            let pmd_ids = (0..utilized as u16).map(avfs_chip::topology::PmdId::new);
-            let real_v = model.safe_vmin_on(&q, pmd_ids);
-            assert!(
-                policy_v >= real_v,
-                "{utilized} PMDs: policy {policy_v} < real {real_v}"
-            );
-        }
-    }
-
-    #[test]
-    fn single_thread_worst_case_is_covered() {
-        // The table must also cover a single sensitive thread on the
-        // weakest PMD — the hardest case for the margin logic.
-        let chip = presets::xgene2().build();
-        let model = chip.vmin_model();
-        let table = xg2_table();
-        let weakest = (0..4u16)
-            .map(avfs_chip::topology::PmdId::new)
-            .max_by_key(|&p| model.pmd_offset_mv(p))
-            .unwrap();
-        let q = VminQuery {
-            freq_class: FreqVminClass::Max,
-            utilized_pmds: 1,
-            active_threads: 1,
-            workload_sensitivity: 1.0,
-        };
-        let real = model.safe_vmin_on(&q, [weakest]);
-        let policy = table.safe_voltage_for_pmds(FreqVminClass::Max, 1, 1);
-        assert!(policy >= real, "policy {policy} < real {real}");
-    }
-
-    #[test]
     fn table_beats_nominal_everywhere() {
         // The guardband exists: every table entry is below nominal.
         for table in [xg2_table(), xg3_table()] {

@@ -44,16 +44,10 @@ const ACTION_MIX_COUNTERS: [&str; 18] = [
 fn fmt_value(v: &Value) -> String {
     match v {
         Value::U64(n) => n.to_string(),
-        Value::I64(n) => n.to_string(),
         Value::F64(x) if x.is_finite() => x.to_string(),
         Value::F64(_) => "null".to_string(),
         Value::Bool(b) => b.to_string(),
         Value::Str(s) => (*s).to_string(),
-        Value::Text(s) => s.clone(),
-        // `Value` is same-crate non-exhaustive-by-convention; render
-        // anything new via Debug rather than failing the report.
-        #[allow(unreachable_patterns)]
-        other => format!("{other:?}"),
     }
 }
 
@@ -70,7 +64,6 @@ fn field<'a>(event: &'a TraceEvent, name: &str) -> Option<&'a Value> {
 fn numeric_field(event: &TraceEvent, name: &str) -> Option<f64> {
     match field(event, name)? {
         Value::U64(n) => Some(*n as f64),
-        Value::I64(n) => Some(*n as f64),
         Value::F64(x) => Some(*x),
         _ => None,
     }
