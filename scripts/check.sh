@@ -6,7 +6,7 @@
 # test suite, the release elision identity sweep, the experiment smokes,
 # trace determinism, and the two
 # hot-path correctness gates (null observer overhead; allocations in
-# steady state and on churn traffic).
+# steady state, on churn traffic and in one journal export).
 # Speed is measured by the perfbench benchmark (see BENCHMARK.json), not
 # here.
 # Mirrors what CI would run; exits nonzero on the first failure.
@@ -59,7 +59,7 @@ cmp "$trace_dir/a.jsonl" "$trace_dir/b.jsonl"
 echo "==> telemetry observer guard (null-path overhead within noise)"
 cargo test -q --release -p avfs-bench --test observer_guard
 
-echo "==> allocation gate (zero in steady state; only returned action lists and run outputs on churn traffic)"
+echo "==> allocation gate (zero in steady state; only returned action lists and run outputs on churn traffic; one buffer per journal export)"
 cargo bench -q -p avfs-bench --bench alloc_gate
 
 echo "All checks passed."

@@ -16,7 +16,10 @@
 # one block each, on the same two builds. Every run's output stays in
 # target/perf-pairs/runs/<workload>/. Exits 1 if any run reports
 # failed > 0 (or no result line) or the two sides' results digests
-# differ, 2 on a usage error.
+# differ, 2 on a usage error. Both sides inherit this script's
+# environment, so allocator settings such as MALLOC_MMAP_THRESHOLD_ and
+# MALLOC_TRIM_THRESHOLD_ can be pinned on both at once to attribute a
+# move to heap trimming.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
