@@ -467,6 +467,8 @@ mod tests {
     use super::*;
     use avfs_chip::fault::{FaultPlan, FaultRates};
     use avfs_chip::presets;
+    use avfs_sim::rng::fnv1a_64;
+    use avfs_telemetry::{MetricsSnapshot, Telemetry};
 
     #[test]
     fn campaign_is_deterministic_in_the_seed() {
@@ -589,6 +591,83 @@ mod tests {
             (preset, seed, faulted, probes, campaign_digest(&map, &chip))
         });
         assert_eq!(got, pins);
+    }
+
+    /// One X-Gene 2 campaign at `seed`, under `plan` if given, with a
+    /// hub attached; asserts that the map and the chip's mailbox and
+    /// fault stats equal a null-handle run's, then returns the journal
+    /// export and the hub's snapshot.
+    fn traced_campaign(seed: u64, plan: Option<FaultPlan>) -> (String, MetricsSnapshot) {
+        let run = |telemetry: Telemetry| {
+            let mut chip = presets::xgene2().build();
+            chip.set_fault_plan(plan.clone());
+            chip.set_telemetry(telemetry);
+            let map = Campaign::new(CampaignConfig::new(seed))
+                .run(&mut chip)
+                .expect("campaign completes");
+            (map, chip.mailbox_stats(), chip.fault_stats())
+        };
+        let telemetry = Telemetry::hub();
+        let traced = run(telemetry.clone());
+        assert_eq!(
+            traced,
+            run(Telemetry::null()),
+            "the observer moved a result"
+        );
+        let jsonl = telemetry.export_jsonl().expect("hub journal");
+        (jsonl, telemetry.snapshot().expect("hub snapshot"))
+    }
+
+    /// Asserts a journal's length, line count and FNV-1a-64 digest, and
+    /// the snapshot's counters; campaigns record no histograms.
+    fn assert_journal_pinned(
+        (jsonl, snapshot): (String, MetricsSnapshot),
+        (bytes, lines, digest): (usize, usize, u64),
+        counters: &[(&'static str, u64)],
+    ) {
+        assert_eq!(jsonl.len(), bytes, "journal length");
+        assert_eq!(jsonl.lines().count(), lines, "journal lines");
+        assert_eq!(fnv1a_64(jsonl.as_bytes()), digest, "journal digest");
+        let expected = MetricsSnapshot {
+            counters: counters.iter().copied().collect(),
+            histograms: Default::default(),
+        };
+        assert_eq!(snapshot, expected);
+    }
+
+    #[test]
+    fn a_traced_campaign_is_pinned() {
+        assert_journal_pinned(
+            traced_campaign(7, None),
+            (292_432, 4_635, 0xa51e_b1d9_28f9_87c4),
+            &[
+                ("characterize.cells", 36),
+                ("chip.mailbox.requests", 4_599),
+                ("chip.mailbox.voltage_sets", 4_599),
+            ],
+        );
+    }
+
+    #[test]
+    fn a_traced_faulted_campaign_is_pinned() {
+        let traced = traced_campaign(5, Some(survivable_faults()));
+        for kind in ["campaign_cell", "mailbox_call", "mailbox_fault"] {
+            assert!(
+                traced.0.contains(&format!("\"kind\":\"{kind}\"")),
+                "no {kind} record"
+            );
+        }
+        assert_journal_pinned(
+            traced,
+            (391_835, 5_988, 0x0578_e321_1983_fc8c),
+            &[
+                ("characterize.cells", 36),
+                ("chip.mailbox.injected_drops", 293),
+                ("chip.mailbox.injected_refusals", 222),
+                ("chip.mailbox.requests", 5_437),
+                ("chip.mailbox.voltage_sets", 5_016),
+            ],
+        );
     }
 
     #[test]
