@@ -363,6 +363,12 @@ impl System {
         self.kernel.live().count()
     }
 
+    /// Whether any process is live; stops at the first live row instead
+    /// of counting the table.
+    fn has_live(&self) -> bool {
+        self.kernel.live().next().is_some()
+    }
+
     /// Total threads across live (waiting or running) processes — the
     /// load signal cluster-level routing policies balance on.
     pub fn live_threads(&self) -> usize {
@@ -428,7 +434,7 @@ impl System {
     /// configured with a zero sample interval.
     pub fn begin_run(&mut self, driver: &mut dyn Driver) -> RunState {
         assert!(
-            self.live_processes() == 0,
+            !self.has_live(),
             "begin_run() requires a fresh system; use a new System per run"
         );
         assert!(
@@ -486,10 +492,10 @@ impl System {
     /// Drains the system: processes events until no live process remains.
     /// The counterpart of [`Self::step_until`] once all arrivals are in.
     pub fn run_to_completion(&mut self, st: &mut RunState, driver: &mut dyn Driver) {
-        while self.live_processes() > 0 {
+        while self.has_live() {
             self.bump_iterations(st);
             self.process_due(st, driver);
-            if self.live_processes() == 0 {
+            if !self.has_live() {
                 return;
             }
             self.advance(st, SimTime::MAX);
@@ -557,7 +563,7 @@ impl System {
         // Monitoring window, on its grid while work is live. A boundary
         // that fell due while nothing was live fires with the first work
         // to arrive, and the grid restarts there.
-        if now >= st.next_monitor && self.live_processes() > 0 {
+        if now >= st.next_monitor && self.has_live() {
             // A change point at this instant precedes the boundary.
             self.refresh(st);
             st.next_monitor = now + self.config.monitor_interval;
@@ -630,7 +636,7 @@ impl System {
     fn advance(&mut self, st: &mut RunState, horizon: SimTime) {
         self.refresh(st);
         let now = self.now();
-        let live = self.live_processes() > 0;
+        let live = self.has_live();
         let deliver = live && self.delivers_boundary(st);
         let mut next = horizon.min(self.regime.edge);
         if deliver {
