@@ -1,19 +1,24 @@
-//! Zero-cost guard for the telemetry seam: a daemon with the default
-//! null telemetry must run its hot path as fast as before the
-//! instrumentation landed.
+//! Coarse wall-clock guard for the telemetry seam: a daemon replan with
+//! the default null telemetry must be repeatable and must not cost
+//! several times a replan with a hub.
 //!
 //! Absolute thresholds would be machine-dependent, so both checks here are
-//! **self-relative** within one process:
+//! **self-relative** within one process, each on the mean of 400 full
+//! replans:
 //!
-//! * the null path is repeatable — two interleaved measurements of the
-//!   same null-telemetry loop agree within a generous noise factor, and
-//! * attaching a hub costs *something* measurable, which is the positive
-//!   control proving the harness can see telemetry work at all; if even
-//!   the hub path is free, the guard's comparison would be meaningless.
+//! * the null path is repeatable — two interleaved null measurements
+//!   agree within 3× plus 20 µs, and
+//! * the null path costs at most 3× the hub path plus 20 µs.
 //!
-//! Functional zero-cost (the `trace` closure never runs, no event is
-//! ever built on the null path) is asserted directly in
-//! `avfs-telemetry`'s unit tests; this file guards the wall-clock side.
+//! So the guard fails only when a null replan is erratic or costs
+//! several times a hub replan. A null path that did the hub's work would
+//! pass, and so did a null hook that was a real call of a few ns instead
+//! of an inlined branch. perfbench's `characterize` workload, which
+//! fires three null hooks per stress probe, is the wall-clock witness of
+//! the null path. Functional zero cost (the `trace` and `with_hub`
+//! closures never run on a null handle) is asserted in
+//! `avfs-telemetry`'s unit tests, and zero allocations by the allocation
+//! gate.
 
 use avfs_chip::presets;
 use avfs_chip::topology::{CoreId, CoreSet};

@@ -5,7 +5,8 @@
 # faults, the policy-domain proof and the measured-margin audit), the
 # test suite, the release elision identity sweep, the experiment smokes,
 # trace determinism, and the two
-# hot-path correctness gates (null observer overhead; allocations in
+# hot-path correctness gates (a coarse null-observer guard: a replan with
+# null telemetry within 3x of itself and of a hub; allocations in
 # steady state, on churn traffic and in one journal export).
 # Speed is measured by the perfbench benchmark (see BENCHMARK.json), not
 # here.
@@ -56,7 +57,7 @@ cargo run -q --release -p avfs-experiments --bin exp -- \
 test -s "$trace_dir/a.jsonl"
 cmp "$trace_dir/a.jsonl" "$trace_dir/b.jsonl"
 
-echo "==> telemetry observer guard (null-path overhead within noise)"
+echo "==> telemetry observer guard (null-path replan within 3x of itself and of a hub)"
 cargo test -q --release -p avfs-bench --test observer_guard
 
 echo "==> allocation gate (zero in steady state; only returned action lists and run outputs on churn traffic; one buffer per journal export)"
